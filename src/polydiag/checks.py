@@ -74,31 +74,45 @@ def _random_constant_column_sum_matrix(rng, n):
     return tuple(tuple(Fraction(x) for x in row) for row in rows), Fraction(lam)
 
 
+def _sample(draw, trials, factor=40):
+    """Up to ``trials`` instances from ``draw()``, which returns None for a
+    rejected draw; gives up after ``trials * factor`` draws."""
+    out = []
+    attempts = 0
+    while len(out) < trials and attempts < trials * factor:
+        attempts += 1
+        inst = draw()
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
 def suite_column_sums(trials=200, n_max=5, seed=11, max_attempts_factor=60) -> SuiteReport:
     """Constant-column-sums dichotomy on random integer matrices whose
     eigenvalue lam is simple and whose eigenvector v has v_i + v_j != 0."""
     rng = random.Random(seed)
-    failures, notes = [], []
-    done = 0
-    attempts = 0
-    while done < trials and attempts < trials * max_attempts_factor:
-        attempts += 1
+
+    def draw():
         n = rng.randint(2, n_max)
         m, lam = _random_constant_column_sum_matrix(rng, n)
         eig = eigendata(m, lam)
         if len(eig.right_basis) != 1:
-            continue
+            return None
         v = eig.right_basis[0]
         if any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n)):
-            continue
-        done += 1
+            return None
+        return m
+
+    failures, notes = [], []
+    found = _sample(draw, trials, max_attempts_factor)
+    for m in found:
         report = check_constant_column_sums_theorem(m)
-        if not report.passed:
-            for row in report.violations():
-                failures.append(
-                    "matrix %s: %s (%s) violates the dichotomy"
-                    % (m, typical_element(row.partition), row.label)
-                )
+        for row in report.violations():
+            failures.append(
+                "matrix %s: %s (%s) violates the dichotomy"
+                % (m, typical_element(row.partition), row.label)
+            )
+    done = len(found)
     if done < trials:
         notes.append("only %d of %d instances found" % (done, trials))
     return SuiteReport("column-sums", done, not failures and done == trials, failures, notes)
@@ -129,11 +143,8 @@ def suite_main_lemma(trials=100, n_max=5, seed=3) -> SuiteReport:
     built by conjugating block companion forms: every invariant
     polydiagonal W of M must satisfy v_R in W or v_L perp W."""
     rng = random.Random(seed)
-    failures = []
-    done = 0
-    attempts = 0
-    while done < trials and attempts < trials * 40:
-        attempts += 1
+
+    def draw():
         n = rng.randint(2, n_max)
         lam = rng.randint(-2, 2)
         block = [[Fraction(0)] * n for _ in range(n)]
@@ -146,42 +157,41 @@ def suite_main_lemma(trials=100, n_max=5, seed=3) -> SuiteReport:
             block[1][n - 1] = Fraction(c)
         s = _random_unimodular(rng, n)
         m = linalg.mat_mul(linalg.mat_mul(s, tuple(tuple(r) for r in block)), _inverse(s))
-        eig = eigendata(m, lam)
-        if len(eig.right_basis) != 1:
-            continue
-        done += 1
-        report = invariance.check_main_lemma(m, lam)
-        if not report.passed:
-            for row in report.violations():
-                failures.append(
-                    "matrix %s lam=%s: %s fails the dichotomy"
-                    % (m, lam, typical_element(row.partition))
-                )
-    return SuiteReport("main-lemma", done, not failures and done == trials, failures)
+        if len(eigendata(m, lam).right_basis) != 1:
+            return None
+        return m, lam
+
+    failures = []
+    found = _sample(draw, trials)
+    for m, lam in found:
+        for row in invariance.check_main_lemma(m, lam).violations():
+            failures.append(
+                "matrix %s lam=%s: %s fails the dichotomy"
+                % (m, lam, typical_element(row.partition))
+            )
+    return SuiteReport("main-lemma", len(found), not failures and len(found) == trials, failures)
 
 
 def suite_input_output(trials=100, n_max=6, seed=5) -> SuiteReport:
     """Laplacians of random weight-balanced digraphs with simple eigenvalue
     0: every L-invariant anti-synchrony subspace must be evenly tagged."""
     rng = random.Random(seed)
-    failures = []
-    done = 0
-    attempts = 0
-    while done < trials and attempts < trials * 40:
-        attempts += 1
-        n = rng.randint(2, n_max)
-        g = random_weight_balanced_digraph(n, rng)
+
+    def draw():
+        g = random_weight_balanced_digraph(rng.randint(2, n_max), rng)
         lap = laplacian_matrix(g)
-        if len(linalg.nullspace(lap)) != 1:
-            continue
-        done += 1
+        return (g, lap) if len(linalg.nullspace(lap)) == 1 else None
+
+    failures = []
+    found = _sample(draw, trials)
+    for g, lap in found:
         for p, cls in invariant_polydiagonals(lap).subspaces:
             if cls.anti_synchrony and not cls.evenly_tagged:
                 failures.append(
                     "digraph %s: invariant %s not evenly tagged"
                     % (graph.to_json(g), typical_element(p))
                 )
-    return SuiteReport("input-output", done, not failures and done == trials, failures)
+    return SuiteReport("input-output", len(found), not failures and len(found) == trials, failures)
 
 
 def suite_frobenius_perron(trials=60, n_max=6, seed=13) -> SuiteReport:
@@ -190,47 +200,47 @@ def suite_frobenius_perron(trials=60, n_max=6, seed=13) -> SuiteReport:
     subspaces contain the right Perron vector, invariant anti-synchrony
     subspaces are orthogonal to the left one."""
     rng = random.Random(seed)
-    failures = []
-    done = 0
-    attempts = 0
-    while done < trials and attempts < trials * 40:
-        attempts += 1
+
+    def draw():
         n = rng.randint(2, n_max)
         d = rng.randint(1, max(1, n - 1))
         g = random_in_regular_digraph(n, d, rng)
         if not graph.is_strongly_connected(g):
-            continue
+            return None
         a = adjacency_matrix(g)
         eig = eigendata(a, d)
         if len(eig.right_basis) != 1:
-            continue
-        done += 1
+            return None
+        return g, a, eig
+
+    failures = []
+    found = _sample(draw, trials)
+    for g, a, eig in found:
         v_r, v_l = eig.right_basis[0], eig.left_basis[0]
         for p, cls in invariant_polydiagonals(a).subspaces:
             if cls.synchrony and not contains(p, v_r):
                 failures.append("digraph %s: synchrony %s misses v_R" % (graph.to_json(g), typical_element(p)))
             if cls.anti_synchrony and any(linalg.dot(v_l, b) != 0 for b in basis(p)):
                 failures.append("digraph %s: anti-synchrony %s not perp v_L" % (graph.to_json(g), typical_element(p)))
-    return SuiteReport("frobenius-perron", done, not failures and done == trials, failures)
+    return SuiteReport("frobenius-perron", len(found), not failures and len(found) == trials, failures)
 
 
 def suite_strong_connectivity(trials=200, n_max=7, seed=17) -> SuiteReport:
     """Weight-balanced, weakly connected digraphs with positive weights and
     no loops must be strongly connected."""
     rng = random.Random(seed)
-    failures = []
-    done = 0
-    attempts = 0
-    while done < trials and attempts < trials * 40:
-        attempts += 1
-        n = rng.randint(2, n_max)
-        g = random_weight_balanced_digraph(n, rng)
-        if not graph.is_weakly_connected(g):
-            continue
-        done += 1
-        if not graph.is_strongly_connected(g):
-            failures.append("digraph %s weakly but not strongly connected" % graph.to_json(g))
-    return SuiteReport("strong-connectivity", done, not failures and done == trials, failures)
+
+    def draw():
+        g = random_weight_balanced_digraph(rng.randint(2, n_max), rng)
+        return g if graph.is_weakly_connected(g) else None
+
+    found = _sample(draw, trials)
+    failures = [
+        "digraph %s weakly but not strongly connected" % graph.to_json(g)
+        for g in found
+        if not graph.is_strongly_connected(g)
+    ]
+    return SuiteReport("strong-connectivity", len(found), not failures and len(found) == trials, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -30,16 +31,46 @@ class InputError(Exception):
 
 def _write(text, path=None):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %r: %s" % (path, exc))
     else:
         sys.stdout.write(text)
+
+
+def _checked(convert, expected, ok=lambda value: True):
+    """argparse ``type=``: convert the text, then require ``ok(value)``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+
+    return parse
+
+
+_NATURAL = _checked(int, "an integer >= 0", lambda n: n >= 0)
+_TRIALS = _checked(int, "an integer >= 1", lambda n: n >= 1)
+_SIZE = _checked(
+    int,
+    "an integer in 2..%d" % invariance.DEFAULT_SCAN_LIMIT,
+    lambda n: 2 <= n <= invariance.DEFAULT_SCAN_LIMIT,
+)
+_POSITIVE = _checked(float, "a finite number > 0", lambda x: 0 < x < math.inf)
+_FRACTION = _checked(Fraction, "a rational number such as 1/2 or 0.5")
+_FLOATS = _checked(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
 
 
 def _load_digraph(path):
     try:
         return graph.load_digraph(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError("cannot read digraph %r: %s" % (path, exc))
 
 
@@ -100,26 +131,9 @@ def _invariant_set(args):
 
 
 def cmd_invariants(args):
-    g, inv = _invariant_set(args)
-    out = []
-    for p, cls in inv.subspaces:
-        out.append("%s  %s" % (typical_element(p), type_label(p, cls)))
-    text = "\n".join(out) + "\n"
-    if args.lattice:
-        lat = invariance.build_lattice(inv)
-        if args.format == "dot":
-            text = invariance.lattice_to_dot(lat)
-        else:
-            text = json.dumps(invariance.lattice_to_json_dict(lat), indent=2) + "\n"
-    if args.orbits:
-        autos = graph.automorphisms(g)
-        groups = invariance.orbits(inv, autos)
-        lines = ["%d subspaces in %d orbits (automorphism group order %d)" % (len(inv.subspaces), len(groups), len(autos))]
-        for orb in groups:
-            rep = typical_element(inv.subspaces[orb[0]][0])
-            lines.append("%s  size %d" % (rep, len(orb)))
-        text = "\n".join(lines) + "\n"
-    _write(text, args.output)
+    _, inv = _invariant_set(args)
+    lines = ["%s  %s" % (typical_element(p), type_label(p, cls)) for p, cls in inv.subspaces]
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -186,13 +200,12 @@ def cmd_simulate(args):
     preset = dynamics.preset_f(args.preset, **params)
     g = _load_digraph(args.digraph)
     m = _pick_matrix(g, args.matrix)
-    scale = float(Fraction(args.scale))
-    m_float = scale * np.array([[float(x) for x in row] for row in m])
+    m_float = float(args.scale) * np.array([[float(x) for x in row] for row in m])
     coupling = args.coupling or _DEFAULT_COUPLING.get(args.preset, "identity")
     h = _COUPLINGS[coupling](preset.k)
     sys_ = dynamics.CoupledSystem(g.n, preset.k, preset, h, m_float)
     if args.x0:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
+        x0 = np.array(args.x0)
         if x0.size != g.n * preset.k:
             raise InputError("--x0 needs %d values" % (g.n * preset.k))
     else:
@@ -222,7 +235,7 @@ def cmd_check(args):
         if args.lam is None:
             raise InputError("main-lemma on a file needs --lambda")
         try:
-            report = invariance.check_main_lemma(m, Fraction(args.lam))
+            report = invariance.check_main_lemma(m, args.lam)
         except ValueError as exc:
             raise InputError(str(exc))
         _write(invariance.report_to_json(report) + "\n", args.output)
@@ -268,7 +281,7 @@ def build_parser():
         p.add_argument("--output", help="write to a file instead of stdout")
 
     p = sub.add_parser("enumerate", help="stream tagged partitions of {1..n}")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_NATURAL)
     p.add_argument("--filter", help="one of: %s" % ", ".join(sorted(FILTERS)))
     p.add_argument("--count-only", action="store_true")
     common(p)
@@ -280,20 +293,22 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_classify)
 
-    for name, fn in (("invariants", cmd_invariants), ("lattice", cmd_lattice), ("orbits", cmd_orbits)):
+    for name, fn, formats in (
+        ("invariants", cmd_invariants, ()),
+        ("lattice", cmd_lattice, ("json", "dot")),
+        ("orbits", cmd_orbits, ("text", "json")),
+    ):
         p = sub.add_parser(name, help="%s of the invariant polydiagonal subspaces" % name)
         p.add_argument("digraph", help="digraph file (.json or edge list)")
         p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
         p.add_argument("--n-cap", type=int, default=invariance.DEFAULT_SCAN_LIMIT)
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text" if name != "lattice" else "json")
-        if name == "invariants":
-            p.add_argument("--lattice", action="store_true")
-            p.add_argument("--orbits", action="store_true")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         common(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("count", help="subspace-type counting table")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_NATURAL)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     common(p)
     p.set_defaults(func=cmd_count)
@@ -303,12 +318,12 @@ def build_parser():
     p.add_argument("--eps", type=float, help="van der Pol epsilon")
     p.add_argument("--digraph", required=True)
     p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
-    p.add_argument("--scale", default="1", help="rational scale for M, e.g. 0.5")
+    p.add_argument("--scale", type=_FRACTION, default="1", help="rational scale for M, e.g. 0.5")
     p.add_argument("--coupling", choices=sorted(_COUPLINGS))
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=50.0)
-    p.add_argument("--x0", help="comma-separated initial state")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
+    p.add_argument("--T", type=_POSITIVE, default=50.0)
+    p.add_argument("--x0", type=_FLOATS, help="comma-separated initial state")
+    p.add_argument("--seed", type=_NATURAL, default=0)
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -316,12 +331,12 @@ def build_parser():
     p.add_argument("suite")
     p.add_argument("--file", help="digraph file for main-lemma / column-sums")
     p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
-    p.add_argument("--lambda", dest="lam", help="eigenvalue for main-lemma on a file")
-    p.add_argument("--n", type=int, help="max instance size")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float, help="step size for dynamics suites")
-    p.add_argument("--T", type=float, help="horizon for dynamics suites")
+    p.add_argument("--lambda", dest="lam", type=_FRACTION, help="eigenvalue for main-lemma on a file")
+    p.add_argument("--n", type=_SIZE, help="max instance size")
+    p.add_argument("--trials", type=_TRIALS)
+    p.add_argument("--seed", type=_NATURAL)
+    p.add_argument("--dt", type=_POSITIVE, help="step size for dynamics suites")
+    p.add_argument("--T", type=_POSITIVE, help="horizon for dynamics suites")
     p.add_argument("--tol", type=float, help="tolerance for dynamics suites")
     common(p)
     p.set_defaults(func=cmd_check)

@@ -208,18 +208,6 @@ def recurrence_count(kind: str, n: int) -> int:
 # enumeration census
 
 
-_KIND_FLAG = {
-    "polydiagonal": lambda c: True,
-    "synchrony": lambda c: c.synchrony,
-    "anti_synchrony": lambda c: c.anti_synchrony,
-    "minimally": lambda c: c.minimally_tagged,
-    "fully": lambda c: c.fully_tagged,
-    "evenly": lambda c: c.evenly_tagged,
-    "freely_evenly": lambda c: c.freely_tagged and c.evenly_tagged,
-    "freely_fully": lambda c: c.freely_tagged and c.fully_tagged,
-}
-
-
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict:
     counts = dict.fromkeys(KINDS, 0)

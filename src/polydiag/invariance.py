@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,24 +40,8 @@ def _int_matrix(m):
     return [[int(x * den) for x in row] for row in m]
 
 
-def _supports(p: TaggedPartition):
-    """(plus, minus) 0-based column supports of each canonical basis vector."""
-    partner = dict(p.pairs)
-    skip = {j for _, j in p.pairs}
-    if p.fixed is not None:
-        skip.add(p.fixed)
-    out = []
-    for ci, cls in enumerate(p.classes):
-        if ci in skip:
-            continue
-        plus = [c - 1 for c in cls]
-        minus = [c - 1 for c in p.classes[partner[ci]]] if ci in partner else []
-        out.append((plus, minus))
-    return out
-
-
 def _is_invariant_int(mi, p: TaggedPartition) -> bool:
-    for plus, minus in _supports(p):
+    for plus, minus in p.supports():
         y = []
         for row in mi:
             s = 0
@@ -92,49 +74,17 @@ class InvariantSet:
         return [typical_element(p) for p, _ in self.subspaces]
 
 
-def _scan_chunk(args):
-    mi, chunk = args
-    return [p for p in chunk if _is_invariant_int(mi, p)]
-
-
-def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT, workers=None) -> InvariantSet:
-    """All tagged partitions whose subspace is m-invariant, by exhaustive scan.
-
-    ``workers`` (default: the POLYDIAG_THREADS environment variable, else 1)
-    splits the enumeration stream over a process pool; results are merged
-    back in canonical order.
-    """
+def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
+    """All tagged partitions whose subspace is m-invariant, by exhaustive scan."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     if n > n_cap:
         raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (n, n_cap))
     mi = _int_matrix(m)
-    if workers is None:
-        workers = int(os.environ.get("POLYDIAG_THREADS", "1"))
-    if workers > 1 and n >= 6:
-        hits = _scan_parallel(mi, n, workers)
-    else:
-        hits = [p for p in enumerate_tagged_partitions(n) if _is_invariant_int(mi, p)]
+    hits = [p for p in enumerate_tagged_partitions(n) if _is_invariant_int(mi, p)]
     mat = tuple(tuple(frac(x) for x in row) for row in m)
     return InvariantSet(mat, tuple((p, classify(p)) for p in hits))
-
-
-def _scan_parallel(mi, n, workers, chunk_size=4096):
-    chunks = []
-    buf = []
-    for p in enumerate_tagged_partitions(n):
-        buf.append(p)
-        if len(buf) == chunk_size:
-            chunks.append(buf)
-            buf = []
-    if buf:
-        chunks.append(buf)
-    hits = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_chunk, [(mi, c) for c in chunks]):
-            hits.extend(part)
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -368,35 +318,6 @@ def check_constant_column_sums_theorem(m, inv: InvariantSet | None = None) -> Co
         holds = (cls.synchrony and has_v) or (cls.evenly_tagged and not has_v)
         rows.append(ColumnSumsRow(p, type_label(p, cls), has_v, holds))
     return ColumnSumsReport(True, None, frac(lam), v, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# floating-point Perron diagnostic (never feeds exact decisions)
-
-
-def perron_diagnostic(m, tol=1e-9, max_iter=100_000):
-    """Power-iteration estimate (lam, v) for a nonnegative matrix.
-
-    Diagnostic only: results are floats and are never used by the exact
-    invariance machinery.
-    """
-    import numpy as np
-
-    a = np.array([[float(x) for x in row] for row in m], dtype=float)
-    n = a.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(int(max_iter)):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0, tuple(v)
-        w /= norm
-        new_lam = float(w @ a @ w)
-        if abs(new_lam - lam) <= tol * (1 + abs(new_lam)):
-            return new_lam, tuple(float(x) for x in w)
-        lam, v = new_lam, w
-    return lam, tuple(float(x) for x in v)
 
 
 def report_to_json(report) -> str:

@@ -60,10 +60,6 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def shifted(m, lam) -> tuple:
     """m - lam*I for a square m."""
     lam = frac(lam)

@@ -65,6 +65,30 @@ class TaggedPartition:
                 out[cell - 1] = ci
         return tuple(out)
 
+    def partners(self):
+        """Map class index -> the class it is paired with, both ways."""
+        out = {}
+        for i, j in self.pairs:
+            out[i] = j
+            out[j] = i
+        return out
+
+    def supports(self):
+        """(plus, minus) 0-based cell lists of each canonical basis vector.
+
+        One entry per untagged class and per involution pair (smaller class
+        index first), nothing for the fixed class; see :func:`basis`.
+        """
+        partner = self.partners()
+        out = []
+        for ci, cls in enumerate(self.classes):
+            if ci == self.fixed or partner.get(ci, ci) < ci:
+                continue
+            plus = [c - 1 for c in cls]
+            minus = [c - 1 for c in self.classes[partner[ci]]] if ci in partner else []
+            out.append((plus, minus))
+        return out
+
     def dimension(self) -> int:
         untagged = len(self.classes) - 2 * len(self.pairs) - (self.fixed is not None)
         return untagged + len(self.pairs)
@@ -221,25 +245,6 @@ def enumerate_tagged_partitions(n, pred=None):
                 yield p
 
 
-def canonical_key(p: TaggedPartition):
-    """Sort key realizing the enumeration order of tagged partitions."""
-    rgs = p.class_of()
-    pair_of = {}
-    for i, j in p.pairs:
-        pair_of[i] = j
-        pair_of[j] = i
-    # per-class involution code: 0 untagged, 1 fixed, 2+j paired with class j
-    codes = []
-    for ci in range(len(p.classes)):
-        if ci == p.fixed:
-            codes.append(1)
-        elif ci in pair_of:
-            codes.append(2 + pair_of[ci])
-        else:
-            codes.append(0)
-    return (rgs, tuple(codes))
-
-
 # ---------------------------------------------------------------------------
 # typical elements
 
@@ -254,10 +259,7 @@ def typical_element(p: TaggedPartition) -> str:
     Letters are assigned in order of first appearance, so the first ``a``
     precedes both ``-a`` and ``b``, etc.
     """
-    partner = {}
-    for i, j in p.pairs:
-        partner[i] = j
-        partner[j] = i
+    partner = p.partners()
     symbol = {}
     fresh = 0
     out = []
@@ -322,20 +324,13 @@ def basis(p: TaggedPartition):
     One indicator vector per untagged class, one e_P - e_P* per involution
     pair (smaller class index first), nothing for the fixed class.
     """
-    partner = dict(p.pairs)  # smaller -> larger
-    skip = {j for _, j in p.pairs}
-    if p.fixed is not None:
-        skip.add(p.fixed)
     vecs = []
-    for ci, cls in enumerate(p.classes):
-        if ci in skip:
-            continue
+    for plus, minus in p.supports():
         v = [Fraction(0)] * p.n
-        for cell in cls:
-            v[cell - 1] = Fraction(1)
-        if ci in partner:
-            for cell in p.classes[partner[ci]]:
-                v[cell - 1] = Fraction(-1)
+        for c in plus:
+            v[c] = Fraction(1)
+        for c in minus:
+            v[c] = Fraction(-1)
         vecs.append(tuple(v))
     return vecs
 
@@ -399,10 +394,7 @@ class BTypePartition:
 def to_btype(p: TaggedPartition) -> BTypePartition:
     """The B-type partition matching p: untagged classes contribute P and -P,
     involution pairs contribute P u -P*, the fixed class absorbs 0."""
-    partner = {}
-    for i, j in p.pairs:
-        partner[i] = j
-        partner[j] = i
+    partner = p.partners()
     out = []
     for ci, cls in enumerate(p.classes):
         if ci == p.fixed:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polydiag
 from polydiag.cli import main
 
 
@@ -65,14 +69,6 @@ def test_invariants_laplacian_3v1e(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 10
 
 
-def test_invariants_lattice_and_orbit_flags(capsys, tmp_path):
-    path = digraph_file(tmp_path, DIRICHLET_JSON)
-    code, out, _ = run(capsys, "invariants", path, "--lattice", "--format", "dot")
-    assert code == 0 and out.startswith("digraph")
-    code, out, _ = run(capsys, "invariants", path, "--orbits")
-    assert code == 0 and "orbits" in out.splitlines()[0]
-
-
 def test_lattice_json(capsys, tmp_path):
     path = digraph_file(tmp_path, DIRICHLET_JSON)
     code, out, _ = run(capsys, "lattice", path)
@@ -80,6 +76,8 @@ def test_lattice_json(capsys, tmp_path):
     d = json.loads(out)
     assert {n["typical"] for n in d["nodes"]} >= {"(a,0,-a)", "(a,b,c)"}
     assert d["covers"]
+    code, out, _ = run(capsys, "lattice", path, "--format", "dot")
+    assert code == 0 and out.startswith("digraph")
 
 
 def test_orbits_text(capsys, tmp_path):
@@ -156,3 +154,47 @@ def test_check_unknown_suite(capsys):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "invariants", "/nonexistent.json")
     assert code == 2
+
+
+PAIR = ["--preset", "vanderpol", "--digraph", "{pair}"]
+BAD_ARGV = {
+    "enumerate-negative-n": ["enumerate", "-1"],
+    "count-negative-n": ["count", "-1"],
+    "simulate-scale": ["simulate", *PAIR, "--scale", "abc"],
+    "simulate-x0": ["simulate", *PAIR, "--x0", "a,b,c,d"],
+    "simulate-dt-zero": ["simulate", *PAIR, "--dt", "0"],
+    "simulate-T-negative": ["simulate", *PAIR, "--T", "-1"],
+    "simulate-seed-negative": ["simulate", *PAIR, "--seed", "-1"],
+    "conjecture53-n": ["check", "conjecture53", "--n", "1"],
+    "conjecture53-trials": ["check", "conjecture53", "--trials", "-1"],
+    "dynamics-vdp-seed-negative": ["check", "dynamics-vdp", "--seed", "-1"],
+    "main-lemma-lambda-zero-denominator": ["check", "main-lemma", "--file", "{pair}", "--lambda", "1/0"],
+    "invariants-float-weight": ["invariants", "{float}"],
+    "column-sums-float-weight": ["check", "column-sums", "--file", "{float}"],
+    "orbits-format-dot": ["orbits", "{pair}", "--format", "dot"],
+    "lattice-format-text": ["lattice", "{pair}", "--format", "text"],
+    "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
+def test_bad_input_exits_2(capsys, tmp_path, argv):
+    paths = {
+        "pair": digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}'),
+        "float": digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,0.5]]}', "float.json"),
+        "missing": str(tmp_path / "missing" / "out.txt"),
+    }
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+
+
+def test_import_loads_no_process_pool():
+    probe = "import polydiag.cli, sys; print(sorted(set(sys.modules) & {'concurrent.futures', 'multiprocessing'}))"
+    src = os.path.dirname(os.path.dirname(polydiag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

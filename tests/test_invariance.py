@@ -14,7 +14,6 @@ from polydiag.invariance import (
     lattice_to_dot,
     lattice_to_json_dict,
     orbits,
-    perron_diagnostic,
 )
 from polydiag.linalg import matrix, zeros
 from polydiag.partitions import (
@@ -95,21 +94,6 @@ def test_soundness_of_scan():
 def test_scan_cap():
     with pytest.raises(ValueError):
         invariant_polydiagonals(zeros(9, 9))
-
-
-def test_parallel_scan_matches_serial(monkeypatch):
-    inv1 = invariant_polydiagonals(DISCONNECTED_L, workers=1)
-    # pad to n=6 to cross the parallel threshold: block-diagonal embedding
-    m6 = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            m6[i][j] = DISCONNECTED_L[i][j]
-    m6 = matrix(m6)
-    serial = invariant_polydiagonals(m6, workers=1)
-    assert invariant_polydiagonals(m6, workers=2) == serial
-    monkeypatch.setenv("POLYDIAG_THREADS", "2")
-    assert invariant_polydiagonals(m6) == serial
-    assert len(inv1.subspaces) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +320,3 @@ def test_odd_cell_count_forces_zero_cell():
             if cls.anti_synchrony:
                 assert p.fixed is not None
 
-
-def test_perron_diagnostic():
-    lam, v = perron_diagnostic(COLSUM3)
-    assert abs(lam - 3.0) < 1e-6
-    assert all(x > 0 for x in v) or all(x < 0 for x in v)
