@@ -308,23 +308,28 @@ def suite_dynamics_lorenz(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
 
 def suite_dynamics_attractors(seed=2, dt=1e-3) -> SuiteReport:
     """Qualitative attractor checks from the worked examples: which of the
-    synchrony / anti-synchrony subspaces wins at long times."""
-    failures = []
-    sys_a = vdp_example_system(scale=0.5, use_laplacian=False)
-    tail = dynamics.antisynchrony_convergence(sys_a, (1, 2), +1, dt=dt, T=400.0, seed=seed, tail=0.2)
-    if tail > 1e-2:
-        failures.append("vdp M=0.5A tail |u1+u2| = %.3g > 1e-2" % tail)
-    sys_l = vdp_example_system(scale=0.5, use_laplacian=True)
-    tail = dynamics.antisynchrony_convergence(sys_l, (1, 2), -1, dt=dt, T=400.0, seed=seed, tail=0.2)
-    if tail > 1e-2:
-        failures.append("vdp M=0.5L tail |u1-u2| = %.3g > 1e-2" % tail)
+    synchrony / anti-synchrony subspaces wins at long times.  A trajectory
+    that blows up is a failure witness."""
     sys_w = lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
     rng = np.random.default_rng(seed)
     base = rng.uniform(-1, 1, size=3) + np.array([1.0, 1.0, 25.0])
     x0 = np.stack([base, np.diag([-1.0, -1.0, 1.0]) @ base + rng.uniform(-0.05, 0.05, size=3)])
-    tail = dynamics.antisynchrony_convergence(sys_w, (1, 2), +1, dt=dt, T=100.0, x0=x0, tail=0.1)
-    if tail > 1e-1:
-        failures.append("lorenz H+ M=-2L tail |u1+u2| = %.3g > 1e-1" % tail)
+    cases = (
+        ("vdp M=0.5A", "|u1+u2|", "1e-2", vdp_example_system(scale=0.5, use_laplacian=False), +1,
+         dict(T=400.0, seed=seed, tail=0.2)),
+        ("vdp M=0.5L", "|u1-u2|", "1e-2", vdp_example_system(scale=0.5, use_laplacian=True), -1,
+         dict(T=400.0, seed=seed, tail=0.2)),
+        ("lorenz H+ M=-2L", "|u1+u2|", "1e-1", sys_w, +1, dict(T=100.0, x0=x0, tail=0.1)),
+    )
+    failures = []
+    for label, measure, bound, sys_, sign, kwargs in cases:
+        try:
+            tail = dynamics.antisynchrony_convergence(sys_, (1, 2), sign, dt=dt, **kwargs)
+        except dynamics.BlowupError as exc:
+            failures.append("%s blew up at t=%.6g" % (label, exc.time))
+            continue
+        if tail > float(bound):
+            failures.append("%s tail %s = %.3g > %s" % (label, measure, tail, bound))
     return SuiteReport("dynamics-attractors", 3, not failures, failures)
 
 

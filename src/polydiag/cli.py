@@ -63,6 +63,7 @@ _SIZE = _checked(
     lambda n: 2 <= n <= invariance.DEFAULT_SCAN_LIMIT,
 )
 _POSITIVE = _checked(float, "a finite number > 0", lambda x: 0 < x < math.inf)
+_FINITE = _checked(float, "a finite number", math.isfinite)
 _FRACTION = _checked(Fraction, "a rational number such as 1/2 or 0.5")
 _FLOATS = _checked(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
 
@@ -315,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate a coupled cell system")
     p.add_argument("--preset", required=True, choices=("vanderpol", "lorenz", "singular_osc", "zero", "cubic_odd"))
-    p.add_argument("--eps", type=float, help="van der Pol epsilon")
+    p.add_argument("--eps", type=_FINITE, help="van der Pol epsilon")
     p.add_argument("--digraph", required=True)
     p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
     p.add_argument("--scale", type=_FRACTION, default="1", help="rational scale for M, e.g. 0.5")
@@ -337,7 +338,7 @@ def build_parser():
     p.add_argument("--seed", type=_NATURAL)
     p.add_argument("--dt", type=_POSITIVE, help="step size for dynamics suites")
     p.add_argument("--T", type=_POSITIVE, help="horizon for dynamics suites")
-    p.add_argument("--tol", type=float, help="tolerance for dynamics suites")
+    p.add_argument("--tol", type=_POSITIVE, help="tolerance for dynamics suites")
     common(p)
     p.set_defaults(func=cmd_check)
 

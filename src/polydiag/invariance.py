@@ -2,8 +2,12 @@
 
 A subspace W is M-invariant when M W is contained in W.  For a polydiagonal
 subspace this is decided exactly by applying M to the canonical basis of the
-subspace and testing membership of the images.  The exhaustive scan over all
-tagged partitions is feasible through n = 8.
+subspace and testing membership of the images (:func:`is_invariant`).  The
+scan over all tagged partitions walks the set partitions instead: it sums the
+columns of each class once per set partition and cuts every involution
+branch whose basis image is not constant on the classes, so only the pair
+and fixed-class conditions are left for the leaves.  It is exact, keeps the
+canonical order, and is capped at n = 8 by default.
 """
 
 from __future__ import annotations
@@ -12,16 +16,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from . import linalg
 from .linalg import frac, nullspace, shifted, transpose
 from .partitions import (
     SubspaceClass,
     TaggedPartition,
+    _partial_involutions,
+    _rgs,
     basis,
     classify,
     contains,
-    enumerate_tagged_partitions,
     relabel,
     type_label,
     typical_element,
@@ -74,15 +80,79 @@ class InvariantSet:
         return [typical_element(p) for p, _ in self.subspaces]
 
 
+def _class_values(v, classes):
+    """The value of v on each class of 0-based cells, or None if v is not
+    constant on some class."""
+    out = []
+    for cls in classes:
+        x = v[cls[0]]
+        for c in cls:
+            if v[c] != x:
+                return None
+        out.append(x)
+    return out
+
+
+def _invariant_involutions(cols, classes):
+    """(pairs, fixed) of each involution on the set partition ``classes``
+    (0-based cells) whose tagged partition is M-invariant, in canonical
+    order; ``cols`` are the columns of M with denominators cleared.
+
+    The basis images are the class column sums S[c] = M e_c for an
+    untagged class c and S[c] - S[c'] for a pair (c, c'); the fixed class
+    has none.  Each image must be constant on every class, which depends
+    on the set partition alone, so an image that is not cuts every
+    involution that would use it.  The leaves check only x_c = -x_c' on
+    the pairs and x_f = 0 on the fixed class, on the class values.
+    """
+    sums = []
+    for cls in classes:
+        s = cols[cls[0]]
+        for j in cls[1:]:
+            s = list(map(add, s, cols[j]))
+        sums.append(s)
+    single = [_class_values(s, classes) for s in sums]
+    paired = {}
+
+    def pair_ok(i, j):
+        if (i, j) not in paired:
+            paired[i, j] = _class_values(list(map(sub, sums[i], sums[j])), classes)
+        return paired[i, j] is not None
+
+    out = []
+    for pairs, fixed in _partial_involutions(len(classes), lambda i: single[i] is not None, pair_ok):
+        tagged = {fixed}
+        for i, j in pairs:
+            tagged.update((i, j))
+        images = [w for c, w in enumerate(single) if c not in tagged]
+        images += [paired[ij] for ij in pairs]
+        if all(
+            (fixed is None or w[fixed] == 0) and all(w[i] == -w[j] for i, j in pairs)
+            for w in images
+        ):
+            out.append((pairs, fixed))
+    return out
+
+
 def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
-    """All tagged partitions whose subspace is m-invariant, by exhaustive scan."""
+    """All tagged partitions whose subspace is m-invariant, in canonical
+    order, by a pruned walk over the set partitions (see
+    :func:`_invariant_involutions`)."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     if n > n_cap:
         raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (n, n_cap))
-    mi = _int_matrix(m)
-    hits = [p for p in enumerate_tagged_partitions(n) if _is_invariant_int(mi, p)]
+    cols = transpose(_int_matrix(m))
+    hits = []
+    for a in _rgs(n):
+        cells = [[] for _ in range(max(a) + 1 if a else 0)]
+        for cell, c in enumerate(a):
+            cells[c].append(cell)
+        found = _invariant_involutions(cols, cells)
+        if found:
+            classes = tuple(tuple(c + 1 for c in cls) for cls in cells)
+            hits += [TaggedPartition(n, classes, pairs, fixed) for pairs, fixed in found]
     mat = tuple(tuple(frac(x) for x in row) for row in m)
     return InvariantSet(mat, tuple((p, classify(p)) for p in hits))
 

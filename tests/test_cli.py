@@ -122,6 +122,13 @@ def test_simulate_writes_csv(capsys, tmp_path):
     assert len(lines) == 52
 
 
+def test_attractor_blowup_is_a_failure_witness(capsys):
+    code, out, err = run(capsys, "check", "dynamics-attractors", "--dt", "5")
+    assert code == 1 and "Traceback" not in err
+    assert out.startswith("dynamics-attractors: FAIL")
+    assert "witness: vdp M=0.5A blew up at t=" in out
+
+
 def test_simulate_x0_validation(capsys, tmp_path):
     path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"]]}')
     code, _, err = run(
@@ -168,6 +175,9 @@ BAD_ARGV = {
     "conjecture53-n": ["check", "conjecture53", "--n", "1"],
     "conjecture53-trials": ["check", "conjecture53", "--trials", "-1"],
     "dynamics-vdp-seed-negative": ["check", "dynamics-vdp", "--seed", "-1"],
+    "dynamics-vdp-tol-negative": ["check", "dynamics-vdp", "--tol", "-1"],
+    "simulate-eps-nan": ["simulate", *PAIR, "--eps", "nan"],
+    "simulate-eps-inf": ["simulate", *PAIR, "--eps", "inf"],
     "main-lemma-lambda-zero-denominator": ["check", "main-lemma", "--file", "{pair}", "--lambda", "1/0"],
     "invariants-float-weight": ["invariants", "{float}"],
     "column-sums-float-weight": ["check", "column-sums", "--file", "{float}"],

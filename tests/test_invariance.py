@@ -91,6 +91,30 @@ def test_soundness_of_scan():
         assert (p in hits) == expected
 
 
+def _oracle_cases():
+    rng = random.Random(3)
+    for n in range(2, 7):
+        yield "int%d" % n, matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+        yield "signed%d" % n, matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        yield "rational%d" % n, [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    yield "laplacian7", graph.laplacian_matrix(graph.random_connected_graph(7, rng))
+    yield "signed7", matrix([[rng.randint(-1, 1) for _ in range(7)] for _ in range(7)])
+    yield "zero5", zeros(5, 5)
+    yield "zero6", zeros(6, 6)
+    yield "d3cayley", graph.adjacency_matrix(graph.cayley_digraph(graph.dihedral_group_table(3), [(3, F(1)), (4, F(1))]))
+
+
+ORACLE_CASES = dict(_oracle_cases())
+
+
+@pytest.mark.parametrize("m", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_scan_matches_brute_force(m):
+    """The pruned scan finds exactly the brute-force hits, in canonical order."""
+    mi = invariance._int_matrix(m)  # what is_invariant decides on, cleared once
+    oracle = [p for p in enumerate_tagged_partitions(len(m)) if invariance._is_invariant_int(mi, p)]
+    assert invariant_polydiagonals(m).partitions() == oracle
+
+
 def test_scan_cap():
     with pytest.raises(ValueError):
         invariant_polydiagonals(zeros(9, 9))
