@@ -198,13 +198,19 @@ def cmd_simulate(args):
     params = {}
     if args.eps is not None:
         params["eps"] = args.eps
-    preset = dynamics.preset_f(args.preset, **params)
+    try:
+        preset = dynamics.preset_f(args.preset, **params)
+    except TypeError as exc:  # --eps given to a preset without one
+        raise InputError("preset %s: %s" % (args.preset, exc))
     g = _load_digraph(args.digraph)
     m = _pick_matrix(g, args.matrix)
     m_float = float(args.scale) * np.array([[float(x) for x in row] for row in m])
     coupling = args.coupling or _DEFAULT_COUPLING.get(args.preset, "identity")
     h = _COUPLINGS[coupling](preset.k)
-    sys_ = dynamics.CoupledSystem(g.n, preset.k, preset, h, m_float)
+    try:
+        sys_ = dynamics.CoupledSystem(g.n, preset.k, preset, h, m_float)
+    except ValueError as exc:  # a coupling of the wrong size for the preset
+        raise InputError("coupling %s: %s" % (coupling, exc))
     if args.x0:
         x0 = np.array(args.x0)
         if x0.size != g.n * preset.k:

@@ -8,6 +8,14 @@ columns of each class once per set partition and cuts every involution
 branch whose basis image is not constant on the classes, so only the pair
 and fixed-class conditions are left for the leaves.  It is exact, keeps the
 canonical order, and is capped at n = 8 by default.
+
+The lattice orders the invariant subspaces by inclusion without vectors.
+Each subspace Delta_P is encoded by the relations x_i = x_j, x_i = -x_j and
+x_i = 0 that hold on all of it, as one n*n-bit integer.  Delta_P is the
+solution set of those relations, so Delta_Q <= Delta_P exactly when every
+relation of P is a relation of Q, one bitwise test.  Orbits check that the
+automorphisms form a group on generators picked from them, and walk each
+orbit under the generators alone.
 """
 
 from __future__ import annotations
@@ -161,6 +169,41 @@ def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
 # lattice of invariant subspaces
 
 
+def _relations(p: TaggedPartition) -> int:
+    """Bitmask of the relations that hold on all of Delta_p.
+
+    Bit i*n+j (i < j) stands for x_i = x_j, bit j*n+i for x_i = -x_j and
+    bit i*n+i for x_i = 0.  A cell's symbol in the typical element decides
+    them: equal symbols, opposite symbols, symbol 0.
+    """
+    n = p.n
+    partner = p.partners()
+    sym = [0] * n  # typical-element symbol: +-(class index + 1), 0 on the fixed class
+    for ci, cls in enumerate(p.classes):
+        if ci != p.fixed:
+            s = ci + 1 if partner.get(ci, ci) >= ci else -(partner[ci] + 1)
+            for c in cls:
+                sym[c - 1] = s
+    mask = 0
+    for i, a in enumerate(sym):
+        if a == 0:
+            mask |= 1 << (i * n + i)
+        for j in range(i + 1, n):
+            if sym[j] == a:
+                mask |= 1 << (i * n + j)
+            if sym[j] == -a:
+                mask |= 1 << (j * n + i)
+    return mask
+
+
+def _bits(x):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 @dataclass(frozen=True)
 class SubspaceLattice:
     nodes: tuple  # of (TaggedPartition, SubspaceClass)
@@ -168,27 +211,44 @@ class SubspaceLattice:
 
     def leq(self, i, j) -> bool:
         """Reverse-inclusion order: i <= j iff Delta_i contains Delta_j."""
-        pi, pj = self.nodes[i][0], self.nodes[j][0]
-        return all(contains(pi, b) for b in basis(pj))
+        return _relations(self.nodes[i][0]) & ~_relations(self.nodes[j][0]) == 0
 
 
 def build_lattice(inv: InvariantSet) -> SubspaceLattice:
     """Cover relations (transitive reduction) of the invariant subspaces
-    ordered by reverse inclusion: bottom R^n, top the smallest subspace."""
+    ordered by reverse inclusion: bottom R^n, top the smallest subspace.
+
+    Containment is decided on the partitions, without vectors:
+    Delta_Q <= Delta_P iff every relation of :func:`_relations` that holds
+    on Delta_P also holds on Delta_Q.  This is exact, because Delta_P is
+    the solution set of its relations.  ``below[i]`` is the bitset of the
+    nodes strictly inside Delta_i: those holding all of node i's relations,
+    of smaller dimension.  Taken in falling dimension, a node of below[i]
+    not below an earlier cover of i is itself a cover of i.
+    """
     nodes = inv.subspaces
-    k = len(nodes)
-    bases = [basis(p) for p, _ in nodes]
-    below = [[False] * k for _ in range(k)]  # below[i][j]: Delta_i > Delta_j strictly
-    for i in range(k):
-        for j in range(k):
-            if i != j and all(contains(nodes[i][0], b) for b in bases[j]):
-                if len(bases[i]) != len(bases[j]):
-                    below[i][j] = True
+    rels = [_relations(p) for p, _ in nodes]
+    dims = [p.dimension() for p, _ in nodes]
+    n = len(inv.matrix)
+    holders = [0] * (n * n)  # holders[r]: the nodes on which relation r holds
+    by_dim = [0] * (n + 1)
+    for j, (r, d) in enumerate(zip(rels, dims)):
+        for b in _bits(r):
+            holders[b] |= 1 << j
+        by_dim[d] |= 1 << j
+    below = []
+    for r, d in zip(rels, dims):
+        inside = sum(by_dim[:d])  # the disjoint bitsets of smaller dimension
+        for b in _bits(r):
+            inside &= holders[b]
+        below.append(inside)
     covers = []
-    for i in range(k):
-        for j in range(k):
-            if below[i][j] and not any(below[i][z] and below[z][j] for z in range(k)):
+    for i, d in enumerate(dims):
+        reached = 0
+        for e in range(d - 1, -1, -1):
+            for j in _bits(below[i] & by_dim[e] & ~reached):
                 covers.append((j, i))  # j is directly above i
+                reached |= below[j]
     return SubspaceLattice(nodes, tuple(sorted(covers)))
 
 
@@ -233,38 +293,74 @@ def lattice_to_dot(lat: SubspaceLattice) -> str:
 # automorphism orbits
 
 
-def orbits(inv: InvariantSet, autos):
-    """Group orbits of the invariant subspaces under vertex relabeling.
+def _generators(autos, n):
+    """Generators of ``autos``, picked greedily, after checking that
+    ``autos`` is exactly a group of permutations of 1..n.
 
-    ``autos`` must be a permutation group (checked for closure).  Returns a
-    list of orbits, each a tuple of node indices into inv.subspaces.
+    The group is grown from the identity of length n by right
+    multiplication with the generators.  For a finite set S this is the
+    same test as S*S <= S, at about |S| * |generators| compositions
+    instead of |S|^2.
     """
     from .graph import perm_compose
 
-    perm_set = set(autos)
+    members = set(autos)
+    cells = list(range(1, n + 1))
+    if any(sorted(a) != cells for a in members):
+        raise ValueError("automorphisms must be permutations of 1..%d" % n)
+    group = {tuple(cells)}
+    gens = []
     for a in autos:
-        for b in autos:
-            if perm_compose(a, b) not in perm_set:
-                raise ValueError("automorphism list is not closed under composition")
+        if a in group:
+            continue
+        gens.append(a)
+        frontier = list(group)
+        while frontier:
+            new = []
+            for g in frontier:
+                for s in gens:
+                    h = perm_compose(g, s)
+                    if h not in group:
+                        if h not in members:
+                            raise ValueError("automorphism list is not closed under composition")
+                        group.add(h)
+                        new.append(h)
+            frontier = new
+    if group != members:
+        raise ValueError("automorphism list is not a group: the identity is missing")
+    return gens
+
+
+def orbits(inv: InvariantSet, autos):
+    """Group orbits of the invariant subspaces under vertex relabeling.
+
+    ``autos`` must be a group of permutations of 1..n (checked).  Returns a
+    list of orbits, each a tuple of node indices into inv.subspaces, in
+    order of their smallest index.
+    """
+    gens = _generators(autos, len(inv.matrix))
     index = {p: i for i, (p, _) in enumerate(inv.subspaces)}
     seen = [False] * len(index)
     out = []
     for i, (p, _) in enumerate(inv.subspaces):
         if seen[i]:
             continue
-        orbit = set()
-        for phi in autos:
-            q = relabel(p, phi)
-            j = index.get(q)
-            if j is None:
-                raise ValueError(
-                    "image %s of %s is not in the invariant set; "
-                    "are these automorphisms of the right digraph?"
-                    % (typical_element(q), typical_element(p))
-                )
-            orbit.add(j)
-        for j in orbit:
-            seen[j] = True
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:  # grows while it is walked
+            q = inv.subspaces[j][0]
+            for phi in gens:
+                r = relabel(q, phi)
+                k = index.get(r)
+                if k is None:
+                    raise ValueError(
+                        "image %s of %s is not in the invariant set; "
+                        "are these automorphisms of the right digraph?"
+                        % (typical_element(r), typical_element(q))
+                    )
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
         out.append(tuple(sorted(orbit)))
     return out
 

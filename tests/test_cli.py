@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polydiag
 from polydiag.cli import main
@@ -178,6 +182,8 @@ BAD_ARGV = {
     "dynamics-vdp-tol-negative": ["check", "dynamics-vdp", "--tol", "-1"],
     "simulate-eps-nan": ["simulate", *PAIR, "--eps", "nan"],
     "simulate-eps-inf": ["simulate", *PAIR, "--eps", "inf"],
+    "simulate-eps-for-lorenz": ["simulate", "--preset", "lorenz", "--digraph", "{pair}", "--eps", "2"],
+    "simulate-coupling-size": ["simulate", "--preset", "lorenz", "--digraph", "{pair}", "--coupling", "vdp"],
     "main-lemma-lambda-zero-denominator": ["check", "main-lemma", "--file", "{pair}", "--lambda", "1/0"],
     "invariants-float-weight": ["invariants", "{float}"],
     "column-sums-float-weight": ["check", "column-sums", "--file", "{float}"],
@@ -187,15 +193,22 @@ BAD_ARGV = {
 }
 
 
+def input_paths(d):
+    """Digraph files and output paths that argv templates name in braces."""
+    paths = {"out": str(d / "out.txt"), "missing": str(d / "missing" / "out.txt")}
+    for name, text in (
+        ("pair", '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}'),
+        ("float", '{"n": 2, "arrows": [[1,2,0.5]]}'),
+        ("garbled", '{"n": 2, "arrows": [[1,'),
+    ):
+        paths[name] = digraph_file(d, text, name + ".json")
+    return paths
+
+
 @pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
 def test_bad_input_exits_2(capsys, tmp_path, argv):
-    paths = {
-        "pair": digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}'),
-        "float": digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,0.5]]}', "float.json"),
-        "missing": str(tmp_path / "missing" / "out.txt"),
-    }
     try:
-        code = main([a.format(**paths) for a in argv])
+        code = main([a.format(**input_paths(tmp_path)) for a in argv])
     except SystemExit as exc:  # argparse rejects the value
         code = exc.code
     err = capsys.readouterr().err
@@ -208,3 +221,99 @@ def test_import_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: the documented exit codes hold for any input
+
+DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+DIGRAPHS = (
+    ["{pair}"] + [os.path.join(DEMO_DIR, n + ".json") for n in ("lapdirichlet", "directed_c3", "d3_cayley_equal")],
+    ["{float}", "{garbled}", "{missing}"],
+)
+SEED = (["0", "5"], ["-1", "x", "1.5"])
+MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)
+# Value pools (valid, invalid) per subcommand: positional pools, then
+# options as (flag, valid, invalid, always given); a switch has no pools.
+# Horizons, sizes and trial counts are always given and small, so every
+# example runs in well under a second.
+CLI_GRAMMAR = {
+    "enumerate": ([(["0", "3"], ["-1", "x"])], [("--filter", ["evenly", "freely-fully"], ["weird"], False),
+                                                 ("--count-only", None, None, False)]),
+    "classify": ([(["(a,-a,0)", "(a,a)", "()"], ["(b,a)", "(a,b"])], [("--format", ["text", "json"], ["xml"], False)]),
+    "count": ([(["0", "4"], ["-1", "x", "2.5"])], [("--format", ["md", "csv", "json"], ["yaml"], False)]),
+    "simulate": ([], [
+        ("--preset", ["vanderpol", "lorenz", "singular_osc", "zero", "cubic_odd"], ["bogus"], True),
+        ("--digraph", *DIGRAPHS, True),
+        ("--eps", ["2", "0"], ["nan", "x"], False),
+        MATRIX,
+        ("--scale", ["1/2", "0", "-3"], ["1/0", "x"], False),
+        ("--coupling", ["vdp", "lorenz_w", "lorenz_v", "identity"], ["other"], False),
+        ("--dt", ["0.01", "0.5"], ["0", "-1", "nan"], True),
+        ("--T", ["0.05", "0.2"], ["0", "inf", "x"], True),
+        ("--x0", ["1,2,3,4", "0.5"], ["a,b", ""], False),
+        ("--seed", *SEED, False),
+    ]),
+    "check": ([(["conjecture53", "column-sums", "main-lemma", "input-output", "frobenius-perron",
+                 "strong-connectivity", "dynamics-vdp", "dynamics-lorenz", "dynamics-attractors"], ["nope"])], [
+        ("--file", *DIGRAPHS, False),
+        MATRIX,
+        ("--lambda", ["0", "1", "3", "1/2"], ["1/0", "x"], False),
+        ("--n", ["2", "3"], ["1", "9", "x"], True),
+        ("--trials", ["1", "2"], ["0", "x"], True),
+        ("--seed", *SEED, False),
+        ("--dt", ["0.5", "5"], ["0", "x"], True),
+        ("--T", ["0.05", "0.2"], ["-1"], True),
+        ("--tol", ["1e-6", "1"], ["-1", "nan"], False),
+    ]),
+}
+for _name, _formats in (("invariants", None), ("lattice", ["json", "dot"]), ("orbits", ["text", "json"])):
+    CLI_GRAMMAR[_name] = ([DIGRAPHS], [MATRIX, ("--n-cap", ["2", "8"], ["-1", "x"], False)]
+                          + ([("--format", _formats, ["csv"], False)] if _formats else []))
+for _, _options in CLI_GRAMMAR.values():
+    _options.append(("--output", ["{out}"], ["{missing}"], False))
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with some of its options; each value is invalid with
+    probability about 1/8."""
+    def value(valid, invalid):
+        return draw(st.sampled_from(invalid if draw(st.integers(0, 7)) == 0 else valid))
+
+    command = draw(st.sampled_from(sorted(CLI_GRAMMAR)))
+    positional, options = CLI_GRAMMAR[command]
+    argv = [command] + [value(*pools) for pools in positional]
+    for flag, valid, invalid, always in options:
+        if always or draw(st.booleans()):
+            argv += [flag] if valid is None else [flag, value(valid, invalid)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    return input_paths(tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+def test_fuzzed_argv_keeps_exit_codes(fuzz_paths, argv):
+    """Exit 0, 1 or 2 and never a traceback (an exception escaping main);
+    exit 1 only for a failed check: a FAIL summary, a report with
+    "passed": false, or a simulation that blew up."""
+    argv = [a.format(**fuzz_paths) for a in argv]
+    if os.path.exists(fuzz_paths["out"]):
+        os.remove(fuzz_paths["out"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        text = out.getvalue() + err.getvalue()
+        if os.path.exists(fuzz_paths["out"]):
+            with open(fuzz_paths["out"]) as fh:
+                text += fh.read()
+        assert ": FAIL" in text or '"passed": false' in text or '"status": "blowup"' in text, argv

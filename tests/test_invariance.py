@@ -1,9 +1,12 @@
+import glob
+import itertools
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from polydiag import graph, invariance, linalg
+from polydiag import counting, graph, invariance, linalg
 from polydiag.invariance import (
     build_lattice,
     check_constant_column_sums_theorem,
@@ -17,9 +20,12 @@ from polydiag.invariance import (
 )
 from polydiag.linalg import matrix, zeros
 from polydiag.partitions import (
+    basis,
     classify,
+    contains,
     enumerate_tagged_partitions,
     parse_typical_element,
+    relabel,
     typical_element,
 )
 
@@ -181,6 +187,93 @@ def test_lattice_exports():
     assert dot.startswith("digraph") and '"(a,0,-a)"' in dot
 
 
+def _basis_lattice(inv):
+    """The vector-based builder, kept as the oracle for build_lattice.
+
+    Returns (inside, covers): inside[i][j] iff every basis vector of
+    Delta_j lies in Delta_i, and the covers of the strict containments by
+    an O(k^3) transitive reduction, as sorted (upper, lower) pairs.
+    """
+    ps = inv.partitions()
+    k = len(ps)
+    bases = [basis(p) for p in ps]
+    inside = [[all(contains(ps[i], b) for b in bases[j]) for j in range(k)] for i in range(k)]
+    below = [[inside[i][j] and len(bases[i]) != len(bases[j]) for j in range(k)] for i in range(k)]
+    covers = [
+        (j, i)
+        for i in range(k)
+        for j in range(k)
+        if below[i][j] and not any(below[i][z] and below[z][j] for z in range(k))
+    ]
+    return inside, tuple(sorted(covers))
+
+
+def _lattice_oracle_cases():
+    for n in range(5):
+        yield "zero%d" % n, zeros(n, n)
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "data", "*.json"))):
+        g = graph.load_digraph(path)
+        name = os.path.basename(path)[:-5]
+        yield name + "-A", graph.adjacency_matrix(g)
+        yield name + "-L", graph.laplacian_matrix(g)
+    for n in (4, 5, 6):
+        yield "K%d" % n, graph.adjacency_matrix(graph.digraph_of_graph(n, itertools.combinations(range(1, n + 1), 2)))
+        yield "C%d" % n, graph.adjacency_matrix(graph.digraph_of_graph(n, [(i, i % n + 1) for i in range(1, n + 1)]))
+    rng = random.Random(8)
+    for t in range(20):
+        n = rng.randint(2, 6)
+        yield "random%d" % t, matrix([[rng.choice((0,) * 6 + (1, -1, 2)) for _ in range(n)] for _ in range(n)])
+
+
+LATTICE_CASES = dict(_lattice_oracle_cases())
+
+
+@pytest.mark.parametrize("m", LATTICE_CASES.values(), ids=LATTICE_CASES.keys())
+def test_lattice_matches_basis_oracle(m):
+    """Covers and leq agree with containment decided on basis vectors."""
+    inv = invariant_polydiagonals(m)
+    lat = build_lattice(inv)
+    inside, covers = _basis_lattice(inv)
+    assert lat.covers == covers
+    k = len(lat.nodes)
+    assert [[lat.leq(i, j) for j in range(k)] for i in range(k)] == inside
+
+
+def _char_poly(lat):
+    """sum over nodes X of mu(R^n, X) t^dim X, as coefficients by degree,
+    with the order taken from the transitive closure of the covers."""
+    dims = [p.dimension() for p, _ in lat.nodes]
+    lowers = [[] for _ in lat.nodes]
+    for upper, lower in lat.covers:
+        lowers[upper].append(lower)
+    order = sorted(range(len(dims)), key=lambda x: -dims[x])  # R^n first
+    under = {}
+    mu = {}
+    for x in order:
+        under[x] = set()
+        for y in lowers[x]:
+            under[x] |= under[y] | {y}
+        mu[x] = -sum(mu[y] for y in under[x]) if under[x] else 1
+    assert [x for x in order if not under[x]] == order[:1]  # R^n is the unique bottom
+    coeffs = [0] * (max(dims) + 1)
+    for x in order:
+        coeffs[dims[x]] += mu[x]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_full_lattice_is_the_type_b_arrangement(n):
+    """The zero matrix leaves every polydiagonal invariant, so its lattice is
+    the flat lattice of the B_n arrangement x_i = +-x_j, x_i = 0: Dowling
+    many nodes and characteristic polynomial (t-1)(t-3)...(t-2n+1)."""
+    lat = build_lattice(invariant_polydiagonals(zeros(n, n)))
+    assert len(lat.nodes) == counting.egf_count("polydiagonal", n) == (1, 2, 6, 24, 116, 648, 4088)[n]
+    expected = [1]
+    for root in range(1, 2 * n, 2):  # multiply by (t - root)
+        expected = [a - root * b for a, b in zip([0] + expected, expected + [0])]
+    assert _char_poly(lat) == expected
+
+
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -207,6 +300,63 @@ def test_orbits_rejects_non_group():
     swap = (3, 2, 1)
     with pytest.raises(ValueError):
         orbits(inv, [swap])  # swap o swap = id is missing, so not closed
+
+
+@pytest.mark.parametrize("autos", [[], [(1, 2, 3)], [(1,)], [(1, 1)]], ids=["empty", "too-long", "too-short", "not-a-permutation"])
+def test_orbits_rejects_bad_permutations(autos):
+    inv = invariant_polydiagonals(zeros(2, 2))
+    with pytest.raises(ValueError):
+        orbits(inv, autos)
+
+
+def _closed(s):
+    return all(graph.perm_compose(a, b) in s for a in s for b in s)
+
+
+def test_group_check_matches_brute_force():
+    """orbits accepts a nonempty set of permutations iff S*S <= S, whatever
+    order the list comes in.  Every subset of S3 is tried (S3 and its
+    subgroups, S3 less a transposition, sets without the identity, bare
+    generators such as {(2,3,1)}), then subgroups of S4 generated by two
+    random permutations, whole and less one element."""
+    def agrees(inv, s):
+        for autos in (sorted(s), sorted(s, reverse=True)):
+            try:
+                orbits(inv, autos)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _closed(s), autos
+
+    inv3 = invariant_polydiagonals(zeros(3, 3))
+    s3 = list(itertools.permutations((1, 2, 3)))
+    for size in range(1, 7):
+        for s in itertools.combinations(s3, size):
+            agrees(inv3, set(s))
+    inv4 = invariant_polydiagonals(zeros(4, 4))
+    s4 = list(itertools.permutations((1, 2, 3, 4)))
+    rng = random.Random(9)
+    for _ in range(10):
+        group = set(rng.sample(s4, 2))
+        while not _closed(group):
+            group |= {graph.perm_compose(a, b) for a in group for b in group}
+        agrees(inv4, group)
+        agrees(inv4, group - {rng.choice(sorted(group))})
+
+
+def test_orbits_k7_match_brute_force():
+    """Orbits under the 5,040 automorphisms of K7, each against the image
+    set of its representative under every automorphism."""
+    g = graph.digraph_of_graph(7, itertools.combinations(range(1, 8), 2))
+    inv = invariant_polydiagonals(graph.adjacency_matrix(g))
+    autos = graph.automorphisms(g)
+    orbs = orbits(inv, autos)
+    index = {p: i for i, p in enumerate(inv.partitions())}
+    assert (len(autos), len(inv.subspaces), len(orbs)) == (5040, 1599, 22)
+    for orb in orbs:
+        rep = inv.subspaces[orb[0]][0]
+        assert orb == tuple(sorted({index[relabel(rep, phi)] for phi in autos}))
+    assert sorted(i for orb in orbs for i in orb) == list(range(len(inv.subspaces)))
 
 
 # ---------------------------------------------------------------------------
