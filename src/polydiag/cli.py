@@ -222,6 +222,8 @@ def cmd_simulate(args):
     except dynamics.BlowupError as exc:
         print(json.dumps({"status": "blowup", "time": exc.time}), file=sys.stderr)
         return 1
+    except ValueError as exc:  # --T/--dt gives no step, or more than memory holds
+        raise InputError(str(exc))
     _write(traj.to_csv(), args.output)
     summary = {
         "status": "ok",
@@ -274,7 +276,7 @@ def cmd_check(args):
                 kwargs["tol"] = args.tol
     try:
         report = checks.SUITES[args.suite](**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # an option the suite lacks; a --T/--dt without a step count
         raise InputError("suite %s: %s" % (args.suite, exc))
     _write(report.summary() + "\n", args.output)
     return 0 if report.passed else 1

@@ -133,6 +133,13 @@ def test_attractor_blowup_is_a_failure_witness(capsys):
     assert "witness: vdp M=0.5A blew up at t=" in out
 
 
+def test_simulate_float_fault_is_a_blowup(capsys, tmp_path):
+    path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}')
+    code, out, err = run(capsys, "simulate", "--preset", "singular_osc", "--digraph", path, "--x0=0,0.5,0,0.5")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert json.loads(err) == {"status": "blowup", "time": 0.001}
+
+
 def test_simulate_x0_validation(capsys, tmp_path):
     path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"]]}')
     code, _, err = run(
@@ -184,6 +191,10 @@ BAD_ARGV = {
     "simulate-eps-inf": ["simulate", *PAIR, "--eps", "inf"],
     "simulate-eps-for-lorenz": ["simulate", "--preset", "lorenz", "--digraph", "{pair}", "--eps", "2"],
     "simulate-coupling-size": ["simulate", "--preset", "lorenz", "--digraph", "{pair}", "--coupling", "vdp"],
+    "simulate-no-step": ["simulate", *PAIR, "--dt", "0.5", "--T", "0.2"],
+    "simulate-steps-beyond-memory": ["simulate", *PAIR, "--dt", "1e-15"],
+    "dynamics-vdp-no-step": ["check", "dynamics-vdp", "--dt", "0.5", "--T", "0.2"],
+    "dynamics-vdp-steps-beyond-memory": ["check", "dynamics-vdp", "--dt", "1e-15", "--T", "1"],
     "main-lemma-lambda-zero-denominator": ["check", "main-lemma", "--file", "{pair}", "--lambda", "1/0"],
     "invariants-float-weight": ["invariants", "{float}"],
     "column-sums-float-weight": ["check", "column-sums", "--file", "{float}"],

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -77,7 +80,7 @@ def test_integrate_blowup_detected():
     grow = preset_f("cubic_odd", k=1)
 
     def explode(x):
-        return x**3
+        return (x**3,)
 
     bad = dynamics.Preset("explode", 1, explode, odd=True, fixes_origin=True)
     sys = CoupledSystem(1, 1, bad, np.zeros((1, 1)), np.zeros((1, 1)))
@@ -217,3 +220,153 @@ def test_integrator_fourth_order():
 def test_antisynchrony_convergence_direction():
     tail = antisynchrony_convergence(vdp_system(), (1, 2), +1, dt=2e-3, T=120.0, seed=2, tail=0.1)
     assert tail < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the plain-float integrator against an independent reference
+
+
+DEMO_DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+LORENZ_X0 = [1.0, 2.0, 20.0, -3.0, 1.5, 25.0]
+
+
+def _rk4_reference(cell, m, h, x0, dt, steps):
+    """Every state of a fixed-step RK4 run of xdot_i = cell(x_i) + H sum_j m[i][j] x_j,
+    flat (coordinate a of cell i at i*k + a), with each coupling sum taken over
+    (j, b) in order and skipping zero weights."""
+    n, k = len(m), len(h)
+
+    def field(x):
+        out = []
+        for i in range(n):
+            for a, fa in enumerate(cell(*x[i * k : (i + 1) * k])):
+                terms = [(m[i][j] * h[a][b], j * k + b) for j in range(n) for b in range(k)]
+                terms = [(w, q) for w, q in terms if w != 0.0]
+                c = 0.0
+                for w, q in terms:
+                    c += w * x[q]
+                out.append(fa + c if terms else fa)
+        return out
+
+    states = [list(x0)]
+    for _ in range(steps):
+        x = states[-1]
+        k1 = field(x)
+        k2 = field([a + 0.5 * dt * b for a, b in zip(x, k1)])
+        k3 = field([a + 0.5 * dt * b for a, b in zip(x, k2)])
+        k4 = field([a + dt * b for a, b in zip(x, k3)])
+        states.append([a + dt / 6.0 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)])
+    return states
+
+
+def _vdp_cell(u, v):
+    return v, -2.0 * (1.0 - u * u) * v - u
+
+
+def _lorenz_cell(u, v, w):
+    return 10.0 * (v - u), u * (28.0 - w) - v, u * v - 8.0 / 3.0 * w
+
+
+def _z7_system():
+    from polydiag import graph
+
+    g = graph.load_digraph(os.path.join(DEMO_DATA, "z7_cayley_unequal.json"))
+    lap = np.array([[float(v) for v in row] for row in graph.laplacian_matrix(g)])
+    return CoupledSystem(7, 2, preset_f("vanderpol", eps=2), np.eye(2), -0.25 * lap)
+
+
+@pytest.mark.parametrize(
+    "make, cell, x0",
+    [
+        (vdp_system, _vdp_cell, [0.3, -0.1, 0.4, 0.2]),
+        (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0), _lorenz_cell, LORENZ_X0),
+        (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), _lorenz_cell, LORENZ_X0),
+        (_z7_system, _vdp_cell, [0.1 * (i % 5) - 0.2 for i in range(14)]),
+    ],
+    ids=["vdp-pair", "lorenz-h-minus", "lorenz-h-plus", "z7-cayley-identity"],
+)
+def test_integrate_matches_float_reference_bit_for_bit(make, cell, x0):
+    sys = make()
+    dt, steps = 0.005, 400
+    ref = _rk4_reference(cell, sys.M.tolist(), sys.H.tolist(), x0, dt, steps)
+    traj = integrate(sys, np.array(x0), dt, steps * dt)
+    got = traj.states.reshape(steps + 1, -1)
+    assert got.tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--preset", "vanderpol", "--digraph", "vdp_pair.json", "--scale", "1/2", "--dt", "0.01", "--T", "5",
+          "--seed", "3"], "dc95a19a9e359d1af331b6132431df533e067927fdfd38161bd852c8eeab9737"),
+        (["--preset", "lorenz", "--digraph", "lorenz_pair.json", "--matrix", "laplacian", "--scale", "2",
+          "--coupling", "lorenz_v", "--dt", "0.005", "--T", "2", "--seed", "4"],
+         "cf634fb0d9998a8cb14719c34441a70499e0a79fbec13886da35087157530b24"),
+    ],
+    ids=["vdp", "lorenz"],
+)
+def test_simulate_csv_bytes_pinned(tmp_path, argv, digest):
+    from polydiag.cli import main
+
+    out = tmp_path / "traj.csv"
+    argv = [os.path.join(DEMO_DATA, a) if a.endswith(".json") else a for a in argv]
+    assert main(["simulate", *argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+PRESETS = [
+    ("vanderpol", {"eps": 2}),
+    ("vanderpol", {"eps": 0.3}),
+    ("lorenz", {}),
+    ("lorenz", {"rho": 99.96}),
+    ("singular_osc", {}),
+    ("zero", {"k": 2}),
+    ("cubic_odd", {"k": 3}),
+]
+
+
+@pytest.mark.parametrize("name, params", PRESETS, ids=["%s%s" % (n, p) for n, p in PRESETS])
+def test_preset_on_arrays_equals_per_cell_floats(name, params):
+    f = preset_f(name, **params)
+    x = np.random.default_rng(5).uniform(-3, 3, size=(200, f.k))
+    if f.domain_excludes_zero:
+        x[:, 0] = np.copysign(np.abs(x[:, 0]) + 0.1, x[:, 0])
+    per_cell = np.array([[float(v) for v in f.func(*row)] for row in x.tolist()])
+    assert f(x).tobytes() == per_cell.tobytes()
+    assert f(x[7]).tobytes() == per_cell[7].tobytes()
+    if name == "zero":
+        assert not np.signbit(f(x)).any()
+
+
+def _blowup_time(sys, x0, dt):
+    with pytest.raises(BlowupError) as info:
+        integrate(sys, np.array(x0), dt, 1.0)
+    return info.value.time
+
+
+def test_float_faults_are_blowups_at_that_step():
+    sing = CoupledSystem(2, 2, preset_f("singular_osc"), dynamics.VDP_H, 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert _blowup_time(sing, [0.0, 0.5, 0.0, 0.5], 1e-2) == 0.01  # 1/u at u = 0
+    cubic = CoupledSystem(1, 1, preset_f("cubic_odd"), np.zeros((1, 1)), np.zeros((1, 1)))
+    assert _blowup_time(cubic, [1e60], 1e-2) == 0.01
+    assert _blowup_time(cubic, [-3e3], 1e-2) == 0.01
+
+
+def test_integrate_rejects_horizons_without_a_step_or_beyond_memory():
+    with pytest.raises(ValueError, match="no RK4 step"):
+        integrate(vdp_system(), np.zeros(4), 0.5, 0.2)
+    with pytest.raises(ValueError, match="memory"):
+        integrate(vdp_system(), np.zeros(4), 1e-15, 50.0)
+
+
+def test_integrate_calls_rhs_four_times_per_step(monkeypatch):
+    calls = []
+    rhs = CoupledSystem.rhs
+
+    def counted(self, x):
+        calls.append(1)
+        return rhs(self, x)
+
+    monkeypatch.setattr(CoupledSystem, "rhs", counted)
+    traj = integrate(vdp_system(), np.array([0.1, 0.0, -0.2, 0.1]), 0.01, 1.23)
+    assert len(traj.times) == 124 and len(calls) == 4 * 123
