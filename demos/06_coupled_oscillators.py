@@ -6,7 +6,14 @@ subspace of the coupled system (tensored with R^k for odd internal
 dynamics, or twisted by a matrix N with f(Nx) = Nf(x)).  Trajectories
 started inside stay inside to round-off; trajectories started on a
 non-invariant subspace leave it quickly.
+
+Usage: python3 demos/06_coupled_oscillators.py [OUT.csv]
+The sample Lorenz trajectory goes to OUT.csv, by default lorenz_anti.csv
+beside this script.
 """
+
+import os
+import sys
 
 import numpy as np
 
@@ -41,8 +48,10 @@ print("  w-coupled system, M = -2L (H N = N H = +H): max distance %.2e" % rep.ma
 eq = dynamics.equivariance_check(sys_w, n_sym, ell=1)
 print("  cell symmetry F(gamma_1 x) = gamma_1 F(x): residual %.2e" % eq.max_residual)
 
-print("\nWriting a sample trajectory to /tmp/lorenz_anti.csv (t, u1..w2)")
+out = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(os.path.abspath(__file__)), "lorenz_anti.csv")
+print("\nWriting a sample trajectory to %s (t, u1..w2)" % out)
 x0 = dynamics.sample_in_subspace(twisted, np.random.default_rng(5), scale=5.0) + np.array([0, 0, 25.0])
 traj = dynamics.integrate(sys_w, x0, 1e-3, 30.0)
-open("/tmp/lorenz_anti.csv", "w").write(traj.to_csv())
+with open(out, "w") as fh:
+    fh.write(traj.to_csv())
 print("  final state:", np.round(traj.states[-1].ravel(), 3))

@@ -1,19 +1,29 @@
 """Counting polydiagonal subspaces by three independent methods.
 
 Each type of subspace is counted by (1) an exponential generating function
-with exact rational coefficients, (2) a recurrence, and (3) streaming the
-actual enumeration through the classifier.  The three must agree; the
-count table cross-checks them where the enumeration is feasible.
+with exact rational coefficients, (2) a recurrence, and (3) a census that
+enumerates every set partition and every partial involution on its
+classes.  The three must agree; the count table cross-checks them where
+the enumeration is feasible.
+
+The census builds no tagged partition.  A tagged partition's type depends
+only on its class sizes and its involution, and relabelling the classes
+permutes the involutions on them, so all set partitions of one shape (the
+sorted tuple of class sizes) carry the same multiset of types.  The census
+therefore tallies the set partitions by shape, classifies the involutions
+of each shape once, and multiplies: ``count 8`` walks 4,140 set partitions
+and the involutions of 22 shapes instead of 219,920 tagged partitions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import classify, enumerate_tagged_partitions
+from .partitions import _classify, _partial_involutions, _rgs
 
 DEFAULT_ORDER = 16
 ENUMERATION_CAP = 8
@@ -210,24 +220,35 @@ def recurrence_count(kind: str, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict:
+    """Count every tagged partition of {1..n} by kind, one class-size shape
+    at a time (see the module docstring)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    ways = Counter()
+    for a in _rgs(n):
+        sizes = [0] * n
+        for c in a:
+            sizes[c] += 1
+        ways[tuple(sorted(s for s in sizes if s))] += 1
     counts = dict.fromkeys(KINDS, 0)
-    for p in enumerate_tagged_partitions(n):
-        c = classify(p)
-        counts["polydiagonal"] += 1
-        if c.synchrony:
-            counts["synchrony"] += 1
-        else:
-            counts["anti_synchrony"] += 1
-        if c.minimally_tagged:
-            counts["minimally"] += 1
-        if c.fully_tagged:
-            counts["fully"] += 1
-            if c.freely_tagged:
-                counts["freely_fully"] += 1
-        if c.evenly_tagged:
-            counts["evenly"] += 1
-            if c.freely_tagged:
-                counts["freely_evenly"] += 1
+    for sizes, w in ways.items():
+        for pairs, fixed in _partial_involutions(len(sizes)):
+            c = _classify(sizes, pairs, fixed)
+            counts["polydiagonal"] += w
+            if c.synchrony:
+                counts["synchrony"] += w
+            else:
+                counts["anti_synchrony"] += w
+            if c.minimally_tagged:
+                counts["minimally"] += w
+            if c.fully_tagged:
+                counts["fully"] += w
+                if c.freely_tagged:
+                    counts["freely_fully"] += w
+            if c.evenly_tagged:
+                counts["evenly"] += w
+                if c.freely_tagged:
+                    counts["freely_evenly"] += w
     return counts
 
 

@@ -165,9 +165,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (len(times), n, k)
 
-    def cell_coordinate(self, i, coord=0):
-        return self.states[:, i - 1, coord]
-
     def to_csv(self) -> str:
         m, n, k = self.states.shape
         head = "t," + ",".join("x%d" % (j + 1) for j in range(n * k))

@@ -192,20 +192,9 @@ def automorphisms(g: WeightedDigraph, limit=AUTOMORPHISM_VERTEX_LIMIT):
     return found
 
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def perm_compose(p, q):
     """p after q: (p o q)(i) = p[q[i]]."""
     return tuple(p[q[i] - 1] for i in range(len(q)))
-
-
-def perm_inverse(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def is_vertex_transitive(g: WeightedDigraph, autos=None) -> bool:

@@ -84,9 +84,6 @@ class InvariantSet:
     def partitions(self):
         return [p for p, _ in self.subspaces]
 
-    def typicals(self):
-        return [typical_element(p) for p, _ in self.subspaces]
-
 
 def _class_values(v, classes):
     """The value of v on each class of 0-based cells, or None if v is not

@@ -126,20 +126,23 @@ def classify(p: TaggedPartition) -> SubspaceClass:
     evenly tagged: fully tagged and paired classes have equal sizes.
     freely tagged: no fixed point.
     """
-    m = len(p.classes)
-    dom = 2 * len(p.pairs) + (1 if p.fixed is not None else 0)
+    return _classify(tuple(map(len, p.classes)), p.pairs, p.fixed)
+
+
+def _classify(sizes, pairs, fixed) -> SubspaceClass:
+    """:func:`classify` from the class sizes (indexed like the classes) and
+    the involution alone; no other property of the partition matters."""
+    dom = 2 * len(pairs) + (1 if fixed is not None else 0)
     synchrony = dom == 0
-    fully = dom == m
-    evenly = fully and all(
-        len(p.classes[i]) == len(p.classes[j]) for i, j in p.pairs
-    )
+    fully = dom == len(sizes)
+    evenly = fully and all(sizes[i] == sizes[j] for i, j in pairs)
     return SubspaceClass(
         synchrony=synchrony,
         anti_synchrony=not synchrony,
-        minimally_tagged=(not p.pairs and p.fixed is not None),
+        minimally_tagged=(not pairs and fixed is not None),
         fully_tagged=fully,
         evenly_tagged=evenly,
-        freely_tagged=p.fixed is None,
+        freely_tagged=fixed is None,
     )
 
 

@@ -19,6 +19,7 @@ from polydiag.counting import (
     table_to_csv,
     table_to_markdown,
 )
+from polydiag.partitions import _classify, classify, enumerate_tagged_partitions
 
 # the published table of counts, n = 0..8
 TABLE = {
@@ -74,6 +75,40 @@ def test_enumeration_goldens():
         assert enumeration_count("freely_fully", n) == egf_count("freely_fully", n)
     with pytest.raises(ValueError):
         enumeration_count("evenly", 9)
+    for kind in KINDS:
+        with pytest.raises(ValueError):
+            enumeration_count(kind, -1)
+
+
+def _object_census(n):
+    """The census by building and classifying every tagged partition."""
+    counts = dict.fromkeys(KINDS, 0)
+    for p in enumerate_tagged_partitions(n):
+        c = classify(p)
+        counts["polydiagonal"] += 1
+        if c.synchrony:
+            counts["synchrony"] += 1
+        else:
+            counts["anti_synchrony"] += 1
+        if c.minimally_tagged:
+            counts["minimally"] += 1
+        if c.fully_tagged:
+            counts["fully"] += 1
+            if c.freely_tagged:
+                counts["freely_fully"] += 1
+        if c.evenly_tagged:
+            counts["evenly"] += 1
+            if c.freely_tagged:
+                counts["freely_evenly"] += 1
+    return counts
+
+
+def test_census_matches_object_enumeration():
+    for n in range(8):
+        assert counting._census(n) == _object_census(n), n
+    for n in range(6):
+        for p in enumerate_tagged_partitions(n):
+            assert classify(p) == _classify(tuple(map(len, p.classes)), p.pairs, p.fixed)
 
 
 def test_three_way_agreement_small():

@@ -20,9 +20,15 @@ from polydiag.graph import (
     is_weight_balanced,
     laplacian_matrix,
     perm_compose,
-    perm_inverse,
 )
 from polydiag.linalg import matrix
+
+
+def perm_inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    return tuple(inv)
 
 
 def vdp_digraph():
@@ -158,7 +164,7 @@ def test_automorphism_group_axioms():
     g = cayley_digraph(dihedral_group_table(3), [(3, F(1)), (4, F(1))])
     autos = automorphisms(g)
     aset = set(autos)
-    assert graph.identity_perm(6) in aset
+    assert tuple(range(1, 7)) in aset
     for a in autos:
         assert perm_inverse(a) in aset
         for b in autos:

@@ -280,7 +280,7 @@ def test_full_lattice_is_the_type_b_arrangement(n):
 
 def test_orbits_trivial_group():
     inv = invariant_polydiagonals(DIRICHLET)
-    orbs = orbits(inv, [graph.identity_perm(3)])
+    orbs = orbits(inv, [(1, 2, 3)])
     assert all(len(o) == 1 for o in orbs)
     assert len(orbs) == len(inv.subspaces)
 
