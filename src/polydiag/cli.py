@@ -123,12 +123,9 @@ def cmd_classify(args):
 
 def _invariant_set(args):
     g = _load_digraph(args.digraph)
-    m = _pick_matrix(g, args.matrix)
-    try:
-        inv = invariance.invariant_polydiagonals(m, n_cap=args.n_cap)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    return g, inv
+    if g.n > args.n_cap:
+        raise InputError("n=%d exceeds cap %d; pass --n-cap to override" % (g.n, args.n_cap))
+    return g, invariance.invariant_polydiagonals(_pick_matrix(g, args.matrix), n_cap=args.n_cap)
 
 
 def cmd_invariants(args):

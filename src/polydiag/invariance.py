@@ -3,11 +3,13 @@
 A subspace W is M-invariant when M W is contained in W.  For a polydiagonal
 subspace this is decided exactly by applying M to the canonical basis of the
 subspace and testing membership of the images (:func:`is_invariant`).  The
-scan over all tagged partitions walks the set partitions instead: it sums the
-columns of each class once per set partition and cuts every involution
-branch whose basis image is not constant on the classes, so only the pair
-and fixed-class conditions are left for the leaves.  It is exact, keeps the
-canonical order, and is capped at n = 8 by default.
+scan over all tagged partitions builds them one block at a time instead (an
+untagged class, the fixed class, or a pair of classes), and checks each
+block's basis image exactly as soon as the block is chosen.  The images
+accepted so far narrow the candidates for every later block to cells where
+they take the required values, so most of the Bell(n) set partitions are
+never formed.  It is exact, returns the canonical order, and is capped at
+n = 8 by default.
 
 The lattice orders the invariant subspaces by inclusion without vectors.
 Each subspace Delta_P is encoded by the relations x_i = x_j, x_i = -x_j and
@@ -24,15 +26,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 
 from . import linalg
 from .linalg import frac, nullspace, shifted, transpose
 from .partitions import (
     SubspaceClass,
     TaggedPartition,
-    _partial_involutions,
-    _rgs,
     basis,
     classify,
     contains,
@@ -46,12 +45,15 @@ DEFAULT_SCAN_LIMIT = 8
 
 def _int_matrix(m):
     """Clear denominators: invariance is unchanged by scaling M, and plain
-    int arithmetic is much faster than Fraction in the inner loop."""
+    int arithmetic is much faster than Fraction in the inner loop.  Each
+    entry goes through :func:`linalg.frac` first, so a string such as
+    ``"1/2"`` is the rational it spells."""
+    rows = [[frac(x) for x in row] for row in m]
     den = 1
-    for row in m:
+    for row in rows:
         for x in row:
-            den = den * frac(x).denominator // math.gcd(den, frac(x).denominator)
-    return [[int(x * den) for x in row] for row in m]
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def _is_invariant_int(mi, p: TaggedPartition) -> bool:
@@ -85,80 +87,149 @@ class InvariantSet:
         return [p for p, _ in self.subspaces]
 
 
-def _class_values(v, classes):
-    """The value of v on each class of 0-based cells, or None if v is not
-    constant on some class."""
-    out = []
-    for cls in classes:
-        x = v[cls[0]]
-        for c in cls:
-            if v[c] != x:
-                return None
-        out.append(x)
+def _levels(g):
+    """{value: bitmask of the cells where g takes it}."""
+    out = {}
+    bit = 1
+    for x in g:
+        out[x] = out.get(x, 0) | bit
+        bit <<= 1
     return out
 
 
-def _invariant_involutions(cols, classes):
-    """(pairs, fixed) of each involution on the set partition ``classes``
-    (0-based cells) whose tagged partition is M-invariant, in canonical
-    order; ``cols`` are the columns of M with denominators cleared.
+def _invariant_partitions(mi):
+    """Every tagged partition that the int matrix mi leaves invariant, in
+    canonical order.
 
-    The basis images are the class column sums S[c] = M e_c for an
-    untagged class c and S[c] - S[c'] for a pair (c, c'); the fixed class
-    has none.  Each image must be constant on every class, which depends
-    on the set partition alone, so an image that is not cuts every
-    involution that would use it.  The leaves check only x_c = -x_c' on
-    the pairs and x_f = 0 on the fixed class, on the class values.
+    The search decides one block at a time, the one holding the smallest
+    free cell a: an untagged class P, the fixed class P (once) or a pair
+    (P, Q).  Its basis image M(1_P - 1_Q) is final once the block is
+    chosen, so it is checked exactly against this block and every earlier
+    one.  The images accepted so far also fix which later blocks are
+    possible: eq[c] (neg[c]) holds the cells where every image equals
+    (minus) its value at c, and zero the cells where every image is 0, so
+    P runs over submasks of eq[a], Q over submasks of neg[a] and a fixed
+    class lies inside zero.  An all-zero image constrains nothing.
+
+    The key orders set partitions as restricted growth strings, that is by
+    the cells' class minima read as base-(n+1) digits, and then the
+    involutions as :func:`partitions._partial_involutions` walks them: per
+    block the code 0 untagged, 1 fixed, 2 + min(Q) paired, as base-(n+2)
+    digits by block.
     """
-    sums = []
-    for cls in classes:
-        s = cols[cls[0]]
-        for j in cls[1:]:
-            s = list(map(add, s, cols[j]))
-        sums.append(s)
-    single = [_class_values(s, classes) for s in sums]
-    paired = {}
+    n = len(mi)
+    full = (1 << n) - 1
+    sums = [[0] * n]  # sums[A]: M 1_A, built up from the lowest cell of A
+    spread = (n + 2) ** n
+    weight = [0]  # weight[A]: the set-partition digit places of the cells of A
+    cells = [()]  # cells[A]: the cells of A, 1-based, ascending
+    lowest = [n]  # lowest[A]: the smallest cell of A, 0-based
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        j = low.bit_length() - 1
+        higher = mask ^ low
+        sums.append([x + row[j] for x, row in zip(sums[higher], mi)])
+        weight.append(weight[higher] + (n + 1) ** (n - 1 - j) * spread)
+        cells.append((j + 1,) + cells[higher])
+        lowest.append(j)
+    place = [(n + 2) ** (n - 1 - k) for k in range(n)]
+    # The decided blocks as (plus, minus, smallest cell of plus), cell
+    # bitmasks: (P, 0, r) untagged, (P, Q, r) a pair, (F, F, r) the fixed
+    # class.  An image must take one value v on plus and -v on minus, so
+    # (F, F) forces 0.
+    blocks = []
+    hits = []
 
-    def pair_ok(i, j):
-        if (i, j) not in paired:
-            paired[i, j] = _class_values(list(map(sub, sums[i], sums[j])), classes)
-        return paired[i, j] is not None
+    def accept(g, plus, minus, a, free, key, eq, neg, zero, fixed):
+        """Recurse past the block (plus, minus) if its image g satisfies
+        the relations of this block and of every earlier one."""
+        blocks.append((plus, minus, a))
+        if not any(g):  # satisfies every relation and constrains nothing
+            search(free, key, eq, neg, zero, fixed)
+        else:
+            lv = _levels(g)
+            if not any(p & ~lv[g[r]] or q & ~lv.get(-g[r], 0) for p, q, r in reversed(blocks)):
+                search(
+                    free,
+                    key,
+                    [e & lv[x] for e, x in zip(eq, g)],
+                    [e & lv.get(-x, 0) for e, x in zip(neg, g)],
+                    zero & lv.get(0, 0),
+                    fixed,
+                )
+        blocks.pop()
 
+    def search(free, key, eq, neg, zero, fixed):
+        if not free:
+            hits.append((key, tuple(blocks)))
+            return
+        low = free & -free
+        a = low.bit_length() - 1
+        rest = free ^ low
+        code = place[len(blocks)]
+        cand = rest & eq[a]
+        sub = cand
+        while True:
+            plus = low | sub
+            left = free ^ plus
+            at = key + a * weight[plus]
+            s = sums[plus]
+            # a second cell of P, so that most images fail before _levels
+            probe = lowest[sub] if sub else a
+            if s[probe] == s[a]:
+                accept(s, plus, 0, a, left, at, eq, neg, zero, fixed)
+            if not fixed and not plus & ~zero:
+                blocks.append((plus, plus, a))
+                search(left, at + code, eq, neg, zero, True)
+                blocks.pop()
+            partners = left & neg[a]
+            minus = partners
+            while minus:
+                t = sums[minus]
+                q = lowest[minus]
+                v = s[a] - t[a]
+                if s[q] - t[q] == -v and s[probe] - t[probe] == v:
+                    g = [x - y for x, y in zip(s, t)]
+                    accept(g, plus, minus, a, left ^ minus, at + q * weight[minus] + (2 + q) * code, eq, neg, zero, fixed)
+                minus = (minus - 1) & partners
+            if not sub:
+                break
+            sub = (sub - 1) & cand
+
+    search(full, 0, [full] * n, [full] * n, full, False)
+    hits.sort()
     out = []
-    for pairs, fixed in _partial_involutions(len(classes), lambda i: single[i] is not None, pair_ok):
-        tagged = {fixed}
-        for i, j in pairs:
-            tagged.update((i, j))
-        images = [w for c, w in enumerate(single) if c not in tagged]
-        images += [paired[ij] for ij in pairs]
-        if all(
-            (fixed is None or w[fixed] == 0) and all(w[i] == -w[j] for i, j in pairs)
-            for w in images
-        ):
-            out.append((pairs, fixed))
+    last = None
+    for key, found in hits:
+        if key // spread != last:  # a new set partition: its classes in order
+            last = key // spread
+            masks = [plus for plus, _, _ in found]
+            masks += [minus for plus, minus, _ in found if minus and minus != plus]
+            masks.sort(key=lowest.__getitem__)
+            classes = tuple(map(cells.__getitem__, masks))
+            index = {m: i for i, m in enumerate(masks)}
+        pairs = []
+        fixed = None
+        for plus, minus, _ in found:
+            if minus == plus:
+                fixed = index[plus]
+            elif minus:
+                pairs.append((index[plus], index[minus]))
+        out.append(TaggedPartition(n, classes, tuple(pairs), fixed))
     return out
 
 
 def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
     """All tagged partitions whose subspace is m-invariant, in canonical
-    order, by a pruned walk over the set partitions (see
-    :func:`_invariant_involutions`)."""
+    order, by a block-by-block exact search (see
+    :func:`_invariant_partitions`)."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
     if n > n_cap:
         raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (n, n_cap))
-    cols = transpose(_int_matrix(m))
-    hits = []
-    for a in _rgs(n):
-        cells = [[] for _ in range(max(a) + 1 if a else 0)]
-        for cell, c in enumerate(a):
-            cells[c].append(cell)
-        found = _invariant_involutions(cols, cells)
-        if found:
-            classes = tuple(tuple(c + 1 for c in cls) for cls in cells)
-            hits += [TaggedPartition(n, classes, pairs, fixed) for pairs, fixed in found]
     mat = tuple(tuple(frac(x) for x in row) for row in m)
+    hits = _invariant_partitions(_int_matrix(mat))
     return InvariantSet(mat, tuple((p, classify(p)) for p in hits))
 
 

@@ -202,16 +202,12 @@ def _rgs(n):
             b[j] = nb
 
 
-def _partial_involutions(m, untagged_ok=None, pair_ok=None):
+def _partial_involutions(m):
     """All partial involutions with at most one fixed point on {0..m-1}.
 
     Yields (pairs, fixed) in a deterministic order: at each smallest free
     index the options are untagged, fixed (if still available), then paired
     with each larger free index in ascending order.
-
-    ``untagged_ok(i)`` and ``pair_ok(i, j)``, if given, cut every branch
-    that leaves index i untagged or pairs i with j; what remains keeps
-    its order.
     """
 
     def rec(avail, pairs, fixed):
@@ -220,13 +216,10 @@ def _partial_involutions(m, untagged_ok=None, pair_ok=None):
             return
         i = avail[0]
         rest = avail[1:]
-        if untagged_ok is None or untagged_ok(i):
-            yield from rec(rest, pairs, fixed)
+        yield from rec(rest, pairs, fixed)
         if fixed is None:
             yield from rec(rest, pairs, i)
         for idx in range(len(rest)):
-            if pair_ok is not None and not pair_ok(i, rest[idx]):
-                continue
             pairs.append((i, rest[idx]))
             yield from rec(rest[:idx] + rest[idx + 1 :], pairs, fixed)
             pairs.pop()

@@ -200,6 +200,7 @@ BAD_ARGV = {
     "column-sums-float-weight": ["check", "column-sums", "--file", "{float}"],
     "orbits-format-dot": ["orbits", "{pair}", "--format", "dot"],
     "lattice-format-text": ["lattice", "{pair}", "--format", "text"],
+    "invariants-above-n-cap": ["invariants", "{pair}", "--n-cap", "1"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
 }
 
@@ -224,6 +225,12 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["invariants", "lattice", "orbits"])
+def test_cap_error_names_the_option(capsys, tmp_path, command):
+    code, _, err = run(capsys, command, input_paths(tmp_path)["pair"], "--n-cap", "1")
+    assert code == 2 and "pass --n-cap to override" in err
 
 
 def test_import_loads_no_process_pool():

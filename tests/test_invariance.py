@@ -2,6 +2,7 @@ import glob
 import itertools
 import os
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,8 @@ from polydiag.invariance import (
 )
 from polydiag.linalg import matrix, zeros
 from polydiag.partitions import (
+    TaggedPartition,
+    _rgs,
     basis,
     classify,
     contains,
@@ -124,6 +127,139 @@ def test_scan_matches_brute_force(m):
 def test_scan_cap():
     with pytest.raises(ValueError):
         invariant_polydiagonals(zeros(9, 9))
+
+
+def test_string_entries_are_the_rationals_they_spell():
+    """Strings, Fractions and a mix of both give one matrix and one answer."""
+    as_fractions = [[F(3), F(1, 2)], [F(3, 2), F(2)]]
+    as_strings = [["3", "1/2"], ["3/2", "2"]]
+    mixed = [["3", F(1, 2)], [F(3, 2), "2"]]
+    assert invariance._int_matrix(mixed) == invariance._int_matrix(as_strings) == [[6, 1], [3, 4]]
+    expected = invariant_polydiagonals(as_fractions).partitions()
+    assert parse_typical_element("(a,a)") in expected
+    for m in (as_strings, mixed):
+        assert invariant_polydiagonals(m).partitions() == expected
+        assert is_invariant(m, parse_typical_element("(a,a)"))
+    rng = random.Random(10)
+    for _ in range(10):
+        n = rng.randint(1, 5)
+        fr = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        strings = [[str(x) for x in row] for row in fr]
+        mix = [[x if rng.random() < 0.5 else str(x) for x in row] for row in fr]
+        expected = invariant_polydiagonals(fr).partitions()
+        assert invariant_polydiagonals(strings).partitions() == expected
+        assert invariant_polydiagonals(mix).partitions() == expected
+
+
+def _class_values(v, classes):
+    """The value of v on each class of 0-based cells, or None if v is not
+    constant on some class."""
+    out = []
+    for cls in classes:
+        x = v[cls[0]]
+        for c in cls:
+            if v[c] != x:
+                return None
+        out.append(x)
+    return out
+
+
+def _walk_involutions(cols, classes):
+    """(pairs, fixed) of each M-invariant involution on the set partition
+    ``classes`` (0-based cells), in canonical order.
+
+    The basis images are the class column sums S[c] for an untagged class
+    and S[c] - S[c'] for a pair (c, c').  An image that is not constant on
+    every class cuts each involution that would use it; the leaves check
+    x_c = -x_c' on the pairs and x_f = 0 on the fixed class.
+    """
+    sums = [[sum(cols[j][i] for j in cls) for i in range(len(cols))] for cls in classes]
+    single = [_class_values(s, classes) for s in sums]
+    paired = {}
+
+    def pair_ok(i, j):
+        if (i, j) not in paired:
+            paired[i, j] = _class_values([x - y for x, y in zip(sums[i], sums[j])], classes)
+        return paired[i, j] is not None
+
+    def rec(avail, pairs, fixed):
+        if not avail:
+            yield tuple(pairs), fixed
+            return
+        i, rest = avail[0], avail[1:]
+        if single[i] is not None:
+            yield from rec(rest, pairs, fixed)
+        if fixed is None:
+            yield from rec(rest, pairs, i)
+        for idx, j in enumerate(rest):
+            if pair_ok(i, j):
+                pairs.append((i, j))
+                yield from rec(rest[:idx] + rest[idx + 1 :], pairs, fixed)
+                pairs.pop()
+
+    out = []
+    for pairs, fixed in rec(tuple(range(len(classes))), [], None):
+        tagged = {fixed}
+        for i, j in pairs:
+            tagged.update((i, j))
+        images = [w for c, w in enumerate(single) if c not in tagged]
+        images += [paired[ij] for ij in pairs]
+        if all(
+            (fixed is None or w[fixed] == 0) and all(w[i] == -w[j] for i, j in pairs)
+            for w in images
+        ):
+            out.append((pairs, fixed))
+    return out
+
+
+def _walk_scan(m):
+    """The set-partition walk, kept as the oracle for the block search
+    where brute force is out of reach: every set partition in
+    restricted-growth-string order, its invariant involutions in
+    canonical order."""
+    n = len(m)
+    cols = linalg.transpose(invariance._int_matrix(m))
+    hits = []
+    for a in _rgs(n):
+        cells = [[] for _ in range(max(a) + 1 if a else 0)]
+        for cell, c in enumerate(a):
+            cells[c].append(cell)
+        classes = tuple(tuple(c + 1 for c in cls) for cls in cells)
+        hits += [TaggedPartition(n, classes, pairs, fixed) for pairs, fixed in _walk_involutions(cols, cells)]
+    return hits
+
+
+def _walk_cases():
+    rng = random.Random(12)
+    for n in (8, 9):
+        yield "laplacian%d" % n, graph.laplacian_matrix(graph.random_connected_graph(n, rng))
+        yield "signed%d" % n, matrix([[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+    yield "rational8", [[F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0) for _ in range(8)] for _ in range(8)]
+    yield "cayley-z8", graph.adjacency_matrix(graph.cayley_digraph(graph.cyclic_group_table(8), [(1, F(1)), (7, F(1))]))
+    yield "K8", graph.adjacency_matrix(graph.digraph_of_graph(8, itertools.combinations(range(1, 9), 2)))
+    yield "scalar6", matrix([[F(5, 2) if i == j else 0 for j in range(6)] for i in range(6)])
+    yield "zero7", zeros(7, 7)
+
+
+WALK_CASES = dict(_walk_cases())
+
+
+@pytest.mark.parametrize("m", WALK_CASES.values(), ids=WALK_CASES.keys())
+def test_scan_matches_set_partition_walk(m):
+    """The block search and the set-partition walk give one hit list, in
+    one order, at sizes the brute-force oracle cannot reach."""
+    assert invariant_polydiagonals(m, n_cap=9).partitions() == _walk_scan(m)
+
+
+def test_scan_budget_n10():
+    """A random connected Laplacian at n = 10 scans within 1.5 s."""
+    m = graph.laplacian_matrix(graph.random_connected_graph(10, random.Random(1)))
+    start = time.perf_counter()
+    inv = invariant_polydiagonals(m, n_cap=10)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, elapsed
+    mi = invariance._int_matrix(m)
+    assert inv.partitions() and all(invariance._is_invariant_int(mi, p) for p in inv.partitions())
 
 
 # ---------------------------------------------------------------------------
