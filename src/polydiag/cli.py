@@ -9,12 +9,13 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 from fractions import Fraction
 
-from . import checks, counting, dynamics, graph, invariance
+from . import counting, graph, invariance
 from .partitions import (
     FILTERS,
     classify,
@@ -179,18 +180,16 @@ def cmd_count(args):
     return 0 if all(table.cross_checked.values()) else 1
 
 
-_COUPLINGS = {
-    "vdp": lambda k: dynamics.VDP_H,
-    "lorenz_w": lambda k: dynamics.LORENZ_H_PLUS,
-    "lorenz_v": lambda k: dynamics.LORENZ_H_MINUS,
-    "identity": lambda k: __import__("numpy").eye(k),
-}
+# coupling name -> the matrix H in polydiag.dynamics; identity is eye(k)
+_COUPLINGS = {"vdp": "VDP_H", "lorenz_w": "LORENZ_H_PLUS", "lorenz_v": "LORENZ_H_MINUS", "identity": None}
 
 _DEFAULT_COUPLING = {"vanderpol": "vdp", "lorenz": "lorenz_w", "singular_osc": "vdp"}
 
 
 def cmd_simulate(args):
     import numpy as np
+
+    from . import dynamics
 
     params = {}
     if args.eps is not None:
@@ -203,7 +202,7 @@ def cmd_simulate(args):
     m = _pick_matrix(g, args.matrix)
     m_float = float(args.scale) * np.array([[float(x) for x in row] for row in m])
     coupling = args.coupling or _DEFAULT_COUPLING.get(args.preset, "identity")
-    h = _COUPLINGS[coupling](preset.k)
+    h = np.eye(preset.k) if _COUPLINGS[coupling] is None else getattr(dynamics, _COUPLINGS[coupling])
     try:
         sys_ = dynamics.CoupledSystem(g.n, preset.k, preset, h, m_float)
     except ValueError as exc:  # a coupling of the wrong size for the preset
@@ -252,28 +251,18 @@ def cmd_check(args):
         report = invariance.check_constant_column_sums_theorem(m)
         _write(invariance.report_to_json(report) + "\n", args.output)
         return 0 if report.passed else 1
+    from . import checks
+
     if args.suite not in checks.SUITES:
         raise InputError("unknown suite %r (choose from %s)" % (args.suite, ", ".join(sorted(checks.SUITES))))
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.n is not None:
-        kwargs["n_max"] = args.n
-    if args.suite.startswith("dynamics"):
-        kwargs.pop("trials", None)
-        kwargs.pop("n_max", None)
-        if args.dt is not None:
-            kwargs["dt"] = args.dt
-        if args.suite != "dynamics-attractors":
-            if args.T is not None:
-                kwargs["T"] = args.T
-            if args.tol is not None:
-                kwargs["tol"] = args.tol
+    suite = checks.SUITES[args.suite]
+    # the options the suite takes, by its parameter names; it ignores the rest
+    given = {"trials": args.trials, "n_max": args.n, "seed": args.seed, "dt": args.dt, "T": args.T, "tol": args.tol}
+    taken = inspect.signature(suite).parameters
+    kwargs = {k: v for k, v in given.items() if k in taken and v is not None}
     try:
-        report = checks.SUITES[args.suite](**kwargs)
-    except (TypeError, ValueError) as exc:  # an option the suite lacks; a --T/--dt without a step count
+        report = suite(**kwargs)
+    except ValueError as exc:  # a --T/--dt without a step count
         raise InputError("suite %s: %s" % (args.suite, exc))
     _write(report.summary() + "\n", args.output)
     return 0 if report.passed else 1

@@ -144,14 +144,14 @@ def is_weakly_connected(g: WeightedDigraph) -> bool:
 AUTOMORPHISM_VERTEX_LIMIT = 12
 
 
-def automorphisms(g: WeightedDigraph, limit=AUTOMORPHISM_VERTEX_LIMIT):
+def automorphisms(g: WeightedDigraph):
     """All weight-preserving automorphisms, as image tuples (1-based).
 
     Backtracking over partial vertex assignments with degree/weight
     signature pruning; exhaustive, intended for small n.
     """
-    if g.n > limit:
-        raise ValueError("n=%d exceeds exhaustive search limit %d" % (g.n, limit))
+    if g.n > AUTOMORPHISM_VERTEX_LIMIT:
+        raise ValueError("n=%d exceeds exhaustive search limit %d" % (g.n, AUTOMORPHISM_VERTEX_LIMIT))
     n = g.n
     w = g.weight_map()
 
@@ -330,11 +330,11 @@ def load_digraph(path) -> WeightedDigraph:
 # random instances for property suites
 
 
-def random_connected_graph(n, rng, extra_edge_prob=0.35):
+def random_connected_graph(n, rng):
     """Random connected graph on n vertices as a WeightedDigraph.
 
     A random spanning tree guarantees connectivity; the remaining pairs are
-    included independently.
+    included independently with probability 0.35.
     """
     edges = set()
     vertices = list(range(1, n + 1))
@@ -343,13 +343,14 @@ def random_connected_graph(n, rng, extra_edge_prob=0.35):
         edges.add(frozenset((vertices[k], rng.choice(vertices[:k]))))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if rng.random() < extra_edge_prob:
+            if rng.random() < 0.35:
                 edges.add(frozenset((i, j)))
     return digraph_of_graph(n, [tuple(sorted(e)) for e in sorted(edges, key=sorted)])
 
 
-def random_weight_balanced_digraph(n, rng, n_cycles=None, max_weight=3):
-    """Random weight-balanced digraph: a sum of weighted directed cycles.
+def random_weight_balanced_digraph(n, rng):
+    """Random weight-balanced digraph: a sum of 2 to n + 1 directed cycles
+    of weight 1 to 3.
 
     Each cycle adds equal weight to the in- and out-degree of the vertices
     it visits, so the result is weight-balanced with positive weights and
@@ -357,12 +358,11 @@ def random_weight_balanced_digraph(n, rng, n_cycles=None, max_weight=3):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    n_cycles = n_cycles if n_cycles is not None else rng.randint(2, n + 1)
     weight = {}
-    for _ in range(n_cycles):
+    for _ in range(rng.randint(2, n + 1)):
         length = rng.randint(2, n)
         cyc = rng.sample(range(1, n + 1), length)
-        w = rng.randint(1, max_weight)
+        w = rng.randint(1, 3)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             weight[(a, b)] = weight.get((a, b), 0) + w
     arrows = tuple((t, h, Fraction(w)) for (t, h), w in sorted(weight.items()))

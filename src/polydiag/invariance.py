@@ -73,7 +73,7 @@ def _is_invariant_int(mi, p: TaggedPartition) -> bool:
 
 def is_invariant(m, p: TaggedPartition) -> bool:
     """Exact decision of M Delta_P <= Delta_P."""
-    if len(m) != p.n or (m and len(m[0]) != p.n):
+    if len(m) != p.n or any(len(row) != p.n for row in m):
         raise ValueError("matrix must be %dx%d" % (p.n, p.n))
     return _is_invariant_int(_int_matrix(m), p)
 
@@ -478,7 +478,7 @@ class MainLemmaReport:
         return [r for r in self.rows if not r.ok]
 
 
-def check_main_lemma(m, lam, inv: InvariantSet | None = None) -> MainLemmaReport:
+def check_main_lemma(m, lam) -> MainLemmaReport:
     """For a simple eigenvalue lam, test every invariant polydiagonal W for
     v_R in W or v_L perpendicular to W, recording which disjunct holds."""
     eig = eigendata(m, lam)
@@ -488,9 +488,8 @@ def check_main_lemma(m, lam, inv: InvariantSet | None = None) -> MainLemmaReport
             % (lam, len(eig.right_basis))
         )
     v_r, v_l = eig.right_basis[0], eig.left_basis[0]
-    inv = inv if inv is not None else invariant_polydiagonals(m)
     rows = []
-    for p, cls in inv.subspaces:
+    for p, cls in invariant_polydiagonals(m).subspaces:
         in_w = contains(p, v_r)
         in_perp = all(linalg.dot(v_l, b) == 0 for b in basis(p))
         rows.append(DichotomyRow(p, type_label(p, cls), in_w, in_perp))
@@ -521,7 +520,7 @@ class ColumnSumsReport:
         return [r for r in self.rows if not r.conclusion_holds]
 
 
-def check_constant_column_sums_theorem(m, inv: InvariantSet | None = None) -> ColumnSumsReport:
+def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     """Constant-column-sums dichotomy: every invariant polydiagonal must be a
     synchrony subspace containing v or an evenly tagged anti-synchrony
     subspace not containing v.  Hypothesis violations are reported, not
@@ -545,9 +544,8 @@ def check_constant_column_sums_theorem(m, inv: InvariantSet | None = None) -> Co
         return ColumnSumsReport(
             False, "eigenvector has v_i + v_j = 0 for some i, j", frac(lam), v, ()
         )
-    inv = inv if inv is not None else invariant_polydiagonals(m)
     rows = []
-    for p, cls in inv.subspaces:
+    for p, cls in invariant_polydiagonals(m).subspaces:
         has_v = contains(p, v)
         holds = (cls.synchrony and has_v) or (cls.evenly_tagged and not has_v)
         rows.append(ColumnSumsRow(p, type_label(p, cls), has_v, holds))

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction and matrices are tuples of row tuples.
-Everything is immutable and every operation is pure, so values can be
-shared freely between threads.  Plain Python ints are accepted anywhere a
-rational is expected (they are exact), but floats are rejected: callers
-with decimal input must pass strings like ``"0.25"`` so the conversion is
-exact decimal parsing rather than a binary approximation.
+Everything is immutable and every operation is pure.  Plain Python ints
+are accepted anywhere a rational is expected (they are exact), but floats
+are rejected: callers with decimal input must pass strings like ``"0.25"``
+so the conversion is exact decimal parsing rather than a binary
+approximation.
 """
 
 from __future__ import annotations

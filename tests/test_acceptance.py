@@ -100,7 +100,7 @@ def test_04_feedforward_dichotomy_tables():
             ),
         }
         for lam, (want_in, want_perp) in expect.items():
-            rep = invariance.check_main_lemma(m, lam, inv)
+            rep = invariance.check_main_lemma(m, lam)
             assert rep.passed
             got_in = {typical_element(r.partition) for r in rep.rows if r.right_in_subspace}
             got_perp = {typical_element(r.partition) for r in rep.rows if r.left_in_perp}

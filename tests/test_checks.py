@@ -1,4 +1,11 @@
-from polydiag import checks
+import collections
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from polydiag import checks, graph, invariance, linalg
+from polydiag.partitions import typical_element
 
 
 def test_suites_registry_names():
@@ -50,3 +57,119 @@ def test_reports_carry_witnesses_on_failure():
     rep = checks.SuiteReport("demo", 1, False, ["it broke"])
     text = rep.summary()
     assert "FAIL" in text and "it broke" in text
+
+
+# ---------------------------------------------------------------------------
+# the suites leave every hypothesis and conclusion to the theorem reports
+
+
+def test_uneven_anti_synchrony_witnesses():
+    # the disconnected-graph counterexample to Conjecture 5.3 without connectivity
+    lap = graph.laplacian_matrix(graph.digraph_of_graph(3, [(2, 3)]))
+    got = [typical_element(p) for p in checks._uneven_anti_synchrony(lap)]
+    assert got == ["(a,0,0)", "(0,a,a)", "(a,-a,-a)", "(a,b,-b)", "(0,a,b)"]
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "suite, draw",
+    [(checks.suite_column_sums, "_random_constant_column_sum_matrix"), (checks.suite_main_lemma, "_random_unimodular")],
+)
+def test_one_eigendata_call_per_draw(monkeypatch, suite, draw):
+    counter = collections.Counter()
+    for module in (invariance, checks):
+        _count_calls(monkeypatch, module, "eigendata", counter)
+    _count_calls(monkeypatch, checks, draw, counter)
+    rep = suite(trials=12, seed=4)
+    assert rep.passed
+    assert counter[draw] >= rep.trials
+    assert counter["eigendata"] == counter[draw]
+
+
+def _old_column_sums(trials, seed, n_max=5):
+    """The column-sums instances as the suite drew them with its own copy
+    of the hypotheses, each followed by the theorem report."""
+    rng = random.Random(seed)
+    out = []
+    attempts = 0
+    while len(out) < trials and attempts < trials * 60:
+        attempts += 1
+        n = rng.randint(2, n_max)
+        m = checks._random_constant_column_sum_matrix(rng, n)
+        eig = invariance.eigendata(m, sum(row[0] for row in m))
+        if len(eig.right_basis) != 1:
+            continue
+        v = eig.right_basis[0]
+        if any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n)):
+            continue
+        out.append((m, invariance.check_constant_column_sums_theorem(m)))
+    return out
+
+
+def _old_main_lemma(trials, seed, n_max=5):
+    """The main-lemma instances as the suite drew them, rejecting a
+    non-simple eigenvalue itself, each followed by the lemma report."""
+    rng = random.Random(seed)
+    out = []
+    attempts = 0
+    while len(out) < trials and attempts < trials * 40:
+        attempts += 1
+        n = rng.randint(2, n_max)
+        lam = rng.randint(-2, 2)
+        block = [[F(0)] * n for _ in range(n)]
+        block[0][0] = F(lam)
+        c = rng.choice([3, 5, 7])
+        for i in range(1, n - 1):
+            block[i + 1][i] = F(1)
+        block[1][n - 1] = F(c)
+        s = checks._random_unimodular(rng, n)
+        m = linalg.mat_mul(linalg.mat_mul(s, tuple(map(tuple, block))), checks._inverse(s))
+        if len(invariance.eigendata(m, lam).right_basis) == 1:
+            out.append((m, lam, invariance.check_main_lemma(m, lam)))
+    return out
+
+
+def _record(monkeypatch, name, keep):
+    """Record the reports the suite gets from checks.<name>."""
+    fn = getattr(checks, name)
+    seen = []
+
+    def recorded(*args):
+        report = fn(*args)
+        if keep(report):
+            seen.append(args + (report,))
+        return report
+
+    monkeypatch.setattr(checks, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 11, 29])
+def test_column_sums_reports_match_old_filter(monkeypatch, seed):
+    seen = _record(monkeypatch, "check_constant_column_sums_theorem", lambda r: r.hypotheses_met)
+    rep = checks.suite_column_sums(trials=15, seed=seed)
+    want = _old_column_sums(15, seed)
+    assert seen == want and rep.trials == len(want)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8, 21])
+def test_main_lemma_reports_match_old_filter(monkeypatch, seed):
+    seen = _record(monkeypatch, "check_main_lemma", lambda r: True)
+    rep = checks.suite_main_lemma(trials=12, seed=seed)
+    want = _old_main_lemma(12, seed)
+    assert seen == want and rep.trials == len(want)
+
+
+def test_main_lemma_keeps_the_scan_cap_error():
+    # seed 9 draws a 9-cell matrix first; it must not be taken for a rejected draw
+    with pytest.raises(ValueError, match="exceeds cap"):
+        checks.suite_main_lemma(trials=1, n_max=9, seed=9)

@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import inspect
 import io
 import json
 import os
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polydiag
+from polydiag import checks
 from polydiag.cli import main
 
 
@@ -239,6 +242,41 @@ def test_import_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_exact_commands_load_no_numpy(tmp_path):
+    path = digraph_file(tmp_path, '{"n": 3, "arrows": [[1,2,"1"],[2,3,"1"],[3,1,"1"]]}')
+    probe = (
+        "import sys, polydiag.cli; code = polydiag.cli.main(['invariants', %r]); "
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)" % path
+    )
+    src = os.path.dirname(os.path.dirname(polydiag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert "(a,a,a)" in out.stdout
+    assert out.stderr.strip() == "0 False"
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
+    """Every option given: the suite gets those named in its signature
+    (--n as n_max) and ignores the rest."""
+    given = {"trials": 2, "n_max": 3, "seed": 5, "dt": 0.05, "T": 0.2, "tol": 1.0}
+    fn = checks.SUITES[suite]
+    kwargs = {k: v for k, v in given.items() if k in inspect.signature(fn).parameters}
+    report = fn(**kwargs)
+    calls = []
+
+    @functools.wraps(fn)
+    def recorded(**got):
+        calls.append(got)
+        return fn(**got)
+
+    monkeypatch.setitem(checks.SUITES, suite, recorded)
+    code, out, _ = run(capsys, "check", suite, "--trials", "2", "--n", "3", "--seed", "5",
+                       "--dt", "0.05", "--T", "0.2", "--tol", "1")
+    assert calls == [kwargs]
+    assert (code, out) == (0 if report.passed else 1, report.summary() + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ def test_is_invariant_examples():
     assert not is_invariant(VDP_A, parse_typical_element("(a,a)"))
     for p in enumerate_tagged_partitions(3):
         assert is_invariant(zeros(3, 3), p)
-    with pytest.raises(ValueError):
-        is_invariant(VDP_A, parse_typical_element("(a,a,a)"))
+    for m, typical in ((VDP_A, "(a,a,a)"), ([[1, 2], [3, 4, 5]], "(a,b)"), ([[1, 2], [3]], "(a,b)")):
+        with pytest.raises(ValueError):
+            is_invariant(m, parse_typical_element(typical))
 
 
 def test_invariant_set_dirichlet():
