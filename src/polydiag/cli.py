@@ -200,7 +200,11 @@ def cmd_simulate(args):
         raise InputError("preset %s: %s" % (args.preset, exc))
     g = _load_digraph(args.digraph)
     m = _pick_matrix(g, args.matrix)
-    m_float = float(args.scale) * np.array([[float(x) for x in row] for row in m])
+    try:
+        with np.errstate(over="raise"):
+            m_float = float(args.scale) * np.array([[float(x) for x in row] for row in m])
+    except (OverflowError, FloatingPointError):
+        raise InputError("--scale %s times the weights of %s leaves the float range" % (args.scale, args.digraph))
     coupling = args.coupling or _DEFAULT_COUPLING.get(args.preset, "identity")
     h = np.eye(preset.k) if _COUPLINGS[coupling] is None else getattr(dynamics, _COUPLINGS[coupling])
     try:

@@ -9,22 +9,30 @@ Integration is classical fixed-step RK4.  When the vector field maps an
 invariant linear subspace into itself, RK4 stays on the subspace up to
 round-off, so tight invariance tolerances are meaningful.
 
-The RK4 step runs on plain Python floats, not on numpy arrays.  The systems
-of the paper's examples are tiny (two van der Pol or Lorenz cells, 4-6
-floats of state), and a numpy call on a handful of floats costs about 1 us
-of overhead whatever it computes: the array step took 88-107 us for either
-pair, and preallocated buffers with in-place operations still 75-95 us.
-The float step makes the same IEEE operations in the same order in 12-16 us
-(van der Pol pair) and 15-22 us (Lorenz pair), measured on a shared 2-vCPU
-Xeon VM with Python 3.11.  Arrays stay at the edges: each state is written
-into a preallocated (steps+1, n, k) output, and a preset evaluates on
-arrays of cell states too, for the equivariance check.
+The systems of the paper's examples are tiny (two van der Pol or Lorenz
+cells, 4-6 floats of state), so the RK4 loop runs on plain Python floats,
+not numpy arrays: a numpy call on a handful of floats costs about 1 us of
+overhead whatever it computes (the array step took 88-107 us for either
+pair).  A preset is source text: the names of a cell's k coordinates and one
+arithmetic expression per coordinate, with every parameter written as a
+parenthesised ``repr(float)``.  The same text gives ``Preset.func`` (on
+floats, and on arrays of cell states for the equivariance check) and is
+inlined into one generated function per :class:`CoupledSystem` that runs the
+whole RK4 loop with the n*k coordinates in locals and each nonzero
+``kron(M, H)`` weight as a literal.  It makes the same IEEE operations in the
+same order as :meth:`CoupledSystem.rhs` called four times per step.  A step
+takes 3.3-3.6 us for the van der Pol pair and 5.2-6.1 us for the Lorenz pair
+(12-17 us and 15-21 us with list comprehensions around ``rhs``), and
+building a system with its function 1.3-1.6 ms, on a shared 2-vCPU Xeon VM
+with Python 3.11.  Arrays stay at the edges: each state is written into a
+preallocated (steps+1, n, k) output.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +42,7 @@ BLOWUP_NORM = 1e9
 
 
 class BlowupError(RuntimeError):
-    def __init__(self, time, norm):
+    def __init__(self, time, norm=math.nan):
         super().__init__("state norm %.3g exceeds %.1g at t=%.6g" % (norm, BLOWUP_NORM, time))
         self.time = time
         self.norm = norm
@@ -44,18 +52,53 @@ class BlowupError(RuntimeError):
 # internal dynamics presets
 
 
+def _arithmetic(node, args) -> bool:
+    """Whether an ast node may appear in a preset expression: a coordinate
+    name, an int or float literal, or an arithmetic operation."""
+    if isinstance(node, ast.Name):
+        return node.id in args
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    return isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load))
+
+
 @dataclass(frozen=True)
 class Preset:
-    """Internal dynamics f on R^k.  ``func`` is the per-cell map written in
-    plain arithmetic, so the same definition evaluates on floats (the
-    integrator) and on arrays of coordinates (``__call__``)."""
+    """Internal dynamics f on R^k as source text: ``args`` names the k
+    coordinates of one cell and ``exprs`` gives f's components as
+    arithmetic expressions in them, for example ``("u", "v")`` and
+    ``("v", "-(2.0) * (1.0 - u * u) * v - u")``.  ``func`` is compiled from
+    that text, so the same definition evaluates on floats, on arrays of
+    coordinates (``__call__``) and inside the generated RK4 loop."""
 
     name: str
-    k: int
-    func: callable  # per cell: func(c_1, ..., c_k) -> k values
+    args: tuple
+    exprs: tuple
     odd: bool
     fixes_origin: bool
     domain_excludes_zero: bool = False
+    func: callable = field(init=False, repr=False, compare=False)  # per cell: func(c_1, ..., c_k) -> k values
+    templates: tuple = field(init=False, repr=False, compare=False)  # exprs with args as {0}, {1}, ...
+
+    def __post_init__(self):
+        if len(self.exprs) != len(self.args) or not all(a.isidentifier() for a in self.args):
+            raise ValueError("a preset needs one expression per coordinate name")
+        templates = []
+        for expr in self.exprs:
+            tree = ast.parse(expr, mode="eval")
+            for node in ast.walk(tree):
+                if not _arithmetic(node, self.args):
+                    raise ValueError("preset expression %r is not arithmetic in %s" % (expr, ", ".join(self.args)))
+                if isinstance(node, ast.Name):
+                    node.id = "{%d}" % self.args.index(node.id)
+            templates.append("(%s)" % ast.unparse(tree))
+        func = eval("lambda %s: [%s]" % (", ".join(self.args), ", ".join(self.exprs)), {"__builtins__": {}})
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "templates", tuple(templates))
+
+    @property
+    def k(self):
+        return len(self.args)
 
     def __call__(self, x):
         """f applied to every cell state of an array (..., k)."""
@@ -75,38 +118,38 @@ def preset_f(name: str, **params) -> Preset:
     zero(k=1): f = 0.  cubic_odd(k=1): componentwise x - x*x*x (products
     rather than a power, because numpy's vectorized pow and the C library's
     pow can round differently in the last bit).
+
+    Parameters must be finite (ValueError otherwise); they enter the
+    preset's text as parenthesised ``repr(float)`` literals.
     """
     if name == "vanderpol":
-        eps = float(params.pop("eps", 2.0))
+        eps = _literal(params, "eps", 2.0)
         _reject_extra(params)
-        return Preset("vanderpol", 2, lambda u, v: (v, -eps * (1.0 - u * u) * v - u), odd=True, fixes_origin=True)
+        return Preset("vanderpol", ("u", "v"), ("v", "-%s * (1.0 - u * u) * v - u" % eps), odd=True, fixes_origin=True)
     if name == "lorenz":
-        sigma = float(params.pop("sigma", 10.0))
-        rho = float(params.pop("rho", 28.0))
-        beta = float(params.pop("beta", 8.0 / 3.0))
+        sigma = _literal(params, "sigma", 10.0)
+        rho = _literal(params, "rho", 28.0)
+        beta = _literal(params, "beta", 8.0 / 3.0)
         _reject_extra(params)
-
-        def f(u, v, w):
-            return sigma * (v - u), u * (rho - w) - v, u * v - beta * w
-
-        return Preset("lorenz", 3, f, odd=False, fixes_origin=True)
+        exprs = ("%s * (v - u)" % sigma, "u * (%s - w) - v" % rho, "u * v - %s * w" % beta)
+        return Preset("lorenz", ("u", "v", "w"), exprs, odd=False, fixes_origin=True)
     if name == "singular_osc":
         _reject_extra(params)
-
-        def f(u, v):
-            return v, -v - u + 1.0 / u
-
-        return Preset("singular_osc", 2, f, odd=True, fixes_origin=False, domain_excludes_zero=True)
-    if name == "zero":
-        k = int(params.pop("k", 1))
+        return Preset("singular_osc", ("u", "v"), ("v", "-v - u + 1.0 / u"), odd=True, fixes_origin=False,
+                      domain_excludes_zero=True)
+    if name in ("zero", "cubic_odd"):
+        args = tuple("c%d" % (a + 1) for a in range(int(params.pop("k", 1))))
         _reject_extra(params)
-        zeros = (0.0,) * k
-        return Preset("zero", k, lambda *x: zeros, odd=True, fixes_origin=True)
-    if name == "cubic_odd":
-        k = int(params.pop("k", 1))
-        _reject_extra(params)
-        return Preset("cubic_odd", k, lambda *x: [c - c * c * c for c in x], odd=True, fixes_origin=True)
+        exprs = ["0.0" if name == "zero" else "%s - %s * %s * %s" % (c, c, c, c) for c in args]
+        return Preset(name, args, tuple(exprs), odd=True, fixes_origin=True)
     raise KeyError("unknown preset %r" % name)
+
+
+def _literal(params, key, default):
+    value = float(params.pop(key, default))
+    if not math.isfinite(value):
+        raise ValueError("preset parameter %s must be finite, got %r" % (key, value))
+    return "(%r)" % value
 
 
 def _reject_extra(params):
@@ -136,14 +179,21 @@ class CoupledSystem:
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
         self.M = np.asarray(self.M, dtype=float)
+        if self.n < 1 or self.k < 1:
+            raise ValueError("a system needs n >= 1 cells of k >= 1 coordinates")
         if self.f.k != self.k or self.H.shape != (self.k, self.k):
             raise ValueError("coupling dimensions inconsistent with k=%d" % self.k)
         if self.M.shape != (self.n, self.n):
             raise ValueError("network matrix must be %dx%d" % (self.n, self.n))
+        with np.errstate(all="ignore"):
+            kron = np.kron(self.M, self.H)
+        if not np.isfinite(kron).all():  # also when M or H holds inf or NaN
+            raise ValueError("M, H and kron(M, H) must have finite entries")
         self._cells = tuple(range(0, self.n * self.k, self.k))
         # the nonzero entries of kron(M, H) per output coordinate, in column order
-        rows = (tuple((q, w) for q, w in enumerate(row) if w != 0.0) for row in np.kron(self.M, self.H).tolist())
+        rows = (tuple((q, w) for q, w in enumerate(row) if w != 0.0) for row in kron.tolist())
         self._coupling = tuple((p, terms) for p, terms in enumerate(rows) if terms)
+        self._rk4 = _compile_rk4(self)
 
     def rhs(self, x):
         """The vector field at a flat list of n*k floats, as a flat list: f on
@@ -156,6 +206,85 @@ class CoupledSystem:
                 c += w * x[q]
             out[p] += c
         return out
+
+
+# A coupling sum is written as one chain of additions per line of at most
+# this many terms: Python's compiler recurses once per operator, and a
+# chain of a few thousand exceeds its recursion limit.
+_TERMS_PER_LINE = 100
+
+
+def _rk4_source(sys: CoupledSystem) -> str:
+    """Source text of the whole fixed-step RK4 loop of sys as one Python
+    function ``rk4(x0, ..., x{nk-1}, h, steps, out)``.
+
+    Stage j's derivative of coordinate p sits in the local a_p, b_p, c_p or
+    d_p.  It is the preset's expression for coordinate p % k, with the cell's
+    coordinates (x or the stage state y) in place of its names, plus the
+    coupling sum ``(0.0 + w1 * y_q1 + w2 * y_q2 ...)`` over the nonzero
+    entries of row p of kron(M, H) in column order: the IEEE operations of
+    :meth:`CoupledSystem.rhs`, in the same order.  Each step checks the
+    state norm and writes ``out[s]``; a division by zero or an overflowing
+    power becomes a BlowupError at that step.  Only the preset's checked
+    arithmetic, ``repr`` of finite floats and the names of ``_RK4_GLOBALS``
+    reach the source.
+    """
+    k, nk = sys.k, sys.n * sys.k
+    coupling = dict(sys._coupling)
+
+    def stage(dst, src):
+        lines = []
+        for p in range(nk):
+            first = p - p % k
+            value = sys.f.templates[p % k].format(*("%s%d" % (src, q) for q in range(first, first + k)))
+            terms = ["(%r) * %s%d" % (w, src, q) for q, w in coupling.get(p, ())]
+            total = "0.0"
+            while len(terms) > _TERMS_PER_LINE:
+                lines.append("%s%d = %s + %s" % (dst, p, total, " + ".join(terms[:_TERMS_PER_LINE])))
+                total, terms = "%s%d" % (dst, p), terms[_TERMS_PER_LINE:]
+            if terms:
+                value = "%s + (%s + %s)" % (value, total, " + ".join(terms))
+            lines.append("%s%d = %s" % (dst, p, value))
+        return lines
+
+    def shift(step, der):
+        return ["y%d = x%d + %s * %s%d" % (p, p, step, der, p) for p in range(nk)]
+
+    xs = ", ".join("x%d" % p for p in range(nk))
+    body = (
+        stage("a", "x") + shift("hh", "a") + stage("b", "y") + shift("hh", "b") + stage("c", "y")
+        + shift("h", "c") + stage("d", "y")
+        + ["x%d = x%d + h6 * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((p,) * 6) for p in range(nk)]
+    )
+    return "\n".join(
+        ["def rk4(%s, h, steps, out):" % xs,
+         "    hh = 0.5 * h",
+         "    h6 = h / 6.0",
+         "    for s in range(1, steps + 1):",
+         "        try:"]
+        + ["            " + line for line in body]
+        + ["        except (OverflowError, ZeroDivisionError):",
+           "            break",
+           "        if not hypot(%s) <= BLOWUP_NORM:" % xs,
+           "            raise BlowupError(s * h, hypot(%s))" % xs,
+           "        out[s] = (%s,)" % xs,
+           "    else:",
+           "        return",
+           "    raise BlowupError(s * h)",
+           ""]
+    )
+
+
+_RK4_GLOBALS = {"__builtins__": {}, "range": range, "hypot": math.hypot, "BLOWUP_NORM": BLOWUP_NORM,
+                "BlowupError": BlowupError, "OverflowError": OverflowError, "ZeroDivisionError": ZeroDivisionError}
+
+
+def _compile_rk4(sys: CoupledSystem):
+    """Compile :func:`_rk4_source` once; neither the text nor a reference
+    cycle through the function's globals outlives the call."""
+    namespace = dict(_RK4_GLOBALS)
+    exec(compile(_rk4_source(sys), "<rk4 %s n=%d>" % (sys.f.name, sys.n), "exec"), namespace)
+    return namespace.pop("rk4")
 
 
 @dataclass
@@ -193,22 +322,7 @@ def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
     if steps < 1:
         raise ValueError("T/dt = %.3g rounds to no RK4 step" % (T / dt))
     out[0] = x
-    rhs = sys.rhs
-    h = dt
-    hh, h6 = 0.5 * h, h / 6.0
-    try:
-        for s in range(1, steps + 1):
-            k1 = rhs(x)
-            k2 = rhs([a + hh * b for a, b in zip(x, k1)])
-            k3 = rhs([a + hh * b for a, b in zip(x, k2)])
-            k4 = rhs([a + h * b for a, b in zip(x, k3)])
-            x = [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-            norm = math.hypot(*x)
-            if not norm <= BLOWUP_NORM:
-                raise BlowupError(s * h, norm)
-            out[s] = x
-    except (OverflowError, ZeroDivisionError):
-        raise BlowupError(s * h, math.nan) from None
+    sys._rk4(*x, dt, steps, out)
     return Trajectory(np.arange(steps + 1) * dt, out.reshape(steps + 1, sys.n, sys.k))
 
 

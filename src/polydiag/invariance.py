@@ -71,9 +71,18 @@ def _is_invariant_int(mi, p: TaggedPartition) -> bool:
     return True
 
 
+def _require_square(m) -> int:
+    """The size n of an n x n matrix; ValueError for a ragged or non-square
+    one."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    return n
+
+
 def is_invariant(m, p: TaggedPartition) -> bool:
     """Exact decision of M Delta_P <= Delta_P."""
-    if len(m) != p.n or any(len(row) != p.n for row in m):
+    if _require_square(m) != p.n:
         raise ValueError("matrix must be %dx%d" % (p.n, p.n))
     return _is_invariant_int(_int_matrix(m), p)
 
@@ -223,9 +232,7 @@ def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
     """All tagged partitions whose subspace is m-invariant, in canonical
     order, by a block-by-block exact search (see
     :func:`_invariant_partitions`)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
+    n = _require_square(m)
     if n > n_cap:
         raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (n, n_cap))
     mat = tuple(tuple(frac(x) for x in row) for row in m)
@@ -445,6 +452,7 @@ class EigenData:
 
 
 def eigendata(m, lam) -> EigenData:
+    _require_square(m)
     lam = frac(lam)
     right = nullspace(shifted(m, lam))
     left = nullspace(shifted(transpose(m), lam))
@@ -480,7 +488,9 @@ class MainLemmaReport:
 
 def check_main_lemma(m, lam) -> MainLemmaReport:
     """For a simple eigenvalue lam, test every invariant polydiagonal W for
-    v_R in W or v_L perpendicular to W, recording which disjunct holds."""
+    v_R in W or v_L perpendicular to W, recording which disjunct holds.
+    Raises ValueError for a non-square matrix (in :func:`eigendata`) or a
+    lam that is not simple."""
     eig = eigendata(m, lam)
     if len(eig.right_basis) != 1:
         raise ValueError(
@@ -524,8 +534,8 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     """Constant-column-sums dichotomy: every invariant polydiagonal must be a
     synchrony subspace containing v or an evenly tagged anti-synchrony
     subspace not containing v.  Hypothesis violations are reported, not
-    raised."""
-    n = len(m)
+    raised; a non-square matrix raises ValueError."""
+    n = _require_square(m)
     sums = [sum(row[j] for row in m) for j in range(n)]
     if len(set(sums)) > 1:
         return ColumnSumsReport(False, "column sums are not constant", None, None, ())

@@ -182,6 +182,9 @@ BAD_ARGV = {
     "enumerate-negative-n": ["enumerate", "-1"],
     "count-negative-n": ["count", "-1"],
     "simulate-scale": ["simulate", *PAIR, "--scale", "abc"],
+    "simulate-scale-beyond-float": ["simulate", *PAIR, "--scale", "1e400"],
+    "simulate-scaled-weight-beyond-float": ["simulate", "--preset", "vanderpol", "--digraph", "{heavy}",
+                                            "--scale", "1e10"],
     "simulate-x0": ["simulate", *PAIR, "--x0", "a,b,c,d"],
     "simulate-dt-zero": ["simulate", *PAIR, "--dt", "0"],
     "simulate-T-negative": ["simulate", *PAIR, "--T", "-1"],
@@ -215,6 +218,7 @@ def input_paths(d):
         ("pair", '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}'),
         ("float", '{"n": 2, "arrows": [[1,2,0.5]]}'),
         ("garbled", '{"n": 2, "arrows": [[1,'),
+        ("heavy", '{"n": 2, "arrows": [[1,2,"1e300"],[2,2,"1e300"]]}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
     return paths

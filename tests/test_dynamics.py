@@ -1,8 +1,13 @@
+import ast
 import hashlib
+import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydiag import checks, dynamics
 from polydiag.dynamics import (
@@ -78,11 +83,7 @@ def test_integrate_coupled_vdp_bounded():
 
 def test_integrate_blowup_detected():
     grow = preset_f("cubic_odd", k=1)
-
-    def explode(x):
-        return (x**3,)
-
-    bad = dynamics.Preset("explode", 1, explode, odd=True, fixes_origin=True)
+    bad = dynamics.Preset("explode", ("x",), ("x ** 3",), odd=True, fixes_origin=True)
     sys = CoupledSystem(1, 1, bad, np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(BlowupError):
         integrate(sys, np.array([2.0]), 1e-2, 50.0)
@@ -359,14 +360,156 @@ def test_integrate_rejects_horizons_without_a_step_or_beyond_memory():
         integrate(vdp_system(), np.zeros(4), 1e-15, 50.0)
 
 
-def test_integrate_calls_rhs_four_times_per_step(monkeypatch):
-    calls = []
-    rhs = CoupledSystem.rhs
+# ---------------------------------------------------------------------------
+# the generated RK4 loop against a textbook RK4 over CoupledSystem.rhs
 
-    def counted(self, x):
-        calls.append(1)
-        return rhs(self, x)
 
-    monkeypatch.setattr(CoupledSystem, "rhs", counted)
-    traj = integrate(vdp_system(), np.array([0.1, 0.0, -0.2, 0.1]), 0.01, 1.23)
-    assert len(traj.times) == 124 and len(calls) == 4 * 123
+def _rk4_over_rhs(sys, x0, dt, steps):
+    """Every state of a textbook RK4 run that calls sys.rhs four times per
+    step, and the time of the step that faulted or left the norm bound
+    (None when no step did)."""
+    x = [float(v) for v in x0]
+    states, h = [x], dt
+    hh, h6 = 0.5 * h, h / 6.0
+    for s in range(1, steps + 1):
+        try:
+            k1 = sys.rhs(x)
+            k2 = sys.rhs([a + hh * b for a, b in zip(x, k1)])
+            k3 = sys.rhs([a + hh * b for a, b in zip(x, k2)])
+            k4 = sys.rhs([a + h * b for a, b in zip(x, k3)])
+        except (OverflowError, ZeroDivisionError):
+            return states, s * h
+        x = [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        if not math.hypot(*x) <= dynamics.BLOWUP_NORM:
+            return states, s * h
+        states.append(x)
+    return states, None
+
+
+def _assert_integrate_matches_rhs_oracle(sys, x0, dt, steps):
+    """integrate's states equal the oracle's byte for byte, or both blow up
+    at the same step."""
+    states, blowup = _rk4_over_rhs(sys, x0, dt, steps)
+    if blowup is None:
+        traj = integrate(sys, np.array(x0), dt, steps * dt)
+        assert traj.states.reshape(steps + 1, -1).tobytes() == np.array(states).tobytes()
+    else:
+        with pytest.raises(BlowupError) as info:
+            integrate(sys, np.array(x0), dt, steps * dt)
+        assert info.value.time == blowup
+
+
+def _three_cell_system(f):
+    """Three cells with signed weights and a full k x k coupling, so most
+    coordinates have a coupling sum of several terms."""
+    m = np.array([[0.5, -1.25, 0.0], [0.75, 0.0, 0.3], [0.0, -0.6, 0.1]])
+    h = np.array([[0.5 * (a == b) + 0.125 * (b - a) for b in range(f.k)] for a in range(f.k)])
+    return CoupledSystem(3, f.k, f, h, m)
+
+
+def _start(f, n, seed):
+    x = np.random.default_rng(seed).uniform(-1, 1, size=(n, f.k))
+    if f.domain_excludes_zero:
+        x[:, 0] = np.copysign(np.abs(x[:, 0]) + 0.5, x[:, 0])
+    return x.ravel().tolist()
+
+
+ORACLE_PRESETS = PRESETS + [("vanderpol", {"eps": -0.5})]
+
+
+@pytest.mark.parametrize("name, params", ORACLE_PRESETS, ids=["%s%s" % (n, p) for n, p in ORACLE_PRESETS])
+def test_integrate_matches_rk4_over_rhs_bit_for_bit(name, params):
+    f = preset_f(name, **params)
+    _assert_integrate_matches_rhs_oracle(_three_cell_system(f), _start(f, 3, 6), 0.01, 150)
+
+
+# -0.0 and 0.0 (skipped as weights), subnormals, the smallest normal and huge values
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(eps=FINITE, weights=st.lists(FINITE, min_size=4, max_size=4))
+def test_integrate_matches_rk4_over_rhs_for_any_finite_numbers(eps, weights):
+    sys = CoupledSystem(2, 2, preset_f("vanderpol", eps=eps), dynamics.VDP_H, np.reshape(weights, (2, 2)))
+    _assert_integrate_matches_rhs_oracle(sys, [0.3, -0.1, 0.4, 0.2], 0.01, 40)
+
+
+@pytest.mark.parametrize("name, params", [("vanderpol", {}), ("lorenz", {}), ("cubic_odd", {"k": 3})])
+def test_integrate_matches_rk4_over_rhs_with_split_coupling_sums(monkeypatch, name, params):
+    # two terms per line: a coupling sum of four or six terms spans two or
+    # three lines of the generated source
+    monkeypatch.setattr(dynamics, "_TERMS_PER_LINE", 2)
+    f = preset_f(name, **params)
+    sys = _three_cell_system(f)
+    assert max(len(terms) for _, terms in sys._coupling) > dynamics._TERMS_PER_LINE
+    _assert_integrate_matches_rhs_oracle(sys, _start(f, 3, 7), 0.01, 150)
+
+
+RK4_NAMES = {"h", "hh", "h6", "s", "steps", "out", "range", "hypot", "BLOWUP_NORM", "BlowupError",
+             "OverflowError", "ZeroDivisionError"}
+
+
+@pytest.mark.parametrize("terms_per_line", [dynamics._TERMS_PER_LINE, 2])
+@pytest.mark.parametrize(
+    "make",
+    [lambda name=name, params=params: _three_cell_system(preset_f(name, **params)) for name, params in ORACLE_PRESETS]
+    + [lambda: CoupledSystem(2, 2, preset_f("vanderpol", eps=5e-324), dynamics.VDP_H,
+                             np.array([[-0.0, 1e300], [-5e-324, 2.2250738585072014e-308]]))],
+    ids=["%s%s" % (n, p) for n, p in ORACLE_PRESETS] + ["special-floats"],
+)
+def test_generated_source_holds_only_known_names_and_numbers(monkeypatch, make, terms_per_line):
+    monkeypatch.setattr(dynamics, "_TERMS_PER_LINE", terms_per_line)
+    sys = make()
+    nk = sys.n * sys.k
+    tree = ast.parse(dynamics._rk4_source(sys))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            coordinate = re.fullmatch(r"[xyabcd](\d+)", node.id)
+            assert node.id in RK4_NAMES or (coordinate and int(coordinate.group(1)) < nk), node.id
+        elif isinstance(node, ast.Constant):
+            assert type(node.value) in (int, float), node.value
+        elif isinstance(node, ast.Call):
+            assert node.func.id in ("range", "hypot", "BlowupError")
+        assert not isinstance(node, (ast.Attribute, ast.Subscript)) or ast.unparse(node) == "out[s]"
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("vanderpol", {"eps": math.inf}), ("vanderpol", {"eps": math.nan}), ("lorenz", {"sigma": -math.inf}),
+     ("lorenz", {"rho": math.nan}), ("lorenz", {"beta": math.inf})],
+)
+def test_preset_refuses_non_finite_parameters(name, params):
+    with pytest.raises(ValueError, match="finite"):
+        preset_f(name, **params)
+
+
+@pytest.mark.parametrize(
+    "h, m",
+    [(dynamics.VDP_H, [[0.0, math.inf], [1.0, 1.0]]),
+     (dynamics.VDP_H, [[0.0, 0.0], [math.nan, 1.0]]),
+     ([[0.0, 0.0], [math.nan, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
+     ([[0.0, 0.0], [-math.inf, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+     ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1e10, 1.0]])],  # the product overflows
+    ids=["M-inf", "M-nan", "H-nan", "H-inf-M-zero", "kron-overflow"],
+)
+def test_system_refuses_non_finite_coupling(h, m):
+    with pytest.raises(ValueError, match="finite"):
+        CoupledSystem(2, 2, preset_f("vanderpol"), np.array(h), np.array(m))
+
+
+def test_system_refuses_no_cells_or_no_coordinates():
+    with pytest.raises(ValueError, match="n >= 1"):
+        CoupledSystem(0, 2, preset_f("zero", k=2), np.zeros((2, 2)), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="k >= 1"):
+        CoupledSystem(1, 0, preset_f("zero", k=0), np.zeros((0, 0)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "args, exprs",
+    [(("u",), ("__import__('os')",)), (("u",), ("u.real",)), (("u",), ("w",)), (("u",), ("'1'",)),
+     (("u",), ("True",)), (("u",), ("[u][0]",)), (("u", "v"), ("v",)), (("u v",), ("0.0",))],
+)
+def test_preset_text_must_be_arithmetic_in_its_coordinates(args, exprs):
+    with pytest.raises(ValueError):
+        dynamics.Preset("bad", args, exprs, odd=False, fixes_origin=False)

@@ -613,6 +613,33 @@ def test_column_sums_hypothesis_failures_are_reported():
     assert not rep4.hypotheses_met and "v_i + v_j" in rep4.reason
 
 
+RAGGED = [[1, 2], [3, 4, 5]]
+SHORT_ROW = [[1, 2], [3]]
+WIDE = [[1, 2, 3], [4, 5, 6]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_constant_column_sums_theorem(SHORT_ROW),
+        lambda: check_constant_column_sums_theorem(WIDE),
+        lambda: check_constant_column_sums_theorem(RAGGED),
+        lambda: eigendata(RAGGED, 1),
+        lambda: eigendata(WIDE, 1),
+        lambda: check_main_lemma(RAGGED, 1),
+        lambda: check_main_lemma(WIDE, 1),
+        lambda: invariant_polydiagonals(RAGGED),
+        lambda: invariant_polydiagonals(WIDE),
+        lambda: is_invariant(WIDE, parse_typical_element("(a,b)")),
+    ],
+    ids=["column-sums-short-row", "column-sums-2x3", "column-sums-ragged", "eigendata-ragged", "eigendata-2x3",
+         "main-lemma-ragged", "main-lemma-2x3", "scan-ragged", "scan-2x3", "is-invariant-2x3"],
+)
+def test_non_square_matrices_are_refused(call):
+    with pytest.raises(ValueError, match="square"):
+        call()
+
+
 def test_equal_in_degree_gives_same_invariants_for_a_and_l():
     for g in (
         graph.from_adjacency([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
