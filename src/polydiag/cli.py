@@ -4,6 +4,11 @@ Subcommands: enumerate, classify, invariants, lattice, orbits, count,
 simulate, check.  Exit codes: 0 success, 1 assertion/check failure,
 2 input error.  All randomized commands take a --seed, so identical
 invocations produce byte-identical output.
+
+``main(argv)`` may be called any number of times in one process.  Every
+call parses with the one parser that ``build_parser`` builds at import
+(``_PARSER``): its type converters are pure, its defaults immutable, and
+each call gets a fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
@@ -66,7 +71,9 @@ _SIZE = _checked(
 _POSITIVE = _checked(float, "a finite number > 0", lambda x: 0 < x < math.inf)
 _FINITE = _checked(float, "a finite number", math.isfinite)
 _FRACTION = _checked(Fraction, "a rational number such as 1/2 or 0.5")
-_FLOATS = _checked(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
+_FLOATS = _checked(
+    lambda text: [float(v) for v in text.split(",")], "comma-separated numbers", lambda xs: all(map(math.isfinite, xs))
+)
 
 
 def _load_digraph(path):
@@ -273,7 +280,8 @@ def cmd_check(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="polydiag", description=__doc__)
+    # --help shows the first two paragraphs; the rest is for Python callers
+    ap = argparse.ArgumentParser(prog="polydiag", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -343,8 +351,12 @@ def build_parser():
     return ap
 
 
+# The one parser of the program: built at import, reused by every main() call.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -185,14 +185,8 @@ class CoupledSystem:
             raise ValueError("coupling dimensions inconsistent with k=%d" % self.k)
         if self.M.shape != (self.n, self.n):
             raise ValueError("network matrix must be %dx%d" % (self.n, self.n))
-        with np.errstate(all="ignore"):
-            kron = np.kron(self.M, self.H)
-        if not np.isfinite(kron).all():  # also when M or H holds inf or NaN
-            raise ValueError("M, H and kron(M, H) must have finite entries")
         self._cells = tuple(range(0, self.n * self.k, self.k))
-        # the nonzero entries of kron(M, H) per output coordinate, in column order
-        rows = (tuple((q, w) for q, w in enumerate(row) if w != 0.0) for row in kron.tolist())
-        self._coupling = tuple((p, terms) for p, terms in enumerate(rows) if terms)
+        self._coupling = _coupling_terms(self.M, self.H)
         self._rk4 = _compile_rk4(self)
 
     def rhs(self, x):
@@ -206,6 +200,32 @@ class CoupledSystem:
                 c += w * x[q]
             out[p] += c
         return out
+
+
+def _coupling_terms(M, H):
+    """The nonzero entries of kron(M, H) per row, found from the nonzero
+    entries of M and H: row p = i*k + a holds (j*k + b, M[i, j] * H[a, b])
+    in column order, the same IEEE products as the dense kron, without
+    those that underflow to (signed) zero.  An inf or NaN in M or H, or a
+    product that overflows, is a ValueError: each puts inf or NaN into the
+    kron (inf * 0 is NaN)."""
+    k = len(H)
+    nz = np.nonzero(M)  # NaN and inf count as nonzero, -0.0 does not
+    m_values = M[nz]
+    m_rows = [[] for _ in range(len(M))]
+    for i, j, m in zip(nz[0].tolist(), nz[1].tolist(), m_values.tolist()):
+        m_rows[i].append((j * k, m))
+    h_rows = [[(b, h) for b, h in enumerate(row) if h != 0.0] for row in H.tolist()]
+    rows = (
+        (i * k + a, tuple((jk + b, w) for jk, m in m_row for b, h in h_row if (w := m * h) != 0.0))
+        for i, m_row in enumerate(m_rows)
+        for a, h_row in enumerate(h_rows)
+    )
+    coupling = tuple((p, terms) for p, terms in rows if terms)
+    if not (np.isfinite(m_values).all() and np.isfinite(H).all()
+            and all(math.isfinite(w) for _, terms in coupling for _, w in terms)):
+        raise ValueError("M, H and kron(M, H) must have finite entries")
+    return coupling
 
 
 # A coupling sum is written as one chain of additions per line of at most

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import inspect
@@ -186,6 +187,8 @@ BAD_ARGV = {
     "simulate-scaled-weight-beyond-float": ["simulate", "--preset", "vanderpol", "--digraph", "{heavy}",
                                             "--scale", "1e10"],
     "simulate-x0": ["simulate", *PAIR, "--x0", "a,b,c,d"],
+    "simulate-x0-nan": ["simulate", *PAIR, "--T", "0.01", "--x0", "nan,0,0,0"],
+    "simulate-x0-inf": ["simulate", *PAIR, "--T", "0.01", "--x0", "inf,0,0,0"],
     "simulate-dt-zero": ["simulate", *PAIR, "--dt", "0"],
     "simulate-T-negative": ["simulate", *PAIR, "--T", "-1"],
     "simulate-seed-negative": ["simulate", *PAIR, "--seed", "-1"],
@@ -261,6 +264,76 @@ def test_exact_commands_load_no_numpy(tmp_path):
     assert out.stderr.strip() == "0 False"
 
 
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value, or --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch, tmp_path):
+    """One process runs a mixed argv sequence through the one parser; each
+    call gives the exit code, stdout, stderr and output file of a fresh
+    ``python -m polydiag`` with the same argv.  Neighbouring calls of a
+    subcommand give and omit the same options, so a value kept from an
+    earlier call would show."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap to the same width
+    paths = input_paths(tmp_path)
+    pair, demo = paths["pair"], os.path.join(DEMO_DIR, "d3_cayley_equal.json")
+    simulate = ["simulate", "--preset", "vanderpol", "--digraph", pair, "--T", "0.05"]
+    sequence = [
+        ["enumerate", "3", "--count-only"],
+        ["enumerate", "3"],
+        ["invariants", demo],
+        ["orbits", demo, "--format", "json"],
+        ["orbits", demo],
+        ["invariants", "/nonexistent.json"],  # InputError
+        ["count", "-1"],  # argparse rejects the value
+        ["--help"],
+        ["simulate", "--help"],
+        ["bogus"],
+        [],
+        ["check", "dynamics-attractors", "--dt", "5"],  # a check FAIL
+        ["check", "conjecture53", "--n", "4", "--trials", "3", "--seed", "7"],
+        ["check", "conjecture53", "--n", "4", "--trials", "3"],
+        simulate + ["--eps", "1", "--seed", "3", "--output", paths["out"]],
+        simulate + ["--x0", "0.5,0,0,0"],
+        ["simulate", "--preset", "vanderpol", "--digraph", pair, "--x0", "nan,0,0,0"],
+    ]
+    src = os.path.dirname(os.path.dirname(polydiag.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def written():
+        if not os.path.exists(paths["out"]):
+            return None
+        with open(paths["out"]) as fh:
+            text = fh.read()
+        os.remove(paths["out"])
+        return text
+
+    for argv in sequence:
+        ours = _in_process(argv) + (written(),)
+        fresh = subprocess.run([sys.executable, "-m", "polydiag", *argv], capture_output=True, text=True, env=env)
+        assert ours == (fresh.returncode, fresh.stdout, fresh.stderr, written()), argv
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "enumerate", "2", "--count-only") == (0, "6\n", "")
+    assert run(capsys, "count", "3", "--format", "csv")[0] == 0
+    assert built == []
+
+
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
     """Every option given: the suite gets those named in its signature
@@ -311,7 +384,7 @@ CLI_GRAMMAR = {
         ("--coupling", ["vdp", "lorenz_w", "lorenz_v", "identity"], ["other"], False),
         ("--dt", ["0.01", "0.5"], ["0", "-1", "nan"], True),
         ("--T", ["0.05", "0.2"], ["0", "inf", "x"], True),
-        ("--x0", ["1,2,3,4", "0.5"], ["a,b", ""], False),
+        ("--x0", ["1,2,3,4", "0.5"], ["a,b", "", "nan,0", "inf"], False),
         ("--seed", *SEED, False),
     ]),
     "check": ([(["conjecture53", "column-sums", "main-lemma", "input-output", "frobenius-perron",
@@ -364,15 +437,10 @@ def test_fuzzed_argv_keeps_exit_codes(fuzz_paths, argv):
     argv = [a.format(**fuzz_paths) for a in argv]
     if os.path.exists(fuzz_paths["out"]):
         os.remove(fuzz_paths["out"])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the value
-            code = exc.code
+    code, out, err = _in_process(argv)
     assert code in (0, 1, 2), argv
     if code == 1:
-        text = out.getvalue() + err.getvalue()
+        text = out + err
         if os.path.exists(fuzz_paths["out"]):
             with open(fuzz_paths["out"]) as fh:
                 text += fh.read()

@@ -2,7 +2,9 @@ import ast
 import hashlib
 import math
 import os
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,18 +486,100 @@ def test_preset_refuses_non_finite_parameters(name, params):
         preset_f(name, **params)
 
 
+def _kron_terms(M, H):
+    """The dense route: the nonzero entries of each row of kron(M, H) in
+    column order, or None where the kron holds inf or NaN."""
+    with np.errstate(all="ignore"):
+        kron = np.kron(M, H)
+    if not np.isfinite(kron).all():
+        return None
+    rows = (tuple((q, w) for q, w in enumerate(row) if w != 0.0) for row in kron.tolist())
+    return tuple((p, terms) for p, terms in enumerate(rows) if terms)
+
+
 @pytest.mark.parametrize(
     "h, m",
     [(dynamics.VDP_H, [[0.0, math.inf], [1.0, 1.0]]),
      (dynamics.VDP_H, [[0.0, 0.0], [math.nan, 1.0]]),
      ([[0.0, 0.0], [math.nan, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
      ([[0.0, 0.0], [-math.inf, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
-     ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1e10, 1.0]])],  # the product overflows
-    ids=["M-inf", "M-nan", "H-nan", "H-inf-M-zero", "kron-overflow"],
+     ([[0.0, 0.0], [0.0, 0.0]], [[math.inf, 0.0], [1.0, 1.0]]),  # inf * 0 is NaN in the kron
+     ([[0.0, 0.0], [0.0, 0.0]], [[0.0, math.nan], [0.0, 0.0]]),
+     ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1e10, 1.0]]),  # the product overflows
+     ([[1e-300, 0.0], [0.0, 1e200]], [[-1e200, 1e-300], [0.0, 1.0]])],  # 1e-600 underflows, -1e400 overflows
+    ids=["M-inf", "M-nan", "H-nan", "H-inf-M-zero", "M-inf-H-zero", "M-nan-H-zero", "kron-overflow",
+         "underflow-and-overflow"],
 )
 def test_system_refuses_non_finite_coupling(h, m):
+    assert _kron_terms(np.array(m), np.array(h)) is None
     with pytest.raises(ValueError, match="finite"):
         CoupledSystem(2, 2, preset_f("vanderpol"), np.array(h), np.array(m))
+
+
+def _assert_coupling_is_the_dense_krons(m, h):
+    m, h = np.array(m, dtype=float), np.array(h, dtype=float)
+    expected = _kron_terms(m, h)
+    if expected is None:
+        with pytest.raises(ValueError, match="finite"):
+            CoupledSystem(len(m), len(h), preset_f("zero", k=len(h)), h, m)
+        return
+    got = CoupledSystem(len(m), len(h), preset_f("zero", k=len(h)), h, m)._coupling
+    assert [(p, [(q, w.hex()) for q, w in terms]) for p, terms in got] == [
+        (p, [(q, w.hex()) for q, w in terms]) for p, terms in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "m, h",
+    [([[1e-200, 2.0], [0.0, 3.0]], [[1e-200]]),  # M[0, 0] * H underflows to 0.0
+     ([[-5e-324, 1.0], [5e-324, 0.0]], [[0.5, -0.5], [0.0, 1.0]]),  # products round to 0.0 and -0.0
+     ([[-0.0, 1.0], [2.0, -0.0]], [[-0.0, 1.0], [-1.0, 0.0]])],
+    ids=["underflow", "subnormal-to-signed-zero", "negative-zero"],
+)
+def test_coupling_terms_drop_the_zeros_of_the_dense_kron(m, h):
+    _assert_coupling_is_the_dense_krons(m, h)
+
+
+COUPLING_FLOATS = SPECIAL_FLOATS + [1e-200, -1e-170, 1e200, -1e160, 0.5, -3.0]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_coupling_terms_are_the_dense_krons_bit_for_bit(seed):
+    """Seeded M and H with zeros of both signs, subnormals and huge values;
+    odd seeds also draw inf and NaN."""
+    rng = random.Random(seed)
+    specials = COUPLING_FLOATS + ([math.inf, -math.inf, math.nan] if seed % 2 else [])
+
+    def entry():
+        r = rng.random()
+        if r < 0.4:
+            return rng.choice([0.0, -0.0])
+        if r < 0.55:
+            return rng.choice(specials)
+        return rng.gauss(0, 1) * 10.0 ** rng.randint(-3, 3)
+
+    n, k = rng.randint(1, 5), rng.randint(1, 3)
+    _assert_coupling_is_the_dense_krons([[entry() for _ in range(n)] for _ in range(n)],
+                                        [[entry() for _ in range(k)] for _ in range(k)])
+
+
+def test_coupling_terms_of_a_dense_row_need_no_dense_kron(monkeypatch):
+    """3,000 cells, one of them coupled to all: kron(M, H) would hold 9
+    million floats (72 MB).  The terms come from M's 3,000 nonzero entries.
+    Compiling the generated RK4 loop is left out of the measurement: its
+    source text grows with n*k, not with the kron."""
+    n = 3000
+    m = np.zeros((n, n))
+    m[0] = 1.0
+    monkeypatch.setattr(dynamics, "_compile_rk4", lambda sys: None)
+    tracemalloc.start()
+    try:
+        sys = CoupledSystem(n, 1, preset_f("zero"), np.eye(1), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys._coupling == ((0, tuple((q, 1.0) for q in range(n))),)
+    assert peak < 8e6, peak
 
 
 def test_system_refuses_no_cells_or_no_coordinates():
