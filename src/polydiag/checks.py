@@ -30,7 +30,7 @@ from .invariance import (
     eigendata,
     invariant_polydiagonals,
 )
-from .partitions import basis, contains, typical_element
+from .partitions import contains, orthogonal, typical_element
 
 
 @dataclass
@@ -214,7 +214,7 @@ def suite_frobenius_perron(trials=60, n_max=6, seed=13) -> SuiteReport:
         for p, cls in invariant_polydiagonals(a).subspaces:
             if cls.synchrony and not contains(p, v_r):
                 failures.append("digraph %s: synchrony %s misses v_R" % (graph.to_json(g), typical_element(p)))
-            if cls.anti_synchrony and any(linalg.dot(v_l, b) != 0 for b in basis(p)):
+            if cls.anti_synchrony and not orthogonal(p, v_l):
                 failures.append("digraph %s: anti-synchrony %s not perp v_L" % (graph.to_json(g), typical_element(p)))
     return SuiteReport("frobenius-perron", len(found), not failures and len(found) == trials, failures)
 
@@ -241,13 +241,13 @@ def suite_strong_connectivity(trials=200, n_max=7, seed=17) -> SuiteReport:
 # dynamics suites (the worked two-cell examples)
 
 
-def vdp_example_system(scale=0.5, use_laplacian=False, eps=2.0):
+def vdp_example_system(scale=0.5, use_laplacian=False):
     """Two coupled van der Pol cells: cell 1 autonomous, cell 2 driven by
     cell 1 and itself (A = [[0,0],[1,1]], L = [[0,0],[-1,1]])."""
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
     lap = np.array([[0.0, 0.0], [-1.0, 1.0]])
     m = scale * (lap if use_laplacian else a)
-    return dynamics.CoupledSystem(2, 2, dynamics.preset_f("vanderpol", eps=eps), dynamics.VDP_H, m)
+    return dynamics.CoupledSystem(2, 2, dynamics.preset_f("vanderpol"), dynamics.VDP_H, m)
 
 
 def lorenz_pair_system(h, kappa):

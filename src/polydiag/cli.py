@@ -14,6 +14,7 @@ each call gets a fresh namespace, so no call sees another's arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -110,18 +111,7 @@ def cmd_classify(args):
         except ValueError as exc:
             raise InputError(str(exc))
         c = classify(p)
-        rows.append(
-            {
-                "typical": typical_element(p),
-                "label": type_label(p, c),
-                "synchrony": c.synchrony,
-                "anti_synchrony": c.anti_synchrony,
-                "minimally_tagged": c.minimally_tagged,
-                "fully_tagged": c.fully_tagged,
-                "evenly_tagged": c.evenly_tagged,
-                "freely_tagged": c.freely_tagged,
-            }
-        )
+        rows.append({"typical": typical_element(p), "label": type_label(p, c), **dataclasses.asdict(c)})
     if args.format == "json":
         _write(json.dumps(rows, indent=2) + "\n", args.output)
     else:

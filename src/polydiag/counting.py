@@ -41,6 +41,18 @@ KINDS = (
 
 FIGURE_KINDS = KINDS[:6]  # the six rows of the published table
 
+# the table's short name for each kind
+ROW_SYMBOLS = {
+    "polydiagonal": "p",
+    "synchrony": "s",
+    "anti_synchrony": "a",
+    "minimally": "m",
+    "fully": "f",
+    "evenly": "e",
+    "freely_evenly": "e~",
+    "freely_fully": "f~",
+}
+
 
 # ---------------------------------------------------------------------------
 # truncated power series over Q
@@ -252,11 +264,11 @@ def _census(n: int) -> dict:
     return counts
 
 
-def enumeration_count(kind: str, n: int, n_cap: int = ENUMERATION_CAP) -> int:
+def enumeration_count(kind: str, n: int) -> int:
     if kind not in KINDS:
         raise KeyError("unknown kind %r" % kind)
-    if n > n_cap:
-        raise ValueError("n=%d exceeds enumeration cap %d" % (n, n_cap))
+    if n > ENUMERATION_CAP:
+        raise ValueError("n=%d exceeds enumeration cap %d" % (n, ENUMERATION_CAP))
     return _census(n)[kind]
 
 
@@ -270,20 +282,8 @@ class CountTable:
     rows: dict  # kind -> list of ints, n = 0..max_n
     cross_checked: dict  # kind -> bool (three-way agreement on the checked range)
 
-    def row_symbols(self):
-        return {
-            "polydiagonal": "p",
-            "synchrony": "s",
-            "anti_synchrony": "a",
-            "minimally": "m",
-            "fully": "f",
-            "evenly": "e",
-            "freely_evenly": "e~",
-            "freely_fully": "f~",
-        }
 
-
-def count_table(max_n: int, kinds=FIGURE_KINDS, check_cap: int = ENUMERATION_CAP) -> CountTable:
+def count_table(max_n: int, kinds=FIGURE_KINDS) -> CountTable:
     """Counts for n = 0..max_n, enumeration cross-checked where feasible."""
     order = max(DEFAULT_ORDER, max_n)
     rows, checked = {}, {}
@@ -298,7 +298,7 @@ def count_table(max_n: int, kinds=FIGURE_KINDS, check_cap: int = ENUMERATION_CAP
                 by_rec = by_egf
             if by_rec != by_egf:
                 ok = False
-            if n <= check_cap and enumeration_count(kind, n) != by_egf:
+            if n <= ENUMERATION_CAP and enumeration_count(kind, n) != by_egf:
                 ok = False
             vals.append(by_egf)
         rows[kind] = vals
@@ -307,7 +307,6 @@ def count_table(max_n: int, kinds=FIGURE_KINDS, check_cap: int = ENUMERATION_CAP
 
 
 def table_to_markdown(t: CountTable) -> str:
-    sym = t.row_symbols()
     header = "| kind | sym | " + " | ".join("n=%d" % n for n in range(t.max_n + 1)) + " | check |"
     rule = "|" + "---|" * (t.max_n + 4)
     lines = [header, rule]
@@ -316,7 +315,7 @@ def table_to_markdown(t: CountTable) -> str:
             "| %s | %s | %s | %s |"
             % (
                 kind,
-                sym[kind],
+                ROW_SYMBOLS[kind],
                 " | ".join(str(v) for v in vals),
                 "ok" if t.cross_checked[kind] else "MISMATCH",
             )

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .linalg import frac, nullspace, shifted, transpose
 from .partitions import (
     SubspaceClass,
     TaggedPartition,
-    basis,
     classify,
     contains,
+    orthogonal,
     relabel,
     type_label,
     typical_element,
@@ -248,17 +247,11 @@ def _relations(p: TaggedPartition) -> int:
     """Bitmask of the relations that hold on all of Delta_p.
 
     Bit i*n+j (i < j) stands for x_i = x_j, bit j*n+i for x_i = -x_j and
-    bit i*n+i for x_i = 0.  A cell's symbol in the typical element decides
-    them: equal symbols, opposite symbols, symbol 0.
+    bit i*n+i for x_i = 0.  The cells' symbols (:attr:`TaggedPartition.symbols`)
+    decide them: equal symbols, opposite symbols, symbol 0.
     """
     n = p.n
-    partner = p.partners()
-    sym = [0] * n  # typical-element symbol: +-(class index + 1), 0 on the fixed class
-    for ci, cls in enumerate(p.classes):
-        if ci != p.fixed:
-            s = ci + 1 if partner.get(ci, ci) >= ci else -(partner[ci] + 1)
-            for c in cls:
-                sym[c - 1] = s
+    sym = p.symbols
     mask = 0
     for i, a in enumerate(sym):
         if a == 0:
@@ -501,7 +494,7 @@ def check_main_lemma(m, lam) -> MainLemmaReport:
     rows = []
     for p, cls in invariant_polydiagonals(m).subspaces:
         in_w = contains(p, v_r)
-        in_perp = all(linalg.dot(v_l, b) == 0 for b in basis(p))
+        in_perp = orthogonal(p, v_l)
         rows.append(DichotomyRow(p, type_label(p, cls), in_w, in_perp))
     return MainLemmaReport(eig.lam, v_r, v_l, tuple(rows))
 

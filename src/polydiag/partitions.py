@@ -10,6 +10,13 @@ for these subspaces throughout the package.
 Classes are kept in canonical form: each class is a sorted tuple of cells,
 classes are ordered by smallest member, involution 2-cycles are stored
 once as (i, j) with i < j in class-index terms.
+
+Every per-cell view goes through one encoding, the typical element as a
+tuple of signed integers, ``TaggedPartition.symbols``: equal symbols share a
+class, opposite symbols are paired classes and 0 is the fixed class.
+:func:`from_symbols` is its inverse and the one way to build a partition
+from cell data; typical-element strings, membership, basis supports,
+relabelling and the B-type bijection are all read from or built through it.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from string import ascii_lowercase
 
 
 @dataclass(frozen=True)
 class TaggedPartition:
-    """Canonical-form tagged partition; build via :func:`tagged` or parsers."""
+    """Canonical-form tagged partition; build via :func:`tagged`,
+    :func:`from_symbols` or the parsers."""
 
     n: int
     classes: tuple  # tuple of sorted cell tuples, ordered by min member
@@ -57,21 +66,22 @@ class TaggedPartition:
                 raise ValueError("fixed class also paired")
         return self
 
-    def class_of(self):
-        """Map cell -> class index, as a tuple indexed by cell-1."""
-        out = [0] * self.n
-        for ci, cls in enumerate(self.classes):
-            for cell in cls:
-                out[cell - 1] = ci
-        return tuple(out)
-
-    def partners(self):
-        """Map class index -> the class it is paired with, both ways."""
-        out = {}
+    @cached_property
+    def symbols(self):
+        """The typical element as one signed integer per cell (index cell-1):
+        0 on the fixed class, c+1 on class c when it is untagged or the first
+        of its pair (c, d), and -(c+1) on class d.  Computed once per object;
+        :func:`from_symbols` is its inverse."""
+        sym = list(range(1, len(self.classes) + 1))
         for i, j in self.pairs:
-            out[i] = j
-            out[j] = i
-        return out
+            sym[j] = -sym[i]
+        if self.fixed is not None:
+            sym[self.fixed] = 0
+        out = [0] * self.n
+        for s, cls in zip(sym, self.classes):
+            for cell in cls:
+                out[cell - 1] = s
+        return tuple(out)
 
     def supports(self):
         """(plus, minus) 0-based cell lists of each canonical basis vector.
@@ -79,15 +89,11 @@ class TaggedPartition:
         One entry per untagged class and per involution pair (smaller class
         index first), nothing for the fixed class; see :func:`basis`.
         """
-        partner = self.partners()
-        out = []
-        for ci, cls in enumerate(self.classes):
-            if ci == self.fixed or partner.get(ci, ci) < ci:
-                continue
-            plus = [c - 1 for c in cls]
-            minus = [c - 1 for c in self.classes[partner[ci]]] if ci in partner else []
-            out.append((plus, minus))
-        return out
+        out = {}
+        for cell, s in enumerate(self.symbols):
+            if s:
+                out.setdefault(abs(s), ([], []))[s < 0].append(cell)
+        return list(out.values())
 
     def dimension(self) -> int:
         untagged = len(self.classes) - 2 * len(self.pairs) - (self.fixed is not None)
@@ -106,6 +112,23 @@ def tagged(n, classes, pairs=(), fixed=None) -> TaggedPartition:
     new_pairs = tuple(sorted(tuple(sorted((rankmap[i], rankmap[j]))) for i, j in pairs))
     new_fixed = rankmap[fixed] if fixed is not None else None
     return TaggedPartition(n, new_classes, new_pairs, new_fixed).validate()
+
+
+def from_symbols(symbols) -> TaggedPartition:
+    """The tagged partition with one symbol per cell (index cell-1): equal
+    symbols share a class, classes with opposite nonzero symbols are paired
+    and 0 marks the fixed class.  The symbols are any nonzero integers and 0;
+    the result is canonical whatever they are, since classes come out in
+    order of their smallest cell."""
+    index = {}
+    classes = []
+    for cell, s in enumerate(symbols, start=1):
+        if s not in index:
+            index[s] = len(classes)
+            classes.append([])
+        classes[index[s]].append(cell)
+    pairs = tuple((i, index[-s]) for s, i in index.items() if s and index.get(-s, -1) > i)
+    return TaggedPartition(len(symbols), tuple(map(tuple, classes)), pairs, index.get(0))
 
 
 @dataclass(frozen=True)
@@ -262,21 +285,12 @@ def typical_element(p: TaggedPartition) -> str:
     Letters are assigned in order of first appearance, so the first ``a``
     precedes both ``-a`` and ``b``, etc.
     """
-    partner = p.partners()
-    symbol = {}
-    fresh = 0
-    out = []
-    for ci in p.class_of():
-        if ci not in symbol:
-            if ci == p.fixed:
-                symbol[ci] = "0"
-            elif ci in partner and partner[ci] in symbol:
-                symbol[ci] = "-" + symbol[partner[ci]]
-            else:
-                symbol[ci] = _letter(fresh)
-                fresh += 1
-        out.append(symbol[ci])
-    return "(" + ",".join(out) + ")"
+    name = {0: "0"}
+    for s in p.symbols:
+        if s not in name:  # s > 0: the first class of a pair comes first
+            name[s] = _letter(len(name) // 2)
+            name[-s] = "-" + name[s]
+    return "(" + ",".join(map(name.__getitem__, p.symbols)) + ")"
 
 
 def parse_typical_element(s: str) -> TaggedPartition:
@@ -286,32 +300,19 @@ def parse_typical_element(s: str) -> TaggedPartition:
         raise ValueError("typical element must be parenthesized: %r" % s)
     body = body[1:-1]
     toks = body.split(",") if body else []
-    pos, neg, zero = {}, {}, []
-    names = []
-    for cell, t in enumerate(toks, start=1):
+    ids = {}
+    symbols = []
+    for t in toks:
         if t == "0":
-            zero.append(cell)
+            symbols.append(0)
             continue
         sign = t.startswith("-")
         name = t[1:] if sign else t
         if not name or name[0] not in ascii_lowercase or (name[1:] and not name[1:].isdigit()):
             raise ValueError("bad symbol %r" % t)
-        if name not in pos and name not in neg:
-            names.append(name)
-        (neg if sign else pos).setdefault(name, []).append(cell)
-    classes, pairs, fixed = [], [], None
-    for name in names:
-        if name not in pos:
-            raise ValueError("-%s appears before %s" % (name, name))
-        i = len(classes)
-        classes.append(pos[name])
-        if name in neg:
-            classes.append(neg[name])
-            pairs.append((i, i + 1))
-    if zero:
-        fixed = len(classes)
-        classes.append(zero)
-    p = tagged(len(toks), classes, pairs, fixed)
+        k = ids.setdefault(name, len(ids) + 1)
+        symbols.append(-k if sign else k)
+    p = from_symbols(symbols)
     if typical_element(p) != "(" + ",".join(toks) + ")":
         raise ValueError("%r violates the symbol ordering convention" % s)
     return p
@@ -342,30 +343,36 @@ def contains(p: TaggedPartition, x) -> bool:
     """Membership of a vector in the subspace, decided exactly."""
     if len(x) != p.n:
         raise ValueError("dimension mismatch")
-    vals = []
-    for cls in p.classes:
-        v0 = x[cls[0] - 1]
-        for cell in cls[1:]:
-            if x[cell - 1] != v0:
-                return False
-        vals.append(v0)
-    for i, j in p.pairs:
-        if vals[i] != -vals[j]:
+    value = {0: 0}  # the value x must take on each symbol
+    for s, xi in zip(p.symbols, x):
+        if s not in value:
+            value[s], value[-s] = xi, -xi
+        elif xi != value[s]:
             return False
-    if p.fixed is not None and vals[p.fixed] != 0:
-        return False
     return True
+
+
+def orthogonal(p: TaggedPartition, v) -> bool:
+    """True iff v is orthogonal to the subspace, decided exactly: its dot
+    product with every canonical basis vector is 0."""
+    if len(v) != p.n:
+        raise ValueError("dimension mismatch")
+    return all(sum(v[c] for c in plus) == sum(v[c] for c in minus) for plus, minus in p.supports())
 
 
 def orthogonal_to_ones(p: TaggedPartition) -> bool:
     """True iff the all-ones vector is orthogonal to the subspace."""
-    return all(sum(b) == 0 for b in basis(p))
+    return orthogonal(p, [1] * p.n)
 
 
 def relabel(p: TaggedPartition, perm) -> TaggedPartition:
     """Image of p under a vertex permutation (perm[i-1] is the image of i)."""
-    classes = [tuple(perm[c - 1] for c in cls) for cls in p.classes]
-    return tagged(p.n, classes, p.pairs, p.fixed)
+    if sorted(perm) != list(range(1, p.n + 1)):
+        raise ValueError("not a permutation of 1..%d: %r" % (p.n, perm))
+    symbols = [0] * p.n
+    for cell, s in zip(perm, p.symbols):
+        symbols[cell - 1] = s
+    return from_symbols(symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -395,46 +402,24 @@ class BTypePartition:
 
 
 def to_btype(p: TaggedPartition) -> BTypePartition:
-    """The B-type partition matching p: untagged classes contribute P and -P,
-    involution pairs contribute P u -P*, the fixed class absorbs 0."""
-    partner = p.partners()
-    out = []
-    for ci, cls in enumerate(p.classes):
-        if ci == p.fixed:
-            out.append(frozenset(cls) | {0} | frozenset(-c for c in cls))
-        elif ci in partner:
-            out.append(frozenset(cls) | frozenset(-c for c in p.classes[partner[ci]]))
-        else:
-            out.append(frozenset(cls))
-            out.append(frozenset(-c for c in cls))
-    if p.fixed is None:
-        out.append(frozenset({0}))
-    return BTypePartition(p.n, frozenset(out)).validate()
+    """The B-type partition matching p: k and -k go to the classes of the
+    symbols s and -s of cell k, and 0 to the class of symbol 0.  So untagged
+    classes contribute P and -P, involution pairs P u -P*, and the fixed
+    class absorbs 0."""
+    groups = {0: {0}}
+    for cell, s in enumerate(p.symbols, start=1):
+        groups.setdefault(s, set()).add(cell)
+        groups.setdefault(-s, set()).add(-cell)
+    return BTypePartition(p.n, frozenset(map(frozenset, groups.values()))).validate()
 
 
 def from_btype(q: BTypePartition) -> TaggedPartition:
-    """Inverse of :func:`to_btype`, via positive parts of the classes."""
+    """Inverse of :func:`to_btype`: each cell's symbol is the entry of
+    largest absolute value in its class (0 for the class of 0), which
+    negates with the class."""
     q.validate()
-    pos_classes = []
-    for cls in sorted(q.classes, key=min):
-        plus = tuple(sorted(k for k in cls if k > 0))
-        if plus:
-            pos_classes.append((plus, frozenset(cls)))
-    classes = [plus for plus, _ in pos_classes]
-    index_of = {plus: i for i, (plus, _) in enumerate(pos_classes)}
-    pairs = []
-    fixed = None
-    for plus, cls in pos_classes:
-        negated = frozenset(-k for k in cls)
-        neg_plus = tuple(sorted(k for k in negated if k > 0))
-        if not neg_plus:
-            continue
-        i, j = index_of[plus], index_of[neg_plus]
-        if i == j:
-            fixed = i
-        elif i < j:
-            pairs.append((i, j))
-    return tagged(q.n, classes, pairs, fixed)
+    symbol = {k: 0 if 0 in cls else max(cls, key=abs) for cls in q.classes for k in cls}
+    return from_symbols([symbol[k] for k in range(1, q.n + 1)])
 
 
 def enumerate_btype_partitions(n):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,8 @@ from polydiag.partitions import (
     enumerate_tagged_partitions,
     from_btype,
     from_json,
+    from_symbols,
+    orthogonal,
     orthogonal_to_ones,
     parse_typical_element,
     relabel,
@@ -94,7 +98,7 @@ def test_typical_element_running_example():
 def test_parse_typical_element():
     assert parse_typical_element("(a,a)") == tagged(2, [[1, 2]])
     assert parse_typical_element("(a,-a,b,-a,0,0)") == running_example()
-    for bad in ("(b,a)", "(-a,a)", "a,b", "(a,A)", "(0,-0)"):
+    for bad in ("(b,a)", "(-a,a)", "(-a)", "(a,-b)", "a,b", "(a,A)", "(0,-0)"):
         with pytest.raises(ValueError):
             parse_typical_element(bad)
 
@@ -166,6 +170,13 @@ def test_relabel_canonicalizes():
     assert relabel(p, (1, 2, 3)) == p
 
 
+def test_relabel_rejects_non_permutations():
+    p = parse_typical_element("(a,-a,b)")
+    for perm in ((1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            relabel(p, perm)
+
+
 # ---------------------------------------------------------------------------
 # B-type partitions
 
@@ -230,3 +241,170 @@ def test_json_matches_documented_shape():
 
 def test_filters_cover_documented_names():
     assert {"synchrony", "anti-synchrony", "minimally", "fully", "evenly", "freely"} <= set(FILTERS)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell symbols against the class-list code they replaced
+
+
+def _old_class_of(p):
+    out = [0] * p.n
+    for ci, cls in enumerate(p.classes):
+        for cell in cls:
+            out[cell - 1] = ci
+    return tuple(out)
+
+
+def _old_partners(p):
+    out = {}
+    for i, j in p.pairs:
+        out[i] = j
+        out[j] = i
+    return out
+
+
+def _old_typical_element(p):
+    from polydiag.partitions import _letter
+
+    partner = _old_partners(p)
+    symbol = {}
+    fresh = 0
+    out = []
+    for ci in _old_class_of(p):
+        if ci not in symbol:
+            if ci == p.fixed:
+                symbol[ci] = "0"
+            elif ci in partner and partner[ci] in symbol:
+                symbol[ci] = "-" + symbol[partner[ci]]
+            else:
+                symbol[ci] = _letter(fresh)
+                fresh += 1
+        out.append(symbol[ci])
+    return "(" + ",".join(out) + ")"
+
+
+def _old_contains(p, x):
+    vals = []
+    for cls in p.classes:
+        v0 = x[cls[0] - 1]
+        for cell in cls[1:]:
+            if x[cell - 1] != v0:
+                return False
+        vals.append(v0)
+    for i, j in p.pairs:
+        if vals[i] != -vals[j]:
+            return False
+    if p.fixed is not None and vals[p.fixed] != 0:
+        return False
+    return True
+
+
+def _old_relabel(p, perm):
+    classes = [tuple(perm[c - 1] for c in cls) for cls in p.classes]
+    return tagged(p.n, classes, p.pairs, p.fixed)
+
+
+def _old_to_btype(p):
+    partner = _old_partners(p)
+    out = []
+    for ci, cls in enumerate(p.classes):
+        if ci == p.fixed:
+            out.append(frozenset(cls) | {0} | frozenset(-c for c in cls))
+        elif ci in partner:
+            out.append(frozenset(cls) | frozenset(-c for c in p.classes[partner[ci]]))
+        else:
+            out.append(frozenset(cls))
+            out.append(frozenset(-c for c in cls))
+    if p.fixed is None:
+        out.append(frozenset({0}))
+    return BTypePartition(p.n, frozenset(out)).validate()
+
+
+def _old_from_btype(q):
+    q.validate()
+    pos_classes = []
+    for cls in sorted(q.classes, key=min):
+        plus = tuple(sorted(k for k in cls if k > 0))
+        if plus:
+            pos_classes.append((plus, frozenset(cls)))
+    classes = [plus for plus, _ in pos_classes]
+    index_of = {plus: i for i, (plus, _) in enumerate(pos_classes)}
+    pairs = []
+    fixed = None
+    for plus, cls in pos_classes:
+        negated = frozenset(-k for k in cls)
+        neg_plus = tuple(sorted(k for k in negated if k > 0))
+        if not neg_plus:
+            continue
+        i, j = index_of[plus], index_of[neg_plus]
+        if i == j:
+            fixed = i
+        elif i < j:
+            pairs.append((i, j))
+    return tagged(q.n, classes, pairs, fixed)
+
+
+def _in_subspace(p, rng):
+    """A random integer vector of Delta_p."""
+    x = [0] * p.n
+    for plus, minus in p.supports():
+        c = rng.randint(-3, 3)
+        for i in plus:
+            x[i] = c
+        for i in minus:
+            x[i] = -c
+    return x
+
+
+def test_symbols_running_example():
+    assert running_example().symbols == (1, -1, 3, -1, 0, 0)
+    assert tagged(0, []).symbols == ()
+
+
+def test_symbol_views_match_old_oracles():
+    rng = random.Random(11)
+    for n in range(7):
+        signs = list(itertools.product((-1, 0, 1), repeat=n)) if n <= 4 else []
+        for p in enumerate_tagged_partitions(n):
+            assert typical_element(p) == _old_typical_element(p)
+            q = to_btype(p)
+            assert q == _old_to_btype(p)
+            assert from_btype(q) == _old_from_btype(q) == p
+            vectors = signs + [[rng.randint(-2, 2) for _ in range(n)] for _ in range(4)]
+            vectors += [_in_subspace(p, rng) for _ in range(2)]
+            for x in vectors:
+                assert contains(p, x) == _old_contains(p, x), (p, x)
+
+
+def test_relabel_matches_old_oracle_under_every_permutation():
+    for n in range(5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for p in enumerate_tagged_partitions(n):
+            for perm in perms:
+                assert relabel(p, perm) == _old_relabel(p, perm)
+
+
+def test_from_symbols_inverts_symbols_under_any_renaming():
+    rng = random.Random(5)
+    for n in range(7):
+        for p in enumerate_tagged_partitions(n):
+            assert from_symbols(p.symbols) == p
+            # rename s -> f(s) with f(-s) = -f(s), f injective, 0 kept
+            mags = rng.sample(range(1, 1000), n)
+            f = {s: rng.choice((-1, 1)) * mags[s - 1] for s in range(1, n + 1)}
+            renamed = [0 if s == 0 else (f[s] if s > 0 else -f[-s]) for s in p.symbols]
+            assert from_symbols(renamed) == p
+            assert from_symbols(renamed).symbols == p.symbols
+
+
+def test_orthogonal_matches_basis_dot_products():
+    rng = random.Random(3)
+    for n in range(6):
+        signs = list(itertools.product((-1, 0, 1), repeat=n)) if n <= 4 else []
+        for p in enumerate_tagged_partitions(n):
+            vecs = basis(p)
+            vectors = signs + [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(3)]
+            for v in vectors:
+                assert orthogonal(p, v) == all(linalg.dot(v, b) == 0 for b in vecs), (p, v)
+    with pytest.raises(ValueError):
+        orthogonal(parse_typical_element("(a,-a)"), (1, 1, 1))
