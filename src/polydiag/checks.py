@@ -172,13 +172,16 @@ def suite_main_lemma(trials=100, n_max=5, seed=3) -> SuiteReport:
 
 def suite_input_output(trials=100, n_max=6, seed=5) -> SuiteReport:
     """Laplacians of random weight-balanced digraphs with simple eigenvalue
-    0: every L-invariant anti-synchrony subspace must be evenly tagged."""
+    0: every L-invariant anti-synchrony subspace must be evenly tagged.
+
+    With positive weights and weight balance, each weak component is
+    strongly connected and adds one kernel vector, so 0 is simple exactly
+    when the digraph is weakly connected."""
     rng = random.Random(seed)
 
     def draw():
         g = random_weight_balanced_digraph(rng.randint(2, n_max), rng)
-        lap = laplacian_matrix(g)
-        return (g, lap) if len(linalg.nullspace(lap)) == 1 else None
+        return (g, laplacian_matrix(g)) if graph.is_weakly_connected(g) else None
 
     failures = []
     found = _sample(draw, trials)

@@ -119,22 +119,21 @@ def cmd_classify(args):
     return 0
 
 
-def _invariant_set(args):
-    g = _load_digraph(args.digraph)
+def _invariant_set(args, g):
     if g.n > args.n_cap:
         raise InputError("n=%d exceeds cap %d; pass --n-cap to override" % (g.n, args.n_cap))
-    return g, invariance.invariant_polydiagonals(_pick_matrix(g, args.matrix), n_cap=args.n_cap)
+    return invariance.invariant_polydiagonals(_pick_matrix(g, args.matrix), n_cap=args.n_cap)
 
 
 def cmd_invariants(args):
-    _, inv = _invariant_set(args)
+    inv = _invariant_set(args, _load_digraph(args.digraph))
     lines = ["%s  %s" % (typical_element(p), type_label(p, cls)) for p, cls in inv.subspaces]
     _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def cmd_lattice(args):
-    _, inv = _invariant_set(args)
+    inv = _invariant_set(args, _load_digraph(args.digraph))
     lat = invariance.build_lattice(inv)
     if args.format == "dot":
         _write(invariance.lattice_to_dot(lat), args.output)
@@ -144,9 +143,11 @@ def cmd_lattice(args):
 
 
 def cmd_orbits(args):
-    g, inv = _invariant_set(args)
-    autos = graph.automorphisms(g)
-    groups = invariance.orbits(inv, autos)
+    g = _load_digraph(args.digraph)
+    if g.n > graph.AUTOMORPHISM_VERTEX_LIMIT:  # refused before the scan, not after it
+        raise InputError("n=%d exceeds the automorphism search limit %d" % (g.n, graph.AUTOMORPHISM_VERTEX_LIMIT))
+    inv = _invariant_set(args, g)
+    groups = invariance.orbits(inv, graph.automorphisms(g))
     payload = {
         "subspaces": len(inv.subspaces),
         "orbits": [

@@ -21,6 +21,8 @@ class WeightedDigraph:
     arrows: tuple  # sorted tuple of (tail, head, Fraction weight)
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError("vertex count must be an integer >= 0, got %r" % (self.n,))
         arrows = tuple(sorted((t, h, frac(w)) for t, h, w in self.arrows))
         object.__setattr__(self, "arrows", arrows)
         seen = set()

@@ -33,6 +33,7 @@ from .partitions import (
     TaggedPartition,
     classify,
     contains,
+    from_symbols,
     orthogonal,
     relabel,
     type_label,
@@ -123,14 +124,15 @@ def _invariant_partitions(mi):
     the cells' class minima read as base-(n+1) digits, and then the
     involutions as :func:`partitions._partial_involutions` walks them: per
     block the code 0 untagged, 1 fixed, 2 + min(Q) paired, as base-(n+2)
-    digits by block.
+    digits by block.  Block b of a hit gives its cells the symbol b on P,
+    -b on Q, or 0 if fixed, and :func:`partitions.from_symbols` makes them
+    canonical.
     """
     n = len(mi)
     full = (1 << n) - 1
     sums = [[0] * n]  # sums[A]: M 1_A, built up from the lowest cell of A
     spread = (n + 2) ** n
     weight = [0]  # weight[A]: the set-partition digit places of the cells of A
-    cells = [()]  # cells[A]: the cells of A, 1-based, ascending
     lowest = [n]  # lowest[A]: the smallest cell of A, 0-based
     for mask in range(1, full + 1):
         low = mask & -mask
@@ -138,7 +140,6 @@ def _invariant_partitions(mi):
         higher = mask ^ low
         sums.append([x + row[j] for x, row in zip(sums[higher], mi)])
         weight.append(weight[higher] + (n + 1) ** (n - 1 - j) * spread)
-        cells.append((j + 1,) + cells[higher])
         lowest.append(j)
     place = [(n + 2) ** (n - 1 - k) for k in range(n)]
     # The decided blocks as (plus, minus, smallest cell of plus), cell
@@ -207,23 +208,17 @@ def _invariant_partitions(mi):
     search(full, 0, [full] * n, [full] * n, full, False)
     hits.sort()
     out = []
-    last = None
-    for key, found in hits:
-        if key // spread != last:  # a new set partition: its classes in order
-            last = key // spread
-            masks = [plus for plus, _, _ in found]
-            masks += [minus for plus, minus, _ in found if minus and minus != plus]
-            masks.sort(key=lowest.__getitem__)
-            classes = tuple(map(cells.__getitem__, masks))
-            index = {m: i for i, m in enumerate(masks)}
-        pairs = []
-        fixed = None
-        for plus, minus, _ in found:
-            if minus == plus:
-                fixed = index[plus]
-            elif minus:
-                pairs.append((index[plus], index[minus]))
-        out.append(TaggedPartition(n, classes, tuple(pairs), fixed))
+    for _, found in hits:
+        symbols = [0] * n  # block b gives b on plus, -b on minus, 0 if fixed
+        for b, (plus, minus, _) in enumerate(found, start=1):
+            if minus != plus:
+                while plus:
+                    symbols[lowest[plus]] = b
+                    plus &= plus - 1
+                while minus:
+                    symbols[lowest[minus]] = -b
+                    minus &= minus - 1
+        out.append(from_symbols(symbols))
     return out
 
 

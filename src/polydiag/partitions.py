@@ -7,16 +7,18 @@ swapped by the involution) and x_i = 0 (cells of the fixed class).  The
 encoding is one-to-one, which makes tagged partitions the canonical name
 for these subspaces throughout the package.
 
-Classes are kept in canonical form: each class is a sorted tuple of cells,
-classes are ordered by smallest member, involution 2-cycles are stored
-once as (i, j) with i < j in class-index terms.
-
-Every per-cell view goes through one encoding, the typical element as a
-tuple of signed integers, ``TaggedPartition.symbols``: equal symbols share a
-class, opposite symbols are paired classes and 0 is the fixed class.
-:func:`from_symbols` is its inverse and the one way to build a partition
-from cell data; typical-element strings, membership, basis supports,
-relabelling and the B-type bijection are all read from or built through it.
+A :class:`TaggedPartition` stores one thing, its typical element as a tuple
+of signed integers, ``symbols``, one per cell: equal symbols share a class,
+opposite symbols are paired classes and 0 is the fixed class.  The symbols
+are canonical, so equal partitions are equal tuples: class c, numbered by
+its smallest cell, carries c+1 when it is untagged or the first class of
+its pair, the second class of a pair carries minus its partner's symbol,
+and the fixed class carries 0.  :func:`from_symbols` is the one
+canonicalizer, and every partition is built through it: class lists
+(:func:`tagged`), typical-element strings, relabelling, the B-type
+bijection and the invariance scan.  Only the enumeration, whose symbols
+are canonical by construction, skips it.  The class-list view
+(``classes``, ``pairs``, ``fixed``) is derived from the symbols.
 """
 
 from __future__ import annotations
@@ -24,64 +26,38 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from string import ascii_lowercase
 
 
 @dataclass(frozen=True)
 class TaggedPartition:
-    """Canonical-form tagged partition; build via :func:`tagged`,
-    :func:`from_symbols` or the parsers."""
+    """Canonical-form tagged partition, stored as its canonical symbols;
+    build via :func:`from_symbols`, :func:`tagged` or the parsers."""
 
-    n: int
-    classes: tuple  # tuple of sorted cell tuples, ordered by min member
-    pairs: tuple  # involution 2-cycles as (i, j) class indices, i < j
-    fixed: int | None = None  # class index of the fixed point, if any
+    symbols: tuple  # the typical element, one signed int per cell (index cell-1)
 
-    def validate(self):
-        seen = set()
-        for cls in self.classes:
-            if not cls or tuple(sorted(cls)) != cls:
-                raise ValueError("classes must be nonempty sorted tuples")
-            seen.update(cls)
-        if seen != set(range(1, self.n + 1)) or sum(map(len, self.classes)) != self.n:
-            raise ValueError("classes do not partition {1..n}")
-        mins = [cls[0] for cls in self.classes]
-        if mins != sorted(mins):
-            raise ValueError("classes not ordered by smallest member")
-        m = len(self.classes)
-        used = set()
-        for i, j in self.pairs:
-            if not (0 <= i < j < m):
-                raise ValueError("bad involution pair")
-            if i in used or j in used:
-                raise ValueError("involution classes overlap")
-            used.update((i, j))
-        if list(self.pairs) != sorted(self.pairs):
-            raise ValueError("pairs not in canonical order")
-        if self.fixed is not None:
-            if not 0 <= self.fixed < m:
-                raise ValueError("fixed class out of range")
-            if self.fixed in used:
-                raise ValueError("fixed class also paired")
-        return self
+    @property
+    def n(self) -> int:
+        return len(self.symbols)
 
-    @cached_property
-    def symbols(self):
-        """The typical element as one signed integer per cell (index cell-1):
-        0 on the fixed class, c+1 on class c when it is untagged or the first
-        of its pair (c, d), and -(c+1) on class d.  Computed once per object;
-        :func:`from_symbols` is its inverse."""
-        sym = list(range(1, len(self.classes) + 1))
-        for i, j in self.pairs:
-            sym[j] = -sym[i]
-        if self.fixed is not None:
-            sym[self.fixed] = 0
-        out = [0] * self.n
-        for s, cls in zip(sym, self.classes):
-            for cell in cls:
-                out[cell - 1] = s
-        return tuple(out)
+    @property
+    def classes(self) -> tuple:
+        """Sorted cell tuples, ordered by smallest cell."""
+        out = {}
+        for cell, s in enumerate(self.symbols, start=1):
+            out.setdefault(s, []).append(cell)
+        return tuple(map(tuple, out.values()))
+
+    @property
+    def pairs(self) -> tuple:
+        """Involution 2-cycles as (i, j) class indices, i < j, sorted."""
+        index = _class_index(self.symbols)
+        return tuple((i, index[-s]) for s, i in index.items() if s > 0 and -s in index)
+
+    @property
+    def fixed(self) -> int | None:
+        """Class index of the fixed class, if any."""
+        return _class_index(self.symbols).get(0)
 
     def supports(self):
         """(plus, minus) 0-based cell lists of each canonical basis vector.
@@ -96,39 +72,56 @@ class TaggedPartition:
         return list(out.values())
 
     def dimension(self) -> int:
-        untagged = len(self.classes) - 2 * len(self.pairs) - (self.fixed is not None)
-        return untagged + len(self.pairs)
+        """One per untagged class and per pair: the positive symbols."""
+        return len({s for s in self.symbols if s > 0})
 
     def __str__(self):
         return typical_element(self)
 
 
-def tagged(n, classes, pairs=(), fixed=None) -> TaggedPartition:
-    """Build a TaggedPartition from possibly non-canonical data."""
-    classes = [tuple(sorted(cls)) for cls in classes]
-    order = sorted(range(len(classes)), key=lambda i: classes[i][0] if classes[i] else 0)
-    rankmap = {old: new for new, old in enumerate(order)}
-    new_classes = tuple(classes[i] for i in order)
-    new_pairs = tuple(sorted(tuple(sorted((rankmap[i], rankmap[j]))) for i, j in pairs))
-    new_fixed = rankmap[fixed] if fixed is not None else None
-    return TaggedPartition(n, new_classes, new_pairs, new_fixed).validate()
+def _class_index(symbols) -> dict:
+    """{symbol: index of its class}, classes numbered by smallest cell."""
+    return {s: c for c, s in enumerate(dict.fromkeys(symbols))}
 
 
 def from_symbols(symbols) -> TaggedPartition:
     """The tagged partition with one symbol per cell (index cell-1): equal
     symbols share a class, classes with opposite nonzero symbols are paired
     and 0 marks the fixed class.  The symbols are any nonzero integers and 0;
-    the result is canonical whatever they are, since classes come out in
-    order of their smallest cell."""
-    index = {}
-    classes = []
-    for cell, s in enumerate(symbols, start=1):
-        if s not in index:
-            index[s] = len(classes)
-            classes.append([])
-        classes[index[s]].append(cell)
-    pairs = tuple((i, index[-s]) for s, i in index.items() if s and index.get(-s, -1) > i)
-    return TaggedPartition(len(symbols), tuple(map(tuple, classes)), pairs, index.get(0))
+    they are renumbered to the canonical ones, so the result is the same
+    whatever they are."""
+    canon = {0: 0}
+    for c, s in enumerate(dict.fromkeys(symbols), start=1):  # classes by smallest cell
+        canon[s] = -canon[-s] if -s in canon else c
+    return TaggedPartition(tuple(map(canon.__getitem__, symbols)))
+
+
+def _class_symbols(m, pairs, fixed) -> list:
+    """A symbol for each of m classes: c+1 for class c, minus its partner's
+    for the second class of a pair, 0 for the fixed class.  Canonical when
+    the classes are ordered by smallest cell and each pair is (i, j), i < j."""
+    sym = list(range(1, m + 1))
+    for i, j in pairs:
+        sym[j] = -sym[i]
+    if fixed is not None:
+        sym[fixed] = 0
+    return sym
+
+
+def tagged(n, classes, pairs=(), fixed=None) -> TaggedPartition:
+    """The tagged partition of {1..n} with these classes (cell lists in any
+    order), involution pairs (i, j) of indices into ``classes`` (either way
+    round) and fixed class index.  Raises ValueError unless the classes
+    partition {1..n} and the pairs and the fixed class are a partial
+    involution with at most one fixed point."""
+    m = len(classes)
+    involved = [c for pair in pairs for c in pair] + ([] if fixed is None else [fixed])
+    if len(set(involved)) < len(involved) or not all(0 <= c < m for c in involved):
+        raise ValueError("pairs %r and fixed class %r are not a partial involution of %d classes" % (pairs, fixed, m))
+    if n < 0 or not all(classes) or sorted(cell for cls in classes for cell in cls) != list(range(1, n + 1)):
+        raise ValueError("classes %r do not partition {1..%d}" % (classes, n))
+    symbol = {cell: s for s, cls in zip(_class_symbols(m, pairs, fixed), classes) for cell in cls}
+    return from_symbols([symbol[cell] for cell in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -149,12 +142,17 @@ def classify(p: TaggedPartition) -> SubspaceClass:
     evenly tagged: fully tagged and paired classes have equal sizes.
     freely tagged: no fixed point.
     """
-    return _classify(tuple(map(len, p.classes)), p.pairs, p.fixed)
+    size = {}
+    for s in p.symbols:
+        size[s] = size.get(s, 0) + 1
+    return _classify(size, [(-s, s) for s in size if s < 0], 0 if 0 in size else None)
 
 
 def _classify(sizes, pairs, fixed) -> SubspaceClass:
-    """:func:`classify` from the class sizes (indexed like the classes) and
-    the involution alone; no other property of the partition matters."""
+    """:func:`classify` from the class sizes and the involution alone; no
+    other property of the partition matters.  ``sizes`` is indexed by
+    whatever names the classes in ``pairs`` and ``fixed``: class indices
+    in the census, symbols in :func:`classify`."""
     dom = 2 * len(pairs) + (1 if fixed is not None else 0)
     synchrony = dom == 0
     fully = dom == len(sizes)
@@ -261,12 +259,9 @@ def enumerate_tagged_partitions(n, pred=None):
         raise ValueError("n must be >= 0")
     for a in _rgs(n):
         m = max(a) + 1 if a else 0
-        cells = [[] for _ in range(m)]
-        for cell0, c in enumerate(a):
-            cells[c].append(cell0 + 1)
-        classes = tuple(tuple(cl) for cl in cells)
         for pairs, fixed in _partial_involutions(m):
-            p = TaggedPartition(n, classes, pairs, fixed)
+            sym = _class_symbols(m, pairs, fixed)  # canonical: RGS classes, pairs (i, j) with i < j
+            p = TaggedPartition(tuple(map(sym.__getitem__, a)))
             if pred is None or pred(classify(p)):
                 yield p
 

@@ -42,6 +42,37 @@ def test_input_output_quick():
     assert rep.passed
 
 
+def _simple_zero_eigenvalue(g):
+    """The exact test: the Laplacian's kernel is one-dimensional."""
+    return len(linalg.nullspace(graph.laplacian_matrix(g))) == 1
+
+
+def test_weak_connectivity_decides_the_simple_zero_eigenvalue():
+    """On the input-output suite's own kind of draw, weak connectivity and
+    the exact kernel dimension agree."""
+    rng = random.Random(21)
+    seen = collections.Counter()
+    for _ in range(1000):
+        g = graph.random_weight_balanced_digraph(rng.randint(2, 6), rng)
+        connected = graph.is_weakly_connected(g)
+        assert connected == _simple_zero_eigenvalue(g), graph.to_json(g)
+        seen[connected] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 9])
+def test_input_output_report_unchanged_by_the_connectivity_test(monkeypatch, seed):
+    """Every scanned Laplacian has a simple eigenvalue 0, and the report is
+    the one the exact kernel test gives."""
+    scanned = []
+    scan = checks._uneven_anti_synchrony
+    monkeypatch.setattr(checks, "_uneven_anti_synchrony", lambda lap: scanned.append(lap) or scan(lap))
+    fast = checks.suite_input_output(trials=20, seed=seed)
+    assert len(scanned) == 20 and all(len(linalg.nullspace(lap)) == 1 for lap in scanned)
+    monkeypatch.setattr(checks.graph, "is_weakly_connected", _simple_zero_eigenvalue)
+    assert checks.suite_input_output(trials=20, seed=seed) == fast
+
+
 def test_frobenius_perron_quick():
     rep = checks.suite_frobenius_perron(trials=15, seed=13)
     assert rep.passed

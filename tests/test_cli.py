@@ -210,6 +210,12 @@ BAD_ARGV = {
     "orbits-format-dot": ["orbits", "{pair}", "--format", "dot"],
     "lattice-format-text": ["lattice", "{pair}", "--format", "text"],
     "invariants-above-n-cap": ["invariants", "{pair}", "--n-cap", "1"],
+    "orbits-above-automorphism-limit": ["orbits", "{path13}", "--n-cap", "13"],
+    "invariants-negative-n": ["invariants", "{negative_n}"],
+    "invariants-fractional-n": ["invariants", "{fractional_n}"],
+    "lattice-fractional-n": ["lattice", "{fractional_n}"],
+    "orbits-fractional-n": ["orbits", "{fractional_n}"],
+    "invariants-boolean-n": ["invariants", "{boolean_n}"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
 }
 
@@ -222,6 +228,10 @@ def input_paths(d):
         ("float", '{"n": 2, "arrows": [[1,2,0.5]]}'),
         ("garbled", '{"n": 2, "arrows": [[1,'),
         ("heavy", '{"n": 2, "arrows": [[1,2,"1e300"],[2,2,"1e300"]]}'),
+        ("path13", json.dumps({"n": 13, "arrows": [[i, i + 1, str(i)] for i in range(1, 13)]})),
+        ("negative_n", '{"n": -1, "arrows": []}'),
+        ("fractional_n", '{"n": 2.5, "arrows": [[1,2,"1"]]}'),
+        ("boolean_n", '{"n": true, "arrows": []}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
     return paths
@@ -235,6 +245,11 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
+
+
+def test_orbits_refuses_above_automorphism_limit_before_the_scan(capsys, tmp_path):
+    code, out, err = run(capsys, "orbits", input_paths(tmp_path)["path13"], "--n-cap", "13")
+    assert code == 2 and out == "" and "automorphism search limit 12" in err
 
 
 @pytest.mark.parametrize("command", ["invariants", "lattice", "orbits"])

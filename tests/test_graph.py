@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -119,6 +120,19 @@ def test_digraph_of_graph():
         g = graph.random_connected_graph(rng.randint(2, 7), rng)
         assert is_weight_balanced(g)
         assert is_weakly_connected(g)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True, "2", None])
+def test_vertex_count_must_be_a_natural_number(n):
+    with pytest.raises(ValueError):
+        WeightedDigraph(n, ())
+    with pytest.raises(ValueError):
+        graph.from_json(json.dumps({"n": n, "arrows": []}))
+
+
+def test_zero_vertices_accepted():
+    assert WeightedDigraph(0, ()).n == 0
+    assert graph.from_json('{"n": 0, "arrows": []}') == WeightedDigraph(0, ())
 
 
 def test_duplicate_and_zero_weight_arrows_rejected():

@@ -21,7 +21,6 @@ from polydiag.invariance import (
 )
 from polydiag.linalg import matrix, zeros
 from polydiag.partitions import (
-    TaggedPartition,
     _rgs,
     basis,
     classify,
@@ -29,6 +28,7 @@ from polydiag.partitions import (
     enumerate_tagged_partitions,
     parse_typical_element,
     relabel,
+    tagged,
     typical_element,
 )
 
@@ -83,8 +83,6 @@ def test_invariant_set_always_has_extremes():
         n = rng.randint(1, 4)
         m = matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         ts = typicals(invariant_polydiagonals(m))
-        from polydiag.partitions import tagged
-
         full = tagged(n, [[i] for i in range(1, n + 1)])  # R^n
         assert typical_element(full) in ts
         assert "(" + ",".join("0" * n) + ")" in ts  # the trivial subspace
@@ -200,10 +198,10 @@ def _walk_involutions(cols, classes):
 
     out = []
     for pairs, fixed in rec(tuple(range(len(classes))), [], None):
-        tagged = {fixed}
+        used = {fixed}
         for i, j in pairs:
-            tagged.update((i, j))
-        images = [w for c, w in enumerate(single) if c not in tagged]
+            used.update((i, j))
+        images = [w for c, w in enumerate(single) if c not in used]
         images += [paired[ij] for ij in pairs]
         if all(
             (fixed is None or w[fixed] == 0) and all(w[i] == -w[j] for i, j in pairs)
@@ -226,7 +224,7 @@ def _walk_scan(m):
         for cell, c in enumerate(a):
             cells[c].append(cell)
         classes = tuple(tuple(c + 1 for c in cls) for cls in cells)
-        hits += [TaggedPartition(n, classes, pairs, fixed) for pairs, fixed in _walk_involutions(cols, cells)]
+        hits += [tagged(n, classes, pairs, fixed) for pairs, fixed in _walk_involutions(cols, cells)]
     return hits
 
 

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,6 +11,7 @@ from polydiag import linalg
 from polydiag.partitions import (
     FILTERS,
     BTypePartition,
+    TaggedPartition,
     basis,
     classify,
     contains,
@@ -228,8 +232,6 @@ def test_json_round_trip():
 
 
 def test_json_matches_documented_shape():
-    import json
-
     d = json.loads(to_json(tagged(4, [[1], [2], [3], [4]], [(0, 1)], 3)))
     assert d == {
         "n": 4,
@@ -395,6 +397,80 @@ def test_from_symbols_inverts_symbols_under_any_renaming():
             renamed = [0 if s == 0 else (f[s] if s > 0 else -f[-s]) for s in p.symbols]
             assert from_symbols(renamed) == p
             assert from_symbols(renamed).symbols == p.symbols
+
+
+def _old_symbols(p):
+    """The per-class formula of the former cached property."""
+    sym = list(range(1, len(p.classes) + 1))
+    for i, j in p.pairs:
+        sym[j] = -sym[i]
+    if p.fixed is not None:
+        sym[p.fixed] = 0
+    out = [0] * p.n
+    for s, cls in zip(sym, p.classes):
+        for cell in cls:
+            out[cell - 1] = s
+    return tuple(out)
+
+
+def test_symbols_are_the_only_stored_field():
+    assert [f.name for f in dataclasses.fields(TaggedPartition)] == ["symbols"]
+
+
+def test_class_views_round_trip_through_the_canonicalizer():
+    for n in range(7):
+        for p in enumerate_tagged_partitions(n):
+            assert p.symbols == _old_symbols(p)
+            assert tagged(p.n, p.classes, p.pairs, p.fixed) == p
+            q = from_symbols(list(p.symbols))
+            assert q == p and hash(q) == hash(p)
+
+
+def test_to_json_and_str_bytes_pinned():
+    """sha256 of to_json and str of every tagged partition with n <= 6, in
+    enumeration order; a change of representation must not move it."""
+    h = hashlib.sha256()
+    for n in range(7):
+        for p in enumerate_tagged_partitions(n):
+            h.update((to_json(p) + " " + str(p) + "\n").encode())
+    assert h.hexdigest() == "1a48c1c3bc4aa62741f5687bfdfe95b0e1a2bd51542dbaafab760910d6e49888"
+
+
+MALFORMED = {
+    "empty class": (3, [[1, 2], [], [3]], (), None),
+    "repeated cell": (3, [[1, 2], [2, 3]], (), None),
+    "repeated cell within a class": (2, [[1, 1], [2]], (), None),
+    "missing cell": (3, [[1], [3]], (), None),
+    "cell out of range": (2, [[1], [2], [3]], (), None),
+    "cell zero": (2, [[0, 1], [2]], (), None),
+    "pair index out of range": (2, [[1], [2]], [(0, 2)], None),
+    "negative pair index": (2, [[1], [2]], [(-1, 0)], None),
+    "self-pair": (2, [[1], [2]], [(1, 1)], None),
+    "class in two pairs": (3, [[1], [2], [3]], [(0, 1), (1, 2)], None),
+    "fixed class out of range": (2, [[1], [2]], (), 2),
+    "fixed class also paired": (3, [[1], [2], [3]], [(0, 1)], 1),
+    "negative n": (-1, [], (), None),
+}
+
+
+@pytest.mark.parametrize("args", MALFORMED.values(), ids=MALFORMED.keys())
+def test_tagged_rejects_malformed_input(args):
+    with pytest.raises(ValueError):
+        tagged(*args)
+
+
+def test_from_json_rejects_a_pair_listed_both_ways():
+    d = {"n": 2, "classes": [[1], [2]], "involution": {"0": 1, "1": 0}}
+    with pytest.raises(ValueError):
+        from_json(json.dumps(d))
+    del d["involution"]["1"]
+    assert str(from_json(json.dumps(d))) == "(a,-a)"
+
+
+def test_tagged_canonicalizes_any_order():
+    p = tagged(5, [[5, 4], [3], [2, 1]], [(2, 0)], 1)
+    assert p.symbols == (1, 1, 0, -1, -1)
+    assert (p.classes, p.pairs, p.fixed) == (((1, 2), (3,), (4, 5)), ((0, 2),), 1)
 
 
 def test_orthogonal_matches_basis_dot_products():
