@@ -138,7 +138,7 @@ def cmd_lattice(args):
     if args.format == "dot":
         _write(invariance.lattice_to_dot(lat), args.output)
     else:
-        _write(json.dumps(invariance.lattice_to_json_dict(lat), indent=2) + "\n", args.output)
+        _write(invariance.lattice_to_json(lat) + "\n", args.output)
     return 0
 
 

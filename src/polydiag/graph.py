@@ -27,8 +27,8 @@ class WeightedDigraph:
         object.__setattr__(self, "arrows", arrows)
         seen = set()
         for t, h, w in arrows:
-            if not (1 <= t <= self.n and 1 <= h <= self.n):
-                raise ValueError("arrow (%d,%d) out of range" % (t, h))
+            if not (type(t) is int and type(h) is int and 1 <= t <= self.n and 1 <= h <= self.n):
+                raise ValueError("arrow (%r,%r): endpoints must be integers in 1..%d" % (t, h, self.n))
             if w == 0:
                 raise ValueError("zero weight on arrow (%d,%d)" % (t, h))
             if (t, h) in seen:
@@ -150,7 +150,10 @@ def automorphisms(g: WeightedDigraph):
     """All weight-preserving automorphisms, as image tuples (1-based).
 
     Backtracking over partial vertex assignments with degree/weight
-    signature pruning; exhaustive, intended for small n.
+    signature pruning; exhaustive, intended for small n.  Weights are
+    compared through int codes: each distinct weight value gets a code
+    from 1 up, 0 stands for no arrow, and ``W[t][h]`` holds the code of
+    the arrow t -> h.
     """
     if g.n > AUTOMORPHISM_VERTEX_LIMIT:
         raise ValueError("n=%d exceeds exhaustive search limit %d" % (g.n, AUTOMORPHISM_VERTEX_LIMIT))
@@ -166,6 +169,10 @@ def automorphisms(g: WeightedDigraph):
     candidates = {
         v: [u for u in range(1, n + 1) if sigs[u] == sigs[v]] for v in range(1, n + 1)
     }
+    codes = {}
+    W = [[0] * (n + 1) for _ in range(n + 1)]
+    for (t, h), wt in w.items():
+        W[t][h] = codes.setdefault(wt, len(codes) + 1)
     images = [0] * (n + 1)
     used = [False] * (n + 1)
     found = []
@@ -177,14 +184,12 @@ def automorphisms(g: WeightedDigraph):
         for u in candidates[v]:
             if used[u]:
                 continue
-            ok = True
+            images[v] = u  # so that x == v below maps to u
             for x in range(1, v + 1):
-                ix = u if x == v else images[x]
-                if w.get((v, x)) != w.get((u, ix)) or w.get((x, v)) != w.get((ix, u)):
-                    ok = False
+                ix = images[x]
+                if W[v][x] != W[u][ix] or W[x][v] != W[ix][u]:
                     break
-            if ok:
-                images[v] = u
+            else:
                 used[u] = True
                 extend(v + 1)
                 used[u] = False
@@ -196,7 +201,7 @@ def automorphisms(g: WeightedDigraph):
 
 def perm_compose(p, q):
     """p after q: (p o q)(i) = p[q[i]]."""
-    return tuple(p[q[i] - 1] for i in range(len(q)))
+    return tuple([p[j - 1] for j in q])
 
 
 def is_vertex_transitive(g: WeightedDigraph, autos=None) -> bool:

@@ -15,9 +15,12 @@ The lattice orders the invariant subspaces by inclusion without vectors.
 Each subspace Delta_P is encoded by the relations x_i = x_j, x_i = -x_j and
 x_i = 0 that hold on all of it, as one n*n-bit integer.  Delta_P is the
 solution set of those relations, so Delta_Q <= Delta_P exactly when every
-relation of P is a relation of Q, one bitwise test.  Orbits check that the
-automorphisms form a group on generators picked from them, and walk each
-orbit under the generators alone.
+relation of P is a relation of Q, one bitwise test.  Two writers turn a
+lattice into text: :func:`lattice_to_json` writes the indent-2 JSON layout
+directly, one template per node and per cover, and :func:`lattice_to_dot`
+writes Graphviz DOT.  Orbits check that the automorphisms form a group on
+generators picked from them, and walk each orbit under the generators
+alone.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .linalg import frac, nullspace, shifted, transpose
 from .partitions import (
@@ -315,17 +319,28 @@ def build_lattice(inv: InvariantSet) -> SubspaceLattice:
     return SubspaceLattice(nodes, tuple(sorted(covers)))
 
 
-def lattice_to_json_dict(lat: SubspaceLattice) -> dict:
-    return {
-        "nodes": [
-            {
-                "typical": typical_element(p),
-                "class": type_label(p, cls).replace(" ", "_").replace("-", "_"),
-            }
-            for p, cls in lat.nodes
-        ],
-        "covers": [list(c) for c in lat.covers],
-    }
+_JSON_NODE = '    {\n      "typical": %s,\n      "class": %s\n    }'
+_JSON_COVER = "    [\n      %d,\n      %d\n    ]"
+
+
+def _json_list(items):
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def lattice_to_json(lat: SubspaceLattice) -> str:
+    """The lattice as JSON text with no trailing newline, byte for byte as
+    ``json.dumps(..., indent=2)`` writes ``{"nodes": [{"typical": ...,
+    "class": ...}, ...], "covers": [[upper, lower], ...]}``."""
+    nodes = [
+        _JSON_NODE
+        % (
+            encode_basestring_ascii(typical_element(p)),
+            encode_basestring_ascii(type_label(p, cls).replace(" ", "_").replace("-", "_")),
+        )
+        for p, cls in lat.nodes
+    ]
+    covers = [_JSON_COVER % c for c in lat.covers]
+    return '{\n  "nodes": %s,\n  "covers": %s\n}' % (_json_list(nodes), _json_list(covers))
 
 
 _DOT_COLORS = {

@@ -216,6 +216,14 @@ BAD_ARGV = {
     "lattice-fractional-n": ["lattice", "{fractional_n}"],
     "orbits-fractional-n": ["orbits", "{fractional_n}"],
     "invariants-boolean-n": ["invariants", "{boolean_n}"],
+    "invariants-fractional-endpoint": ["invariants", "{fractional_endpoint}"],
+    "lattice-fractional-endpoint": ["lattice", "{fractional_endpoint}"],
+    "orbits-fractional-endpoint": ["orbits", "{fractional_endpoint}"],
+    "simulate-fractional-endpoint": ["simulate", "--preset", "vanderpol", "--digraph", "{fractional_endpoint}"],
+    "invariants-boolean-endpoint": ["invariants", "{boolean_endpoint}"],
+    "lattice-boolean-endpoint": ["lattice", "{boolean_endpoint}"],
+    "orbits-boolean-endpoint": ["orbits", "{boolean_endpoint}"],
+    "simulate-boolean-endpoint": ["simulate", "--preset", "vanderpol", "--digraph", "{boolean_endpoint}"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
 }
 
@@ -232,6 +240,8 @@ def input_paths(d):
         ("negative_n", '{"n": -1, "arrows": []}'),
         ("fractional_n", '{"n": 2.5, "arrows": [[1,2,"1"]]}'),
         ("boolean_n", '{"n": true, "arrows": []}'),
+        ("fractional_endpoint", '{"n": 2, "arrows": [[1.5, 2, "1"]]}'),
+        ("boolean_endpoint", '{"n": 2, "arrows": [[true, 2, "1"]]}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
     return paths
@@ -377,7 +387,7 @@ def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 DIGRAPHS = (
     ["{pair}"] + [os.path.join(DEMO_DIR, n + ".json") for n in ("lapdirichlet", "directed_c3", "d3_cayley_equal")],
-    ["{float}", "{garbled}", "{missing}"],
+    ["{float}", "{garbled}", "{missing}", "{fractional_endpoint}", "{boolean_endpoint}"],
 )
 SEED = (["0", "5"], ["-1", "x", "1.5"])
 MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)

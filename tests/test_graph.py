@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -130,6 +131,14 @@ def test_vertex_count_must_be_a_natural_number(n):
         graph.from_json(json.dumps({"n": n, "arrows": []}))
 
 
+@pytest.mark.parametrize("arrow", [[1.5, 2], [True, 2], [1, False], ["1", 2], [1, None]])
+def test_arrow_endpoints_must_be_integers(arrow):
+    with pytest.raises(ValueError):
+        WeightedDigraph(2, ((*arrow, F(1)),))
+    with pytest.raises(ValueError):
+        graph.from_json(json.dumps({"n": 2, "arrows": [[*arrow, "1"]]}))
+
+
 def test_zero_vertices_accepted():
     assert WeightedDigraph(0, ()).n == 0
     assert graph.from_json('{"n": 0, "arrows": []}') == WeightedDigraph(0, ())
@@ -203,6 +212,57 @@ def test_equal_in_degrees_makes_a_plus_l_scalar():
         for j in range(g.n):
             expect = d if i == j else 0
             assert a[i][j] + lap[i][j] == expect
+
+
+# Equal values in different spellings; the int codes must merge them.
+SPELLINGS = (("1/2", "0.5", F(2, 4)), ("-1", -1, "-2/2"), ("3", 3, "6/2"))
+
+
+def _spelled_digraph(n, rng, kind):
+    """Random digraph with loops, negative weights and equal weights spelled
+    differently.  ``symmetric``: t -> h and h -> t carry one value;
+    ``circulant``: the arrow i -> i + d (mod n) has a value that depends on
+    d alone, under a random relabelling; ``free``: no constraint."""
+    values = rng.sample(SPELLINGS, rng.randint(1, 3))
+    density = rng.random()
+    label = rng.sample(range(1, n + 1), n)
+    offsets = {d: rng.choice(values) for d in range(n) if rng.random() < density}
+    arrows = {}
+    for t in range(1, n + 1):
+        for h in range(t if kind == "symmetric" else 1, n + 1):
+            if kind == "circulant":
+                value = offsets.get((h - t) % n)
+                if value:
+                    arrows[(label[t - 1], label[h - 1])] = rng.choice(value)
+            elif rng.random() < density:
+                value = rng.choice(values)
+                arrows[(t, h)] = rng.choice(value)
+                if kind == "symmetric" and t != h:
+                    arrows[(h, t)] = rng.choice(value)
+    return WeightedDigraph(n, tuple((t, h, w) for (t, h), w in arrows.items()))
+
+
+def test_automorphisms_match_brute_force():
+    """The backtracking search lists exactly the weight-preserving
+    permutations, in lexicographic order."""
+    rng = random.Random(13)
+    nontrivial = 0
+    for i in range(150):
+        g = _spelled_digraph(rng.randint(0, 6), rng, ("symmetric", "circulant", "free")[i % 3])
+        w = g.weight_map()
+        cells = range(1, g.n + 1)
+        expected = [
+            perm
+            for perm in itertools.permutations(cells)
+            if all(w.get((perm[t - 1], perm[h - 1])) == w.get((t, h)) for t in cells for h in cells)
+        ]
+        assert automorphisms(g) == expected, g
+        nontrivial += len(expected) > 1
+    assert nontrivial >= 60
+
+
+def test_perm_compose_is_p_after_q():
+    assert perm_compose((2, 3, 1), (1, 3, 2)) == (2, 1, 3)
 
 
 def test_automorphism_limit():

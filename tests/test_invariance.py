@@ -1,5 +1,6 @@
 import glob
 import itertools
+import json
 import os
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from polydiag import counting, graph, invariance, linalg
 from polydiag.invariance import (
+    SubspaceLattice,
     build_lattice,
     check_constant_column_sums_theorem,
     check_main_lemma,
@@ -16,7 +18,7 @@ from polydiag.invariance import (
     invariant_polydiagonals,
     is_invariant,
     lattice_to_dot,
-    lattice_to_json_dict,
+    lattice_to_json,
     orbits,
 )
 from polydiag.linalg import matrix, zeros
@@ -29,6 +31,7 @@ from polydiag.partitions import (
     parse_typical_element,
     relabel,
     tagged,
+    type_label,
     typical_element,
 )
 
@@ -311,7 +314,7 @@ def test_lattice_meets_and_joins_exist():
 
 def test_lattice_exports():
     lat = build_lattice(invariant_polydiagonals(DIRICHLET))
-    d = lattice_to_json_dict(lat)
+    d = json.loads(lattice_to_json(lat))
     assert {n["typical"] for n in d["nodes"]} == {
         "(0,0,0)", "(a,0,-a)", "(a,-a,a)", "(a,b,a)", "(a,b,c)"
     }
@@ -372,6 +375,26 @@ def test_lattice_matches_basis_oracle(m):
     assert lat.covers == covers
     k = len(lat.nodes)
     assert [[lat.leq(i, j) for j in range(k)] for i in range(k)] == inside
+
+
+@pytest.mark.parametrize("m", [zeros(5, 5), *LATTICE_CASES.values()], ids=["zero5", *LATTICE_CASES.keys()])
+def test_lattice_json_matches_json_dumps(m):
+    """The direct writer gives the bytes of json.dumps(..., indent=2) on the
+    lattice dict, empty covers (n = 0) included."""
+    lat = build_lattice(invariant_polydiagonals(m))
+    d = {
+        "nodes": [
+            {"typical": typical_element(p), "class": type_label(p, cls).replace(" ", "_").replace("-", "_")}
+            for p, cls in lat.nodes
+        ],
+        "covers": [list(c) for c in lat.covers],
+    }
+    got, want = lattice_to_json(lat) + "\n", json.dumps(d, indent=2) + "\n"
+    assert got.splitlines(True) == want.splitlines(True)  # lines: a short report on failure
+
+
+def test_lattice_json_of_empty_lists():
+    assert lattice_to_json(SubspaceLattice((), ())) == json.dumps({"nodes": [], "covers": []}, indent=2)
 
 
 def _char_poly(lat):
