@@ -23,12 +23,18 @@ class WeightedDigraph:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 0:
             raise ValueError("vertex count must be an integer >= 0, got %r" % (self.n,))
-        arrows = tuple(sorted((t, h, frac(w)) for t, h, w in self.arrows))
+        # endpoints are checked before sorting, which could not compare a
+        # string endpoint with an int one
+        arrows = []
+        for t, h, w in self.arrows:
+            if not (type(t) is int and type(h) is int and 1 <= t <= self.n and 1 <= h <= self.n):
+                raise ValueError("arrow (%r,%r): endpoints must be integers in 1..%d" % (t, h, self.n))
+            arrows.append((t, h, frac(w)))
+        arrows.sort()
+        arrows = tuple(arrows)
         object.__setattr__(self, "arrows", arrows)
         seen = set()
         for t, h, w in arrows:
-            if not (type(t) is int and type(h) is int and 1 <= t <= self.n and 1 <= h <= self.n):
-                raise ValueError("arrow (%r,%r): endpoints must be integers in 1..%d" % (t, h, self.n))
             if w == 0:
                 raise ValueError("zero weight on arrow (%d,%d)" % (t, h))
             if (t, h) in seen:

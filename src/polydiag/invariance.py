@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .linalg import frac, nullspace, shifted, transpose
+from .linalg import clear_denominators, frac, nullspace, shifted, transpose
 from .partitions import (
     SubspaceClass,
     TaggedPartition,
@@ -51,13 +51,12 @@ def _int_matrix(m):
     """Clear denominators: invariance is unchanged by scaling M, and plain
     int arithmetic is much faster than Fraction in the inner loop.  Each
     entry goes through :func:`linalg.frac` first, so a string such as
-    ``"1/2"`` is the rational it spells."""
-    rows = [[frac(x) for x in row] for row in m]
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    ``"1/2"`` is the rational it spells.  The whole matrix is scaled by one
+    common denominator; scaling its rows apart would change which subspaces
+    are invariant."""
+    rows, dens = clear_denominators(m)
+    den = math.lcm(*dens)
+    return [[x * (den // d) for x in row] for row, d in zip(rows, dens)]
 
 
 def _is_invariant_int(mi, p: TaggedPartition) -> bool:

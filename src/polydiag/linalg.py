@@ -1,23 +1,52 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: Fractions at the boundary,
+integers inside.
 
 Vectors are tuples of Fraction and matrices are tuples of row tuples.
 Everything is immutable and every operation is pure.  Plain Python ints
 are accepted anywhere a rational is expected (they are exact), but floats
-are rejected: callers with decimal input must pass strings like ``"0.25"``
-so the conversion is exact decimal parsing rather than a binary
-approximation.
+and booleans are rejected: callers with decimal input must pass strings
+like ``"0.25"`` so the conversion is exact decimal parsing rather than a
+binary approximation.
+
+Row reduction and matrix products do not compute in Fraction.  Each row
+is cleared of denominators once (:func:`clear_denominators`) and the work
+is done on Python ints: Gauss-Jordan elimination is fraction-free, in the
+manner of Bareiss (Math. Comp. 22, 1968), with each new row divided by the
+gcd of its entries so the entries stay small.  Fractions are built only
+for the results, and since the reduced row-echelon form is unique they
+are the values and the order that Fraction elimination gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, Fraction, or string like ``-1/2`` / ``0.25`` to Fraction."""
+    """Coerce an int, Fraction, or string like ``-1/2`` / ``0.25`` to
+    Fraction; a Fraction is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are inexact; pass a string such as '0.5'")
+    if isinstance(x, bool):
+        raise TypeError("booleans are not numbers; pass an int or a string such as '1'")
     return Fraction(x)
+
+
+def clear_denominators(rows):
+    """(ints, dens): row i times dens[i], the lcm of its entries'
+    denominators, is the int row ints[i].  Every entry goes through
+    :func:`frac`."""
+    ints, dens = [], []
+    for row in rows:
+        row = [frac(x) for x in row]
+        d = math.lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return ints, dens
 
 
 def vector(entries) -> tuple:
@@ -54,10 +83,16 @@ def mat_vec(m, v) -> tuple:
 
 
 def mat_mul(a, b) -> tuple:
+    """Entry (i, j) is the int dot product of row i of a and column j of b,
+    both cleared, over the product of their denominators."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    rows, da = clear_denominators(a)
+    cols, db = clear_denominators(transpose(b))
+    return tuple(
+        tuple(Fraction(sum(map(mul, row, col)), d * e) for col, e in zip(cols, db))
+        for row, d in zip(rows, da)
+    )
 
 
 def shifted(m, lam) -> tuple:
@@ -77,12 +112,22 @@ def dot(u, v):
 
 def rref(m):
     """Reduced row-echelon form.  Returns (rref_matrix, rank)."""
-    red, pivots = _rref_pivots(m)
-    return red, len(pivots)
+    rows, pivots = _rref_pivots(m)
+    red = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
+    red += [tuple(Fraction(x) for x in row) for row in rows[len(pivots):]]
+    return tuple(red), len(pivots)
 
 
 def _rref_pivots(m):
-    rows = [[frac(x) for x in row] for row in m]
+    """Fraction-free Gauss-Jordan elimination: (int rows, pivot columns).
+
+    Row r < rank, divided by its pivot entry rows[r][pivots[r]], is row r
+    of the reduced row-echelon form of m; the rows from the rank on are
+    zero.  Eliminating column c of row i with pivot row r sets row i to
+    p*row_i - f*row_r (p the pivot, f = row_i[c]) and divides it by the gcd
+    of its entries, so every row stays a nonzero multiple of the row that
+    Fraction elimination would hold, and the pivots are the same."""
+    rows, _ = clear_denominators(m)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -90,23 +135,25 @@ def _rref_pivots(m):
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, tuple(pivots)
 
 
 def rank(m) -> int:
-    return rref(m)[1]
+    return len(_rref_pivots(m)[1])
 
 
 def nullspace(m):
@@ -118,15 +165,17 @@ def nullspace(m):
     if not m:
         return []
     ncols = len(m[0])
-    red, pivots = _rref_pivots(m)
+    rows, pivots = _rref_pivots(m)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -135,15 +184,7 @@ def span_contains(basis, v) -> bool:
     """Exact test for v in span(basis)."""
     if any(len(b) != len(v) for b in basis):
         raise ValueError("dimension mismatch")
-    if not basis:
-        return all(x == 0 for x in v)
-    k = len(basis)
-    aug = tuple(
-        tuple(frac(b[i]) for b in basis) + (frac(v[i]),) for i in range(len(v))
-    )
-    red, _ = _rref_pivots(aug)
-    # inconsistent iff a row reads (0 ... 0 | nonzero)
-    for row in red:
-        if row[k] != 0 and all(x == 0 for x in row[:k]):
-            return False
-    return True
+    aug = [[b[i] for b in basis] + [v[i]] for i in range(len(v))]
+    # inconsistent iff the reduced form has a row (0 ... 0 | nonzero),
+    # that is, iff v's column holds a pivot
+    return len(basis) not in _rref_pivots(aug)[1]

@@ -224,6 +224,12 @@ BAD_ARGV = {
     "lattice-boolean-endpoint": ["lattice", "{boolean_endpoint}"],
     "orbits-boolean-endpoint": ["orbits", "{boolean_endpoint}"],
     "simulate-boolean-endpoint": ["simulate", "--preset", "vanderpol", "--digraph", "{boolean_endpoint}"],
+    "invariants-string-endpoint": ["invariants", "{string_endpoint}"],
+    "lattice-string-endpoint": ["lattice", "{string_endpoint}"],
+    "invariants-boolean-weight": ["invariants", "{boolean_weight}"],
+    "lattice-boolean-weight": ["lattice", "{boolean_weight}"],
+    "simulate-boolean-weight": ["simulate", "--preset", "vanderpol", "--digraph", "{boolean_weight}"],
+    "column-sums-boolean-weight": ["check", "column-sums", "--file", "{boolean_weight}"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
 }
 
@@ -242,6 +248,8 @@ def input_paths(d):
         ("boolean_n", '{"n": true, "arrows": []}'),
         ("fractional_endpoint", '{"n": 2, "arrows": [[1.5, 2, "1"]]}'),
         ("boolean_endpoint", '{"n": 2, "arrows": [[true, 2, "1"]]}'),
+        ("string_endpoint", '{"n": 2, "arrows": [["1", 2, "1"], [1, 2, "1"]]}'),
+        ("boolean_weight", '{"n": 2, "arrows": [[1, 2, true]]}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
     return paths
@@ -255,6 +263,11 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
+
+
+def test_string_endpoint_reports_the_constructor_error(capsys, tmp_path):
+    code, out, err = run(capsys, "invariants", input_paths(tmp_path)["string_endpoint"])
+    assert code == 2 and out == "" and "endpoints must be integers in 1..2" in err
 
 
 def test_orbits_refuses_above_automorphism_limit_before_the_scan(capsys, tmp_path):
@@ -387,7 +400,8 @@ def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 DIGRAPHS = (
     ["{pair}"] + [os.path.join(DEMO_DIR, n + ".json") for n in ("lapdirichlet", "directed_c3", "d3_cayley_equal")],
-    ["{float}", "{garbled}", "{missing}", "{fractional_endpoint}", "{boolean_endpoint}"],
+    ["{float}", "{garbled}", "{missing}", "{fractional_endpoint}", "{boolean_endpoint}", "{string_endpoint}",
+     "{boolean_weight}"],
 )
 SEED = (["0", "5"], ["-1", "x", "1.5"])
 MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)

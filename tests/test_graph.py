@@ -139,6 +139,22 @@ def test_arrow_endpoints_must_be_integers(arrow):
         graph.from_json(json.dumps({"n": 2, "arrows": [[*arrow, "1"]]}))
 
 
+def test_endpoints_checked_before_sorting():
+    """A string endpoint beside an int one is the constructor's own error,
+    not a failed comparison in the sort."""
+    for arrows in ((("1", 2, 1), (1, 2, 1)), ((1, 2, 1), (2, "1", 1))):
+        with pytest.raises(ValueError, match="endpoints must be integers in 1..2"):
+            WeightedDigraph(2, arrows)
+
+
+@pytest.mark.parametrize("weight", [True, False])
+def test_boolean_weight_rejected(weight):
+    with pytest.raises(TypeError):
+        WeightedDigraph(2, ((1, 2, weight),))
+    with pytest.raises(TypeError):
+        graph.from_json(json.dumps({"n": 2, "arrows": [[1, 2, weight]]}))
+
+
 def test_zero_vertices_accepted():
     assert WeightedDigraph(0, ()).n == 0
     assert graph.from_json('{"n": 0, "arrows": []}') == WeightedDigraph(0, ())

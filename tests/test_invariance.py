@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import itertools
 import json
 import os
@@ -632,6 +633,50 @@ def test_column_sums_hypothesis_failures_are_reported():
     m = matrix([[1, 0, 0], [-1, -1, -1], [0, 1, 1]])
     rep4 = check_constant_column_sums_theorem(m)
     assert not rep4.hypotheses_met and "v_i + v_j" in rep4.reason
+
+
+# sha256 of report_to_json on the demo digraphs (as stored, not relabelled):
+# the cases the benchmark's suites workload runs.  Their lambda, v_right,
+# v_left and v come straight from nullspace, so a change in its values or
+# its basis order changes the bytes.
+MAIN_LEMMA_REPORT_SHA256 = {
+    ("d3_cayley_equal", "adjacency", 2): "bd384ea064cc844a1ac9e2181650432838fae82dcb7bfc059d97021cfb671e3a",
+    ("d3_cayley_equal", "laplacian", 0): "88c1cb13bd4cf08dfef207a26f3de78a4b3b58d5cb4cd3865dc18be00034bcd2",
+    ("directed_c4", "adjacency", -1): "e1d518a287adb63cbf29ddcb0b626ce466223eedd27d1a47dc07713360a12b35",
+    ("gandgt", "adjacency", 1): "eef2d74983ebb419389142755b366abfe619884b6616de1bb94ffd7d42b7b8c6",
+    ("lapdirichlet", "laplacian", -3): "aa71fb751d30debc085fd4dd64dee306bb45a2707cc7fa9319457a3164719d92",
+    ("lorenz_pair", "laplacian", 2): "12370e7d51ce3033fab8c77d1f2e265bc27a432147175bd0d299e6f1621c7259",
+    ("threev_one_edge", "adjacency", 0): "b916738b81b7db794e13ebad8347ef3006e25c8d24f458366a4ef5bcf4c6ca72",
+    ("weight_balanced", "laplacian", 3): "76a2f89baff1a4d1e93db20a5b04561af86333b5a7697dea0d15d89b71ef4405",
+}
+COLUMN_SUMS_REPORT_SHA256 = {
+    ("d3_cayley_equal", "adjacency"): "95b9d063e62e1ce4c91ac767af86814bf7895595e5da2dd04240fab73261725d",
+    ("d3_cayley_equal", "laplacian"): "a0707d92572989da8bba1920193b2172e1f035f1f765e4b05ddc676b4e9dbc48",
+    ("directed_c3", "adjacency"): "bcbb37756a331892c1cd9a3d602e1f0a807afe14d58810a24b7dc4c0c12bc3d2",
+    ("directed_c4", "adjacency"): "667627c32a5d891a51e53f7b5582484952de19002ebe5f1b28555596e51b28ed",
+    ("lapdirichlet", "laplacian"): "f15c91621baa15111a8309c54c796171a2c1324a221272a8b11b74c2b4e5be22",
+    ("lorenz_pair", "laplacian"): "eeb4495d855f08fc50559ae83a6575e6d19e4512e0beb3c1aba458ad73cb678f",
+    ("weight_balanced", "laplacian"): "378bd3a4262f07478d954b6b727698d2b1a16a11a66aee2664d330fb127ef837",
+}
+DEMO_MATRIX = {"adjacency": graph.adjacency_matrix, "laplacian": graph.laplacian_matrix}
+
+
+def _demo_matrix(name, which):
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", name + ".json")
+    return DEMO_MATRIX[which](graph.load_digraph(path))
+
+
+@pytest.mark.parametrize("case", MAIN_LEMMA_REPORT_SHA256, ids=lambda c: "%s-%s-%s" % c)
+def test_main_lemma_report_bytes(case):
+    name, which, lam = case
+    text = invariance.report_to_json(check_main_lemma(_demo_matrix(name, which), lam))
+    assert hashlib.sha256(text.encode()).hexdigest() == MAIN_LEMMA_REPORT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", COLUMN_SUMS_REPORT_SHA256, ids=lambda c: "%s-%s" % c)
+def test_column_sums_report_bytes(case):
+    text = invariance.report_to_json(check_constant_column_sums_theorem(_demo_matrix(*case)))
+    assert hashlib.sha256(text.encode()).hexdigest() == COLUMN_SUMS_REPORT_SHA256[case]
 
 
 RAGGED = [[1, 2], [3, 4, 5]]

@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydiag import linalg
 from polydiag.linalg import (
+    clear_denominators,
     frac,
     identity,
     matrix,
+    mat_mul,
     mat_vec,
     nullspace,
     rank,
@@ -20,10 +23,31 @@ from polydiag.linalg import (
 
 
 def test_frac_rejects_floats():
-    with pytest.raises(TypeError):
-        frac(0.5)
+    for x in (0.5, numpy.float64(0.5)):
+        with pytest.raises(TypeError):
+            frac(x)
     assert frac("0.5") == F(1, 2)
     assert frac("-1/2") == F(-1, 2)
+
+
+def test_frac_rejects_booleans():
+    for x in (True, False):
+        with pytest.raises(TypeError):
+            frac(x)
+    with pytest.raises(TypeError):
+        matrix([[1, True]])
+
+
+def test_frac_passes_a_fraction_through():
+    x = F(-7, 3)
+    assert frac(x) is x
+    assert type(frac(3)) is F and frac(3) == 3
+
+
+def test_clear_denominators_per_row():
+    rows, dens = clear_denominators([["1/2", F(1, 3), 2], [4, "-6", 0], []])
+    assert rows == [[3, 2, 12], [4, -6, 0], []]
+    assert dens == [6, 1, 1]
 
 
 def test_rref_identity():
@@ -115,3 +139,162 @@ def test_span_contains_matches_rank_oracle(basis_rows, v):
 def test_matvec_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_vec(matrix([[1, 2]]), vector([1]))
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: Gauss-Jordan and the triple-loop product on Fractions
+
+
+def oracle_rref(m):
+    """(reduced row-echelon rows, pivot columns) by Fraction elimination:
+    scale the pivot row to a leading 1, then clear its column in every
+    other row."""
+    rows = [[frac(x) for x in row] for row in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def oracle_nullspace(m):
+    if not m:
+        return []
+    ncols = len(m[0])
+    red, pivots = oracle_rref(m)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_span_contains(basis, v):
+    if not basis:
+        return all(frac(x) == 0 for x in v)
+    k = len(basis)
+    red, _ = oracle_rref([[b[i] for b in basis] + [v[i]] for i in range(len(v))])
+    return not any(row[k] != 0 and all(x == 0 for x in row[:k]) for row in red)
+
+
+def oracle_mat_mul(a, b):
+    a = [[frac(x) for x in row] for row in a]
+    b = [[frac(x) for x in row] for row in b]
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(cols))
+        for row in a
+    )
+
+
+def all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+# Entries: small ints, small fractions, fractions with large denominators
+# (either sign), and zero; spelled as int, Fraction or string.
+rationals = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6).map(F),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(F, st.integers(-(10**12), 10**12), st.integers(10**6, 10**12)),
+)
+
+
+@st.composite
+def spelled(draw, x):
+    """x as a Fraction, a string ("-3/4", "0.25" or "2"), or an int."""
+    forms = [x, str(x)]
+    if x.denominator == 1:
+        forms.append(int(x))
+    if x * 10000 == int(x * 10000):
+        forms.append("%s" % (float(x),))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """Rectangular matrices with 0-6 rows and 0-6 columns.  A row is drawn
+    fresh, left zero, or made a rational combination of two earlier rows,
+    so ranks below the full one are common."""
+    if nrows is None:
+        nrows = draw(st.integers(0, 6))
+    if ncols is None:
+        ncols = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "combination")))
+        if kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(rationals), draw(rationals)
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            rows.append([draw(rationals) for _ in range(ncols)])
+    return tuple(tuple(draw(spelled(x)) for x in row) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_rank_nullspace_match_fraction_elimination(m):
+    red, pivots = oracle_rref(m)
+    got_red, got_rank = rref(m)
+    assert got_red == red and got_rank == len(pivots) == rank(m)
+    assert all_fractions(got_red)
+    basis = nullspace(m)
+    assert basis == oracle_nullspace(m)
+    assert all_fractions(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_contains_matches_fraction_elimination(data):
+    n = data.draw(st.integers(0, 6))
+    basis = list(data.draw(rational_matrices(ncols=n)))
+    inside = data.draw(st.booleans()) and basis
+    if inside:
+        coeffs = data.draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+        v = tuple(sum((c * frac(b[i]) for c, b in zip(coeffs, basis)), F(0)) for i in range(n))
+        v = tuple(data.draw(spelled(x)) for x in v)
+    else:
+        v = data.draw(rational_matrices(nrows=1, ncols=n))[0]
+    assert span_contains(basis, v) == oracle_span_contains(basis, v)
+    if inside:
+        assert span_contains(basis, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_triple_loop(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(rational_matrices(nrows=r, ncols=k))
+    b = data.draw(rational_matrices(nrows=k, ncols=c))
+    got = mat_mul(a, b)
+    assert got == oracle_mat_mul(a, b)
+    assert all_fractions(got)
+
+
+def test_mat_mul_dimension_mismatch():
+    with pytest.raises(ValueError):
+        mat_mul(matrix([[1, 2]]), matrix([[1, 2]]))
