@@ -6,6 +6,12 @@ failure is actionable.  The suites only generate instances and format
 witnesses: the theorem reports of :mod:`polydiag.invariance` decide the
 hypotheses and conclusions, once per instance.  The CLI ``check`` command
 and the test suite both run these.
+
+Instances are drawn on ints: weights, matrices and the unimodular
+conjugations are int arithmetic, and connectivity is decided on vertex
+bitmasks (:func:`graph.arrow_masks`).  They become Fractions and
+WeightedDigraphs at the report boundary, where a theorem report or a
+witness needs them.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dynamics, graph, linalg
+from . import dynamics, graph
 from .graph import (
     adjacency_matrix,
     laplacian_matrix,
@@ -120,23 +126,22 @@ def suite_column_sums(trials=200, n_max=5, seed=11) -> SuiteReport:
 
 
 def _random_unimodular(rng, n):
-    """Product of 12 integer elementary row operations; determinant +-1."""
-    m = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    """(S, S^-1) as int matrices (lists of rows): S is a product of 12
+    elementary row operations row_i += c*row_j, so det S = 1, and S^-1 is
+    built alongside by undoing each one on the right, column_j -= c*column_i."""
+    s = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in s]
     for _ in range(12):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-2, 2)
         for k in range(n):
-            m[i][k] += c * m[j][k]
-    return tuple(tuple(row) for row in m)
+            s[i][k] += c * s[j][k]
+            inv[k][j] -= c * inv[k][i]
+    return s, inv
 
 
-def _inverse(m):
-    n = len(m)
-    aug = tuple(tuple(m[i]) + tuple(Fraction(i == j) for j in range(n)) for i in range(n))
-    red, r = linalg.rref(aug)
-    if r != n:
-        raise ValueError("matrix not invertible")
-    return tuple(row[n:] for row in red)
+def _int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def suite_main_lemma(trials=100, n_max=5, seed=3) -> SuiteReport:
@@ -147,21 +152,22 @@ def suite_main_lemma(trials=100, n_max=5, seed=3) -> SuiteReport:
     lam is simple by construction: the companion block's eigenvalues are
     the (n-1)-th roots of the prime c, and the only rational one, c itself
     at n = 2, lies outside -2..2.  So every draw is an instance, and
-    :func:`invariance.check_main_lemma` decides it (one eigendata call)."""
+    :func:`invariance.check_main_lemma` decides it (one eigendata call).
+    M = S B S^-1 is an int product, made Fractions once for the report."""
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         n = rng.randint(2, n_max)
         lam = rng.randint(-2, 2)
-        block = [[Fraction(0)] * n for _ in range(n)]
-        block[0][0] = Fraction(lam)
+        block = [[0] * n for _ in range(n)]
+        block[0][0] = lam
         # companion block of x^(n-1) - c on the remaining coordinates
         c = rng.choice([3, 5, 7])
         for i in range(1, n - 1):
-            block[i + 1][i] = Fraction(1)
-        block[1][n - 1] = Fraction(c)
-        s = _random_unimodular(rng, n)
-        m = linalg.mat_mul(linalg.mat_mul(s, tuple(tuple(r) for r in block)), _inverse(s))
+            block[i + 1][i] = 1
+        block[1][n - 1] = c
+        s, inv = _random_unimodular(rng, n)
+        m = tuple(tuple(map(Fraction, row)) for row in _int_mul(_int_mul(s, block), inv))
         for row in check_main_lemma(m, lam).violations():
             failures.append(
                 "matrix %s lam=%s: %s fails the dichotomy"
@@ -228,14 +234,16 @@ def suite_strong_connectivity(trials=200, n_max=7, seed=17) -> SuiteReport:
     rng = random.Random(seed)
 
     def draw():
-        g = random_weight_balanced_digraph(rng.randint(2, n_max), rng)
-        return g if graph.is_weakly_connected(g) else None
+        n = rng.randint(2, n_max)
+        weight = graph.random_balanced_weights(n, rng)
+        masks = graph.arrow_masks(n, weight)
+        return (n, weight, masks) if graph.weakly_connected(*masks) else None
 
     found = _sample(draw, trials)
     failures = [
-        "digraph %s weakly but not strongly connected" % graph.to_json(g)
-        for g in found
-        if not graph.is_strongly_connected(g)
+        "digraph %s weakly but not strongly connected" % graph.to_json(graph.from_weight_map(n, weight))
+        for n, weight, masks in found
+        if not graph.strongly_connected(*masks)
     ]
     return SuiteReport("strong-connectivity", len(found), not failures and len(found) == trials, failures)
 

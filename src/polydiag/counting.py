@@ -284,14 +284,15 @@ class CountTable:
 
 
 def count_table(max_n: int, kinds=FIGURE_KINDS) -> CountTable:
-    """Counts for n = 0..max_n, enumeration cross-checked where feasible."""
-    order = max(DEFAULT_ORDER, max_n)
+    """Counts for n = 0..max_n, enumeration cross-checked where feasible.
+    The EGFs are truncated at max_n: coefficient n of a truncated series
+    does not depend on the higher orders."""
     rows, checked = {}, {}
     for kind in kinds:
         vals = []
         ok = True
         for n in range(max_n + 1):
-            by_egf = egf_count(kind, n, order)
+            by_egf = egf_count(kind, n, max_n)
             try:
                 by_rec = recurrence_count(kind, n)
             except KeyError:

@@ -79,11 +79,18 @@ def adjacency_matrix(g: WeightedDigraph):
 
 
 def laplacian_matrix(g: WeightedDigraph):
-    a = adjacency_matrix(g)
-    return tuple(
-        tuple((sum(row) if i == j else 0) - row[j] for j in range(g.n))
-        for i, row in enumerate(a)
-    )
+    """L = D - A with D the in-degrees (the row sums of A), built in one
+    pass over the arrows: a loop counts in its vertex's in-degree and is
+    taken off the diagonal again."""
+    zero = Fraction(0)
+    lap = [[zero] * g.n for _ in range(g.n)]
+    deg = [zero] * g.n
+    for t, h, w in g.arrows:
+        deg[h - 1] += w
+        lap[h - 1][t - 1] = -w
+    for i, row in enumerate(lap):
+        row[i] += deg[i]
+    return tuple(tuple(row) for row in lap)
 
 
 def in_degree(g: WeightedDigraph, i: int) -> Fraction:
@@ -105,45 +112,56 @@ def is_weight_balanced(g: WeightedDigraph) -> bool:
     return all(imbalance(g, i) == 0 for i in range(1, g.n + 1))
 
 
-def _succ(g):
-    succ = {i: [] for i in range(1, g.n + 1)}
-    for t, h, _ in g.arrows:
-        succ[t].append(h)
-    return succ
+def arrow_masks(n, pairs):
+    """(succ, pred) for the arrows (t, h) in pairs on vertices 1..n: bit
+    h - 1 of succ[t - 1] and bit t - 1 of pred[h - 1] are set."""
+    succ, pred = [0] * n, [0] * n
+    for t, h in pairs:
+        succ[t - 1] |= 1 << (h - 1)
+        pred[h - 1] |= 1 << (t - 1)
+    return succ, pred
 
 
-def _reachable(start, succ):
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in succ[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+def reachable(masks, v=1) -> int:
+    """Bitmask of the vertices reachable from vertex v, where masks[u - 1]
+    is the bitmask of the vertices one step from vertex u.  Each round ORs
+    the masks of the frontier's vertices."""
+    seen = frontier = 1 << (v - 1)
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
     return seen
 
 
+def strongly_connected(succ, pred) -> bool:
+    """Whether the arrows behind arrow_masks' (succ, pred) connect every
+    vertex to vertex 1 and back."""
+    n = len(succ)
+    return n == 0 or reachable(succ) & reachable(pred) == (1 << n) - 1
+
+
+def weakly_connected(succ, pred) -> bool:
+    """Whether every vertex is joined to vertex 1 when the directions of
+    the arrows are ignored."""
+    n = len(succ)
+    return n == 0 or reachable([s | p for s, p in zip(succ, pred)]) == (1 << n) - 1
+
+
+def _masks(g: WeightedDigraph):
+    return arrow_masks(g.n, [(t, h) for t, h, _ in g.arrows])
+
+
 def is_strongly_connected(g: WeightedDigraph) -> bool:
-    if g.n == 0:
-        return True
-    succ = _succ(g)
-    if len(_reachable(1, succ)) != g.n:
-        return False
-    pred = {i: [] for i in range(1, g.n + 1)}
-    for t, h, _ in g.arrows:
-        pred[h].append(t)
-    return len(_reachable(1, pred)) == g.n
+    return strongly_connected(*_masks(g))
 
 
 def is_weakly_connected(g: WeightedDigraph) -> bool:
-    if g.n == 0:
-        return True
-    both = {i: [] for i in range(1, g.n + 1)}
-    for t, h, _ in g.arrows:
-        both[t].append(h)
-        both[h].append(t)
-    return len(_reachable(1, both)) == g.n
+    return weakly_connected(*_masks(g))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +379,9 @@ def random_connected_graph(n, rng):
     return digraph_of_graph(n, [tuple(sorted(e)) for e in sorted(edges, key=sorted)])
 
 
-def random_weight_balanced_digraph(n, rng):
-    """Random weight-balanced digraph: a sum of 2 to n + 1 directed cycles
-    of weight 1 to 3.
+def random_balanced_weights(n, rng):
+    """Int weights {(t, h): w} of a random weight-balanced digraph on
+    vertices 1..n: a sum of 2 to n + 1 directed cycles of weight 1 to 3.
 
     Each cycle adds equal weight to the in- and out-degree of the vertices
     it visits, so the result is weight-balanced with positive weights and
@@ -378,8 +396,19 @@ def random_weight_balanced_digraph(n, rng):
         w = rng.randint(1, 3)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             weight[(a, b)] = weight.get((a, b), 0) + w
-    arrows = tuple((t, h, Fraction(w)) for (t, h), w in sorted(weight.items()))
-    return WeightedDigraph(n, arrows)
+    return weight
+
+
+def from_weight_map(n, weight) -> WeightedDigraph:
+    """The digraph on vertices 1..n with the arrows {(t, h): w} (the
+    inverse of :meth:`WeightedDigraph.weight_map`)."""
+    return WeightedDigraph(n, tuple((t, h, w) for (t, h), w in weight.items()))
+
+
+def random_weight_balanced_digraph(n, rng):
+    """The digraph of :func:`random_balanced_weights`: the instance is drawn
+    on ints, and its weights become Fractions here."""
+    return from_weight_map(n, random_balanced_weights(n, rng))
 
 
 def random_in_regular_digraph(n, d, rng):

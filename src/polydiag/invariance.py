@@ -83,6 +83,14 @@ def _require_square(m) -> int:
     return n
 
 
+def _rational_matrix(m) -> tuple:
+    """m as a square tuple of Fraction rows, every entry through
+    :func:`linalg.frac`: strings such as ``"1/2"`` parse exactly, floats
+    raise TypeError, and a ragged or non-square m raises ValueError."""
+    _require_square(m)
+    return tuple(tuple(frac(x) for x in row) for row in m)
+
+
 def is_invariant(m, p: TaggedPartition) -> bool:
     """Exact decision of M Delta_P <= Delta_P."""
     if _require_square(m) != p.n:
@@ -232,7 +240,7 @@ def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
     n = _require_square(m)
     if n > n_cap:
         raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (n, n_cap))
-    mat = tuple(tuple(frac(x) for x in row) for row in m)
+    mat = _rational_matrix(m)
     hits = _invariant_partitions(_int_matrix(mat))
     return InvariantSet(mat, tuple((p, classify(p)) for p in hits))
 
@@ -491,8 +499,9 @@ class MainLemmaReport:
 def check_main_lemma(m, lam) -> MainLemmaReport:
     """For a simple eigenvalue lam, test every invariant polydiagonal W for
     v_R in W or v_L perpendicular to W, recording which disjunct holds.
-    Raises ValueError for a non-square matrix (in :func:`eigendata`) or a
-    lam that is not simple."""
+    Raises ValueError for a non-square matrix or a lam that is not
+    simple.  Entries go through :func:`linalg.frac`."""
+    m = _rational_matrix(m)
     eig = eigendata(m, lam)
     if len(eig.right_basis) != 1:
         raise ValueError(
@@ -536,8 +545,10 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     """Constant-column-sums dichotomy: every invariant polydiagonal must be a
     synchrony subspace containing v or an evenly tagged anti-synchrony
     subspace not containing v.  Hypothesis violations are reported, not
-    raised; a non-square matrix raises ValueError."""
-    n = _require_square(m)
+    raised; a non-square matrix raises ValueError.  Entries go through
+    :func:`linalg.frac`."""
+    m = _rational_matrix(m)
+    n = len(m)
     sums = [sum(row[j] for row in m) for j in range(n)]
     if len(set(sums)) > 1:
         return ColumnSumsReport(False, "column sums are not constant", None, None, ())
@@ -547,21 +558,21 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
         return ColumnSumsReport(
             False,
             "eigenvalue %s has geometric multiplicity %d" % (lam, len(eig.right_basis)),
-            frac(lam),
+            lam,
             None,
             (),
         )
     v = eig.right_basis[0]
     if any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n)):
         return ColumnSumsReport(
-            False, "eigenvector has v_i + v_j = 0 for some i, j", frac(lam), v, ()
+            False, "eigenvector has v_i + v_j = 0 for some i, j", lam, v, ()
         )
     rows = []
     for p, cls in invariant_polydiagonals(m).subspaces:
         has_v = contains(p, v)
         holds = (cls.synchrony and has_v) or (cls.evenly_tagged and not has_v)
         rows.append(ColumnSumsRow(p, type_label(p, cls), has_v, holds))
-    return ColumnSumsReport(True, None, frac(lam), v, tuple(rows))
+    return ColumnSumsReport(True, None, lam, v, tuple(rows))
 
 
 def report_to_json(report) -> str:

@@ -146,6 +146,42 @@ def _old_column_sums(trials, seed, n_max=5):
     return out
 
 
+def _old_random_unimodular(rng, n):
+    """The Fraction unimodular draw: a product of 12 integer elementary row
+    operations."""
+    m = [[F(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(12):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    return tuple(tuple(row) for row in m)
+
+
+def _old_inverse(m):
+    """Inverse by reducing [m | I]."""
+    n = len(m)
+    aug = tuple(tuple(m[i]) + tuple(F(i == j) for j in range(n)) for i in range(n))
+    red, r = linalg.rref(aug)
+    if r != n:
+        raise ValueError("matrix not invertible")
+    return tuple(row[n:] for row in red)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_unimodular_pair_is_the_fraction_draw_and_its_inverse(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(40):
+        n = new.randint(2, 6)
+        assert n == old.randint(2, 6)
+        s, inv = checks._random_unimodular(new, n)
+        want = _old_random_unimodular(old, n)
+        assert all(type(x) is int for row in s + inv for x in row)
+        assert linalg.matrix(s) == want
+        assert linalg.mat_mul(s, inv) == linalg.identity(n) == linalg.mat_mul(inv, s)
+        assert linalg.matrix(inv) == _old_inverse(want)
+
+
 def _old_main_lemma(trials, seed, n_max=5):
     """The main-lemma instances as the suite drew them, rejecting a
     non-simple eigenvalue itself, each followed by the lemma report."""
@@ -162,8 +198,8 @@ def _old_main_lemma(trials, seed, n_max=5):
         for i in range(1, n - 1):
             block[i + 1][i] = F(1)
         block[1][n - 1] = F(c)
-        s = checks._random_unimodular(rng, n)
-        m = linalg.mat_mul(linalg.mat_mul(s, tuple(map(tuple, block))), checks._inverse(s))
+        s = _old_random_unimodular(rng, n)
+        m = linalg.mat_mul(linalg.mat_mul(s, tuple(map(tuple, block))), _old_inverse(s))
         if len(invariance.eigendata(m, lam).right_basis) == 1:
             out.append((m, lam, invariance.check_main_lemma(m, lam)))
     return out
@@ -204,3 +240,42 @@ def test_main_lemma_keeps_the_scan_cap_error():
     # seed 9 draws a 9-cell matrix first; it must not be taken for a rejected draw
     with pytest.raises(ValueError, match="exceeds cap"):
         checks.suite_main_lemma(trials=1, n_max=9, seed=9)
+
+
+def _old_strong_connectivity_draws(trials, seed, n_max=7):
+    """The strong-connectivity instances as the suite drew them: digraphs
+    from random_weight_balanced_digraph, kept when weakly connected by a
+    search over neighbour lists."""
+    rng = random.Random(seed)
+
+    def weakly_connected(g):
+        both = {i: [] for i in range(1, g.n + 1)}
+        for t, h, _ in g.arrows:
+            both[t].append(h)
+            both[h].append(t)
+        seen, stack = {1}, [1]
+        while stack:
+            for u in both[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == g.n
+
+    def draw():
+        g = graph.random_weight_balanced_digraph(rng.randint(2, n_max), rng)
+        return g if weakly_connected(g) else None
+
+    return checks._sample(draw, trials)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 40, 123])
+def test_strong_connectivity_draws_the_old_instances(monkeypatch, seed):
+    old = _old_strong_connectivity_draws(150, seed)
+    rep = checks.suite_strong_connectivity(trials=150, seed=seed)
+    assert rep.passed and rep.trials == len(old) == 150
+    # with the strong check failing, every instance is a witness
+    monkeypatch.setattr(checks.graph, "strongly_connected", lambda succ, pred: False)
+    rep = checks.suite_strong_connectivity(trials=150, seed=seed)
+    assert not rep.passed and rep.trials == 150
+    assert rep.failures == ["digraph %s weakly but not strongly connected" % graph.to_json(g) for g in old]
+

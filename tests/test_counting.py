@@ -164,3 +164,13 @@ def test_all_kinds_table():
     t = count_table(4, kinds=KINDS)
     assert t.rows["freely_evenly"] == [1, 0, 1, 0, 6]
     assert all(t.cross_checked.values())
+
+
+@pytest.mark.parametrize("max_n", range(11))
+def test_count_table_truncated_at_max_n_matches_order_16(max_n):
+    """Coefficient n of a truncated EGF does not depend on the higher
+    orders, so the table's EGFs can stop at max_n."""
+    t = count_table(max_n, kinds=KINDS)
+    for kind in KINDS:
+        assert t.rows[kind] == [egf_count(kind, n, 16) for n in range(max_n + 1)]
+        assert t.cross_checked[kind]

@@ -158,6 +158,8 @@ def test_boolean_weight_rejected(weight):
 def test_zero_vertices_accepted():
     assert WeightedDigraph(0, ()).n == 0
     assert graph.from_json('{"n": 0, "arrows": []}') == WeightedDigraph(0, ())
+    assert graph.arrow_masks(0, []) == ([], [])
+    assert is_strongly_connected(WeightedDigraph(0, ())) and is_weakly_connected(WeightedDigraph(0, ()))
 
 
 def test_duplicate_and_zero_weight_arrows_rejected():
@@ -284,6 +286,108 @@ def test_perm_compose_is_p_after_q():
 def test_automorphism_limit():
     with pytest.raises(ValueError):
         automorphisms(WeightedDigraph(13, ()))
+
+
+def _stack_reachable(n, pairs, v):
+    """The vertices reachable from v: a depth-first search with an explicit
+    stack over successor lists, independent of the bitmask routine."""
+    succ = {i: [] for i in range(1, n + 1)}
+    for t, h in pairs:
+        succ[t].append(h)
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for x in succ[u]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
+def _bits(mask):
+    return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _random_pairs(rng, n):
+    p = rng.choice([0.1, 0.2, 0.35, 0.6])
+    return [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if rng.random() < p]
+
+
+def test_bitmask_reachability_matches_a_stack_search():
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        pairs = _random_pairs(rng, n)
+        succ, pred = graph.arrow_masks(n, pairs)
+        back = [(h, t) for t, h in pairs]
+        for v in range(1, n + 1):
+            assert _bits(graph.reachable(succ, v)) == _stack_reachable(n, pairs, v)
+            assert _bits(graph.reachable(pred, v)) == _stack_reachable(n, back, v)
+        everyone = set(range(1, n + 1))
+        strong = all(_stack_reachable(n, pairs, v) == everyone for v in everyone)
+        weak = _stack_reachable(n, pairs + back, 1) == everyone
+        g = WeightedDigraph(n, tuple((t, h, F(1)) for t, h in pairs))
+        assert graph.strongly_connected(succ, pred) == is_strongly_connected(g) == strong
+        assert graph.weakly_connected(succ, pred) == is_weakly_connected(g) == weak
+        seen[strong] += 1
+    assert seen[True] and seen[False]
+
+
+def _old_laplacian(g):
+    """L = D - A from whole rows: diagonal (row sum) - A[i][i]."""
+    a = adjacency_matrix(g)
+    return tuple(
+        tuple((sum(row) if i == j else 0) - row[j] for j in range(g.n))
+        for i, row in enumerate(a)
+    )
+
+
+def test_laplacian_matches_the_row_sum_formula():
+    rng = random.Random(17)
+    cases = [WeightedDigraph(0, ()), WeightedDigraph(1, ()), WeightedDigraph(1, ((1, 1, F(-2, 3)),))]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        # loops included; a low density leaves some vertices isolated
+        arrows = tuple(
+            (t, h, F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7])))
+            for t in range(1, n + 1)
+            for h in range(1, n + 1)
+            if rng.random() < rng.choice([0.1, 0.4])
+        )
+        cases.append(WeightedDigraph(n, arrows))
+    for g in cases:
+        lap = laplacian_matrix(g)
+        assert lap == _old_laplacian(g), graph.to_json(g)
+        assert all(type(x) is F for row in lap for x in row)
+        assert len(lap) == g.n and all(len(row) == g.n for row in lap)
+
+
+def _old_random_weight_balanced_digraph(n, rng):
+    """The draw as it was built with Fraction weights."""
+    weight = {}
+    for _ in range(rng.randint(2, n + 1)):
+        length = rng.randint(2, n)
+        cyc = rng.sample(range(1, n + 1), length)
+        w = rng.randint(1, 3)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            weight[(a, b)] = weight.get((a, b), 0) + w
+    return WeightedDigraph(n, tuple((t, h, F(w)) for (t, h), w in sorted(weight.items())))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_weight_balanced_draw_is_the_fraction_draw(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        n = new.randint(2, 7)
+        assert n == old.randint(2, 7)
+        weight = graph.random_balanced_weights(n, new)
+        g = graph.from_weight_map(n, weight)
+        assert g == _old_random_weight_balanced_digraph(n, old)
+        assert all(type(w) is int for w in weight.values())
+        assert g.weight_map() == weight and is_weight_balanced(g)
+    assert graph.random_weight_balanced_digraph(5, new) == _old_random_weight_balanced_digraph(5, old)
 
 
 def test_strong_connectivity_of_balanced_connected_positive():

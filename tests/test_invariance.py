@@ -635,6 +635,32 @@ def test_column_sums_hypothesis_failures_are_reported():
     assert not rep4.hypotheses_met and "v_i + v_j" in rep4.reason
 
 
+def _spelled(m):
+    return [[str(x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("m", [[["1", "1/2"], ["0", "1/2"]], _spelled(COLSUM3), _spelled(DIRICHLET)])
+def test_theorem_reports_read_string_entries(m):
+    """A matrix of strings gives the report of the Fractions it spells."""
+    fr = linalg.matrix(m)
+    assert check_constant_column_sums_theorem(m) == check_constant_column_sums_theorem(fr)
+    for lam in sorted({sum(row[j] for row in fr) for j in range(len(fr))} | {fr[-1][-1]}):
+        try:
+            want = check_main_lemma(fr, lam)
+        except ValueError:
+            continue
+        assert check_main_lemma(m, lam) == want
+        assert check_main_lemma(m, str(lam)) == want
+
+
+def test_theorem_reports_reject_float_entries():
+    m = [[1.0, "1/2"], [0, "1/2"]]
+    with pytest.raises(TypeError):
+        check_constant_column_sums_theorem(m)
+    with pytest.raises(TypeError):
+        check_main_lemma(m, 1)
+
+
 # sha256 of report_to_json on the demo digraphs (as stored, not relabelled):
 # the cases the benchmark's suites workload runs.  Their lambda, v_right,
 # v_left and v come straight from nullspace, so a change in its values or
