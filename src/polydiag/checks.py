@@ -258,13 +258,13 @@ def vdp_example_system(scale=0.5, use_laplacian=False):
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
     lap = np.array([[0.0, 0.0], [-1.0, 1.0]])
     m = scale * (lap if use_laplacian else a)
-    return dynamics.CoupledSystem(2, 2, dynamics.preset_f("vanderpol"), dynamics.VDP_H, m)
+    return dynamics.CoupledSystem(dynamics.preset_f("vanderpol"), dynamics.VDP_H, m)
 
 
 def lorenz_pair_system(h, kappa):
     """Two Lorenz cells with symmetric Laplacian coupling M = kappa*L."""
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return dynamics.CoupledSystem(2, 3, dynamics.preset_f("lorenz"), h, kappa * lap)
+    return dynamics.CoupledSystem(dynamics.preset_f("lorenz"), h, kappa * lap)
 
 
 def suite_dynamics_vdp(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:

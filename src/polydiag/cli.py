@@ -197,6 +197,8 @@ def cmd_simulate(args):
     except TypeError as exc:  # --eps given to a preset without one
         raise InputError("preset %s: %s" % (args.preset, exc))
     g = _load_digraph(args.digraph)
+    if g.n == 0:
+        raise InputError("digraph %r has no vertices; a system needs n >= 1 cells" % args.digraph)
     m = _pick_matrix(g, args.matrix)
     try:
         with np.errstate(over="raise"):
@@ -206,7 +208,7 @@ def cmd_simulate(args):
     coupling = args.coupling or _DEFAULT_COUPLING.get(args.preset, "identity")
     h = np.eye(preset.k) if _COUPLINGS[coupling] is None else getattr(dynamics, _COUPLINGS[coupling])
     try:
-        sys_ = dynamics.CoupledSystem(g.n, preset.k, preset, h, m_float)
+        sys_ = dynamics.CoupledSystem(preset, h, m_float)
     except ValueError as exc:  # a coupling of the wrong size for the preset
         raise InputError("coupling %s: %s" % (coupling, exc))
     if args.x0:

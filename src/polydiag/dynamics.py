@@ -2,8 +2,9 @@
 
 Systems have the form xdot_i = f(x_i) + H sum_j M[i,j] x_j with identical
 internal dynamics f on R^k, a k x k coupling matrix H, and an n x n network
-matrix M.  Everything here is floating point; the exact machinery hands over
-tagged partitions and matrices once, at the boundary.
+matrix M.  A system takes f, H and M; n and k follow from M and f.
+Everything here is floating point; the exact machinery hands over tagged
+partitions and matrices once, at the boundary.
 
 Integration is classical fixed-step RK4.  When the vector field maps an
 invariant linear subspace into itself, RK4 stays on the subspace up to
@@ -14,14 +15,15 @@ cells, 4-6 floats of state), so the RK4 loop runs on plain Python floats,
 not numpy arrays: a numpy call on a handful of floats costs about 1 us of
 overhead whatever it computes (the array step took 88-107 us for either
 pair).  A preset is source text: the names of a cell's k coordinates and one
-arithmetic expression per coordinate, with every parameter written as a
-parenthesised ``repr(float)``.  The same text gives ``Preset.func`` (on
-floats, and on arrays of cell states for the equivariance check) and is
-inlined into one generated function per :class:`CoupledSystem` that runs the
-whole RK4 loop with the n*k coordinates in locals and each nonzero
-``kron(M, H)`` weight as a literal.  It makes the same IEEE operations in the
-same order as :meth:`CoupledSystem.rhs` called four times per step.  A step
-takes 3.3-3.6 us for the van der Pol pair and 5.2-6.1 us for the Lorenz pair
+rational expression per coordinate, with every parameter written as a
+parenthesised ``repr(float)``.  The same text gives ``Preset.func``, which
+maps the k floats of one cell to f's k values (the equivariance check
+samples f through it, row by row), and is inlined into one generated
+function per :class:`CoupledSystem` that runs the whole RK4 loop with the
+n*k coordinates in locals and each nonzero ``kron(M, H)`` weight as a
+literal.  It makes the same IEEE operations in the same order as
+:meth:`CoupledSystem.rhs` called four times per step.  A step takes
+3.3-3.6 us for the van der Pol pair and 5.2-6.1 us for the Lorenz pair
 (12-17 us and 15-21 us with list comprehensions around ``rhs``), and
 building a system with its function 1.3-1.6 ms, on a shared 2-vCPU Xeon VM
 with Python 3.11.  Arrays stay at the edges: each state is written into a
@@ -54,12 +56,18 @@ class BlowupError(RuntimeError):
 
 def _arithmetic(node, args) -> bool:
     """Whether an ast node may appear in a preset expression: a coordinate
-    name, an int or float literal, or an arithmetic operation."""
+    name, an int or float literal, ``+ - * /``, a unary sign, or ``**`` to a
+    non-negative int literal, so that f is a rational function of the
+    coordinates."""
     if isinstance(node, ast.Name):
         return node.id in args
     if isinstance(node, ast.Constant):
         return type(node.value) in (int, float)
-    return isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        e = node.right
+        return isinstance(e, ast.Constant) and type(e.value) is int and e.value >= 0
+    return isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub, ast.Mult,
+                             ast.Div, ast.Pow, ast.USub, ast.UAdd))
 
 
 @dataclass(frozen=True)
@@ -68,21 +76,18 @@ class Preset:
     coordinates of one cell and ``exprs`` gives f's components as
     arithmetic expressions in them, for example ``("u", "v")`` and
     ``("v", "-(2.0) * (1.0 - u * u) * v - u")``.  ``func`` is compiled from
-    that text, so the same definition evaluates on floats, on arrays of
-    coordinates (``__call__``) and inside the generated RK4 loop."""
+    that text, so the same definition evaluates on floats and inside the
+    generated RK4 loop."""
 
     name: str
     args: tuple
     exprs: tuple
-    odd: bool
-    fixes_origin: bool
-    domain_excludes_zero: bool = False
     func: callable = field(init=False, repr=False, compare=False)  # per cell: func(c_1, ..., c_k) -> k values
     templates: tuple = field(init=False, repr=False, compare=False)  # exprs with args as {0}, {1}, ...
 
     def __post_init__(self):
-        if len(self.exprs) != len(self.args) or not all(a.isidentifier() for a in self.args):
-            raise ValueError("a preset needs one expression per coordinate name")
+        if not self.args or len(self.exprs) != len(self.args) or not all(a.isidentifier() for a in self.args):
+            raise ValueError("a preset needs k >= 1 coordinate names and one expression per name")
         templates = []
         for expr in self.exprs:
             tree = ast.parse(expr, mode="eval")
@@ -100,14 +105,6 @@ class Preset:
     def k(self):
         return len(self.args)
 
-    def __call__(self, x):
-        """f applied to every cell state of an array (..., k)."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for a, value in enumerate(self.func(*np.moveaxis(x, -1, 0))):
-            out[..., a] = value
-        return out
-
 
 def preset_f(name: str, **params) -> Preset:
     """Named internal dynamics.
@@ -116,8 +113,8 @@ def preset_f(name: str, **params) -> Preset:
     lorenz(sigma=10, rho=28, beta=8/3): k=3, standard chaotic parameters.
     singular_osc: k=2, f(u,v) = (v, -v - u + 1/u), odd with 0 outside dom f.
     zero(k=1): f = 0.  cubic_odd(k=1): componentwise x - x*x*x (products
-    rather than a power, because numpy's vectorized pow and the C library's
-    pow can round differently in the last bit).
+    rather than a power, because pinned trajectory CSV bytes were computed
+    with the products).
 
     Parameters must be finite (ValueError otherwise); they enter the
     preset's text as parenthesised ``repr(float)`` literals.
@@ -125,23 +122,22 @@ def preset_f(name: str, **params) -> Preset:
     if name == "vanderpol":
         eps = _literal(params, "eps", 2.0)
         _reject_extra(params)
-        return Preset("vanderpol", ("u", "v"), ("v", "-%s * (1.0 - u * u) * v - u" % eps), odd=True, fixes_origin=True)
+        return Preset("vanderpol", ("u", "v"), ("v", "-%s * (1.0 - u * u) * v - u" % eps))
     if name == "lorenz":
         sigma = _literal(params, "sigma", 10.0)
         rho = _literal(params, "rho", 28.0)
         beta = _literal(params, "beta", 8.0 / 3.0)
         _reject_extra(params)
         exprs = ("%s * (v - u)" % sigma, "u * (%s - w) - v" % rho, "u * v - %s * w" % beta)
-        return Preset("lorenz", ("u", "v", "w"), exprs, odd=False, fixes_origin=True)
+        return Preset("lorenz", ("u", "v", "w"), exprs)
     if name == "singular_osc":
         _reject_extra(params)
-        return Preset("singular_osc", ("u", "v"), ("v", "-v - u + 1.0 / u"), odd=True, fixes_origin=False,
-                      domain_excludes_zero=True)
+        return Preset("singular_osc", ("u", "v"), ("v", "-v - u + 1.0 / u"))
     if name in ("zero", "cubic_odd"):
         args = tuple("c%d" % (a + 1) for a in range(int(params.pop("k", 1))))
         _reject_extra(params)
         exprs = ["0.0" if name == "zero" else "%s - %s * %s * %s" % (c, c, c, c) for c in args]
-        return Preset(name, args, tuple(exprs), odd=True, fixes_origin=True)
+        return Preset(name, args, tuple(exprs))
     raise KeyError("unknown preset %r" % name)
 
 
@@ -168,10 +164,9 @@ LORENZ_H_MINUS = np.diag([0.0, 1.0, 0.0])  # couples the v equation
 
 @dataclass
 class CoupledSystem:
-    """States are flat: coordinate a of cell i (0-based) sits at i*k + a."""
+    """n = len(M) cells of k = f.k coordinates each.  States are flat:
+    coordinate a of cell i (0-based) sits at i*k + a."""
 
-    n: int
-    k: int
     f: Preset
     H: np.ndarray
     M: np.ndarray
@@ -179,15 +174,21 @@ class CoupledSystem:
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
         self.M = np.asarray(self.M, dtype=float)
-        if self.n < 1 or self.k < 1:
-            raise ValueError("a system needs n >= 1 cells of k >= 1 coordinates")
-        if self.f.k != self.k or self.H.shape != (self.k, self.k):
+        if self.H.shape != (self.k, self.k):
             raise ValueError("coupling dimensions inconsistent with k=%d" % self.k)
-        if self.M.shape != (self.n, self.n):
-            raise ValueError("network matrix must be %dx%d" % (self.n, self.n))
+        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1] or len(self.M) < 1:
+            raise ValueError("a system needs a square network matrix of n >= 1 cells")
         self._cells = tuple(range(0, self.n * self.k, self.k))
         self._coupling = _coupling_terms(self.M, self.H)
         self._rk4 = _compile_rk4(self)
+
+    @property
+    def n(self):
+        return len(self.M)
+
+    @property
+    def k(self):
+        return self.f.k
 
     def rhs(self, x):
         """The vector field at a flat list of n*k floats, as a flat list: f on
@@ -463,33 +464,48 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
 
 @dataclass
 class EquivarianceReport:
-    hypotheses_met: bool
-    reason: str | None
+    reason: str | None  # the failed hypothesis, None when both hold
     max_residual: float
     tol: float
+
+    @property
+    def hypotheses_met(self):
+        return self.reason is None
 
     @property
     def passed(self):
         return self.hypotheses_met and self.max_residual <= self.tol
 
 
+def _cell(sys, i):
+    """A 1-based cell index of sys, checked."""
+    if not 1 <= i <= sys.n:
+        raise ValueError("cell %r is not in 1..%d" % (i, sys.n))
+    return i
+
+
 def equivariance_check(sys, N, ell, seed=0):
     """Check F(gamma_ell(x)) = gamma_ell(F(x)) for the single-cell map
-    gamma_ell applying N in slot ell, at 50 random points, assuming
+    gamma_ell applying N in slot ell (1..n), at 50 random points, assuming
     f(Nx) = Nf(x) and HN = NH = H.  Hypothesis failures are reported and
     the residual check is skipped."""
+    ell = _cell(sys, ell)
     N = np.asarray(N, dtype=float)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-2, 2, size=(50, sys.k))
-    f_res = float(np.max(np.abs(sys.f(pts @ N.T) - sys.f(pts) @ N.T)))
+
+    def f_rows(x):  # f at each row of an (m, k) array
+        return np.array([sys.f.func(*row) for row in x.tolist()], dtype=float)
+
+    f_res = float(np.max(np.abs(f_rows(pts @ N.T) - f_rows(pts) @ N.T)))
     if f_res > 1e-10:
-        return EquivarianceReport(False, "f is not N-equivariant (residual %.3g)" % f_res, np.inf, 0.0)
+        return EquivarianceReport("f is not N-equivariant (residual %.3g)" % f_res, np.inf, 0.0)
     hn, nh = sys.H @ N, N @ sys.H
     if np.max(np.abs(hn - sys.H)) > 1e-12 or np.max(np.abs(nh - sys.H)) > 1e-12:
         reason = "HN = NH = H fails"
         if np.max(np.abs(hn + sys.H)) <= 1e-12 and np.max(np.abs(nh + sys.H)) <= 1e-12:
             reason += " (found HN = NH = -H instead)"
-        return EquivarianceReport(False, reason, np.inf, 0.0)
+        return EquivarianceReport(reason, np.inf, 0.0)
 
     def field(y):  # the vector field at an (n, k) array
         return np.reshape(sys.rhs(y.ravel().tolist()), y.shape)
@@ -505,14 +521,15 @@ def equivariance_check(sys, N, ell, seed=0):
         gfx[ell - 1] = N @ gfx[ell - 1]
         worst = max(worst, float(np.max(np.abs(field(gx) - gfx))))
         tol = max(tol, 1e-10 * (1.0 + float(np.linalg.norm(fx))))
-    return EquivarianceReport(True, None, worst, tol)
+    return EquivarianceReport(None, worst, tol)
 
 
 def antisynchrony_convergence(sys, pair, sign, dt=1e-3, T=400.0, seed=0, tail=0.1, x0=None):
     """Max of |u_i + sign * u_j| over the trailing fraction of a trajectory,
     where u is the first coordinate of each cell.  Measures which of the
-    synchrony (sign=-1) / anti-synchrony (sign=+1) subspaces attracts."""
-    i, j = pair
+    synchrony (sign=-1) / anti-synchrony (sign=+1) subspaces attracts.
+    The cells of pair are 1-based."""
+    i, j = (_cell(sys, c) for c in pair)
     if x0 is None:
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-1, 1, size=(sys.n, sys.k))

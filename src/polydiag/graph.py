@@ -332,12 +332,6 @@ def from_json(s: str) -> WeightedDigraph:
     return from_json_dict(json.loads(s))
 
 
-def to_edgelist(g: WeightedDigraph) -> str:
-    lines = ["n=%d" % g.n]
-    lines += ["%d %d %s" % (t, h, w) for t, h, w in g.arrows]
-    return "\n".join(lines) + "\n"
-
-
 def from_edgelist(text: str) -> WeightedDigraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):

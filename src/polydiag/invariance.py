@@ -283,10 +283,6 @@ class SubspaceLattice:
     nodes: tuple  # of (TaggedPartition, SubspaceClass)
     covers: tuple  # (upper, lower) index pairs: Delta_upper strictly inside Delta_lower
 
-    def leq(self, i, j) -> bool:
-        """Reverse-inclusion order: i <= j iff Delta_i contains Delta_j."""
-        return _relations(self.nodes[i][0]) & ~_relations(self.nodes[j][0]) == 0
-
 
 def build_lattice(inv: InvariantSet) -> SubspaceLattice:
     """Cover relations (transitive reduction) of the invariant subspaces
@@ -527,11 +523,14 @@ class ColumnSumsRow:
 
 @dataclass(frozen=True)
 class ColumnSumsReport:
-    hypotheses_met: bool
-    reason: str | None
+    reason: str | None  # the failed hypothesis, None when all hold
     lam: Fraction | None
     v: tuple | None
     rows: tuple
+
+    @property
+    def hypotheses_met(self):
+        return self.reason is None
 
     @property
     def passed(self):
@@ -551,28 +550,22 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     n = len(m)
     sums = [sum(row[j] for row in m) for j in range(n)]
     if len(set(sums)) > 1:
-        return ColumnSumsReport(False, "column sums are not constant", None, None, ())
+        return ColumnSumsReport("column sums are not constant", None, None, ())
     lam = sums[0] if sums else Fraction(0)
     eig = eigendata(m, lam)
     if len(eig.right_basis) != 1:
         return ColumnSumsReport(
-            False,
-            "eigenvalue %s has geometric multiplicity %d" % (lam, len(eig.right_basis)),
-            lam,
-            None,
-            (),
+            "eigenvalue %s has geometric multiplicity %d" % (lam, len(eig.right_basis)), lam, None, ()
         )
     v = eig.right_basis[0]
     if any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n)):
-        return ColumnSumsReport(
-            False, "eigenvector has v_i + v_j = 0 for some i, j", lam, v, ()
-        )
+        return ColumnSumsReport("eigenvector has v_i + v_j = 0 for some i, j", lam, v, ())
     rows = []
     for p, cls in invariant_polydiagonals(m).subspaces:
         has_v = contains(p, v)
         holds = (cls.synchrony and has_v) or (cls.evenly_tagged and not has_v)
         rows.append(ColumnSumsRow(p, type_label(p, cls), has_v, holds))
-    return ColumnSumsReport(True, None, lam, v, tuple(rows))
+    return ColumnSumsReport(None, lam, v, tuple(rows))
 
 
 def report_to_json(report) -> str:

@@ -8,11 +8,11 @@ and booleans are rejected: callers with decimal input must pass strings
 like ``"0.25"`` so the conversion is exact decimal parsing rather than a
 binary approximation.
 
-Row reduction and matrix products do not compute in Fraction.  Each row
-is cleared of denominators once (:func:`clear_denominators`) and the work
-is done on Python ints: Gauss-Jordan elimination is fraction-free, in the
-manner of Bareiss (Math. Comp. 22, 1968), with each new row divided by the
-gcd of its entries so the entries stay small.  Fractions are built only
+Row reduction does not compute in Fraction.  Each row is cleared of
+denominators once (:func:`clear_denominators`) and the work is done on
+Python ints: Gauss-Jordan elimination is fraction-free, in the manner of
+Bareiss (Math. Comp. 22, 1968), with each new row divided by the gcd of
+its entries so the entries stay small.  Fractions are built only
 for the results, and since the reduced row-echelon form is unique they
 are the values and the order that Fraction elimination gives.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
 
 def frac(x) -> Fraction:
@@ -80,19 +79,6 @@ def mat_vec(m, v) -> tuple:
     if m and len(m[0]) != len(v):
         raise ValueError("dimension mismatch")
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_mul(a, b) -> tuple:
-    """Entry (i, j) is the int dot product of row i of a and column j of b,
-    both cleared, over the product of their denominators."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    rows, da = clear_denominators(a)
-    cols, db = clear_denominators(transpose(b))
-    return tuple(
-        tuple(Fraction(sum(map(mul, row, col)), d * e) for col, e in zip(cols, db))
-        for row, d in zip(rows, da)
-    )
 
 
 def shifted(m, lam) -> tuple:

@@ -200,6 +200,7 @@ BAD_ARGV = {
     "simulate-eps-inf": ["simulate", *PAIR, "--eps", "inf"],
     "simulate-eps-for-lorenz": ["simulate", "--preset", "lorenz", "--digraph", "{pair}", "--eps", "2"],
     "simulate-coupling-size": ["simulate", "--preset", "lorenz", "--digraph", "{pair}", "--coupling", "vdp"],
+    "simulate-empty-digraph": ["simulate", "--preset", "vanderpol", "--digraph", "{empty}"],
     "simulate-no-step": ["simulate", *PAIR, "--dt", "0.5", "--T", "0.2"],
     "simulate-steps-beyond-memory": ["simulate", *PAIR, "--dt", "1e-15"],
     "dynamics-vdp-no-step": ["check", "dynamics-vdp", "--dt", "0.5", "--T", "0.2"],
@@ -250,6 +251,7 @@ def input_paths(d):
         ("boolean_endpoint", '{"n": 2, "arrows": [[true, 2, "1"]]}'),
         ("string_endpoint", '{"n": 2, "arrows": [["1", 2, "1"], [1, 2, "1"]]}'),
         ("boolean_weight", '{"n": 2, "arrows": [[1, 2, true]]}'),
+        ("empty", '{"n": 0, "arrows": []}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
     return paths
@@ -268,6 +270,13 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
 def test_string_endpoint_reports_the_constructor_error(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", input_paths(tmp_path)["string_endpoint"])
     assert code == 2 and out == "" and "endpoints must be integers in 1..2" in err
+
+
+def test_simulate_names_the_empty_digraph(capsys, tmp_path):
+    path = input_paths(tmp_path)["empty"]
+    code, out, err = run(capsys, "simulate", "--preset", "vanderpol", "--digraph", path)
+    assert code == 2 and out == ""
+    assert err == "error: digraph %r has no vertices; a system needs n >= 1 cells\n" % path
 
 
 def test_orbits_refuses_above_automorphism_limit_before_the_scan(capsys, tmp_path):

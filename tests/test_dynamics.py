@@ -27,27 +27,31 @@ from polydiag.dynamics import (
 from polydiag.partitions import parse_typical_element
 
 
+def _on_rows(f, x):
+    """f at each row of an (m, k) array, through Preset.func on floats."""
+    return np.array([f.func(*row) for row in x.tolist()], dtype=float)
+
+
 def test_vanderpol_preset_values():
     f = preset_f("vanderpol", eps=2)
-    out = f(np.array([[1.0, 0.0]]))
-    assert np.allclose(out, [[0.0, -1.0]])
+    assert f.func(1.0, 0.0) == [0.0, -1.0]
 
 
 def test_lorenz_preset_fixes_origin():
     f = preset_f("lorenz")
-    assert np.allclose(f(np.zeros((1, 3))), 0.0)
+    assert f.func(0.0, 0.0, 0.0) == [0.0, 0.0, 0.0]
 
 
 def test_presets_odd_where_declared():
+    # the presets that preset_f's docstring calls odd
     rng = np.random.default_rng(0)
     for name, kwargs in (("vanderpol", {"eps": 2}), ("cubic_odd", {"k": 3}), ("zero", {"k": 2})):
         f = preset_f(name, **kwargs)
         x = rng.uniform(-2, 2, size=(100, f.k))
-        assert f.odd
-        assert np.allclose(f(-x), -f(x))
+        assert np.allclose(_on_rows(f, -x), -_on_rows(f, x))
     g = preset_f("singular_osc")
     x = rng.uniform(0.2, 2, size=(100, 2))  # keep u away from 0
-    assert np.allclose(g(-x), -g(x))
+    assert np.allclose(_on_rows(g, -x), -_on_rows(g, x))
 
 
 def test_unknown_preset_and_params():
@@ -64,7 +68,7 @@ def vdp_system(scale=0.5, laplacian=False):
 def test_integrate_linear_flow_stays_in_subspace():
     # zero internal dynamics, H = I: pure linear network flow
     m = np.array([[0.0, 0.0], [1.0, 1.0]])
-    sys = CoupledSystem(2, 2, preset_f("zero", k=2), np.eye(2), m)
+    sys = CoupledSystem(preset_f("zero", k=2), np.eye(2), m)
     s = TwistedSubspace(parse_typical_element("(a,-a)"), 2)
     x0 = sample_in_subspace(s, np.random.default_rng(1))
     traj = integrate(sys, x0, 1e-2, 5.0)
@@ -72,7 +76,7 @@ def test_integrate_linear_flow_stays_in_subspace():
 
 
 def test_integrate_single_lorenz_bounded():
-    sys = CoupledSystem(1, 3, preset_f("lorenz"), np.zeros((3, 3)), np.zeros((1, 1)))
+    sys = CoupledSystem(preset_f("lorenz"), np.zeros((3, 3)), np.zeros((1, 1)))
     traj = integrate(sys, np.array([1.0, 1.0, 1.0]), 1e-3, 50.0)
     assert np.all(np.isfinite(traj.states))
     assert np.max(np.abs(traj.states)) < 100.0
@@ -84,12 +88,10 @@ def test_integrate_coupled_vdp_bounded():
 
 
 def test_integrate_blowup_detected():
-    grow = preset_f("cubic_odd", k=1)
-    bad = dynamics.Preset("explode", ("x",), ("x ** 3",), odd=True, fixes_origin=True)
-    sys = CoupledSystem(1, 1, bad, np.zeros((1, 1)), np.zeros((1, 1)))
+    bad = dynamics.Preset("explode", ("x",), ("x ** 3",))
+    sys = CoupledSystem(bad, np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(BlowupError):
         integrate(sys, np.array([2.0]), 1e-2, 50.0)
-    assert grow.odd
 
 
 def test_integrate_rejects_bad_steps():
@@ -148,7 +150,7 @@ def test_invariance_short_runs():
     assert rep2.passed
     # minimally tagged subspace with a non-odd f that fixes the origin
     m = 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]])
-    sys_min = CoupledSystem(2, 3, preset_f("lorenz"), dynamics.LORENZ_H_MINUS, m)
+    sys_min = CoupledSystem(preset_f("lorenz"), dynamics.LORENZ_H_MINUS, m)
     rep3 = invariance_test(
         sys_min, TwistedSubspace(parse_typical_element("(0,a)"), 3), trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3
     )
@@ -192,7 +194,7 @@ def test_equivariance_lorenz():
 
 
 def test_equivariance_trivial():
-    sys = CoupledSystem(2, 2, preset_f("zero", k=2), np.zeros((2, 2)), np.zeros((2, 2)))
+    sys = CoupledSystem(preset_f("zero", k=2), np.zeros((2, 2)), np.zeros((2, 2)))
     rep = equivariance_check(sys, -np.eye(2), 1)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -200,7 +202,7 @@ def test_equivariance_trivial():
 def test_singular_oscillator_freely_tagged_invariant_set():
     # f odd with 0 outside its domain: motion started in the freely tagged
     # A-invariant set D_P for (a,-a) stays there and u never crosses 0
-    sys = CoupledSystem(2, 2, preset_f("singular_osc"), dynamics.VDP_H, 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]]))
+    sys = CoupledSystem(preset_f("singular_osc"), dynamics.VDP_H, 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]]))
     s = TwistedSubspace(parse_typical_element("(a,-a)"), 2)
     x0 = np.array([[1.2, 0.3], [-1.2, -0.3]])
     traj = integrate(sys, x0, 1e-3, 20.0)
@@ -275,7 +277,7 @@ def _z7_system():
 
     g = graph.load_digraph(os.path.join(DEMO_DATA, "z7_cayley_unequal.json"))
     lap = np.array([[float(v) for v in row] for row in graph.laplacian_matrix(g)])
-    return CoupledSystem(7, 2, preset_f("vanderpol", eps=2), np.eye(2), -0.25 * lap)
+    return CoupledSystem(preset_f("vanderpol", eps=2), np.eye(2), -0.25 * lap)
 
 
 @pytest.mark.parametrize(
@@ -328,17 +330,30 @@ PRESETS = [
 ]
 
 
+def _on_arrays(f, x):
+    """f applied to a whole (..., k) array at once, by Preset.func on the k
+    coordinate arrays."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for a, value in enumerate(f.func(*np.moveaxis(x, -1, 0))):
+        out[..., a] = value
+    return out
+
+
 @pytest.mark.parametrize("name, params", PRESETS, ids=["%s%s" % (n, p) for n, p in PRESETS])
 def test_preset_on_arrays_equals_per_cell_floats(name, params):
+    # numpy's elementwise arithmetic gives the bits of float arithmetic, so
+    # equivariance_check's row-by-row sampling of f equals the whole-array
+    # evaluation
     f = preset_f(name, **params)
     x = np.random.default_rng(5).uniform(-3, 3, size=(200, f.k))
-    if f.domain_excludes_zero:
+    if name == "singular_osc":  # keep u away from 0, outside its domain
         x[:, 0] = np.copysign(np.abs(x[:, 0]) + 0.1, x[:, 0])
-    per_cell = np.array([[float(v) for v in f.func(*row)] for row in x.tolist()])
-    assert f(x).tobytes() == per_cell.tobytes()
-    assert f(x[7]).tobytes() == per_cell[7].tobytes()
+    per_cell = _on_rows(f, x)
+    assert _on_arrays(f, x).tobytes() == per_cell.tobytes()
+    assert _on_arrays(f, x[7]).tobytes() == per_cell[7].tobytes()
     if name == "zero":
-        assert not np.signbit(f(x)).any()
+        assert not np.signbit(per_cell).any()
 
 
 def _blowup_time(sys, x0, dt):
@@ -348,9 +363,9 @@ def _blowup_time(sys, x0, dt):
 
 
 def test_float_faults_are_blowups_at_that_step():
-    sing = CoupledSystem(2, 2, preset_f("singular_osc"), dynamics.VDP_H, 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]]))
+    sing = CoupledSystem(preset_f("singular_osc"), dynamics.VDP_H, 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert _blowup_time(sing, [0.0, 0.5, 0.0, 0.5], 1e-2) == 0.01  # 1/u at u = 0
-    cubic = CoupledSystem(1, 1, preset_f("cubic_odd"), np.zeros((1, 1)), np.zeros((1, 1)))
+    cubic = CoupledSystem(preset_f("cubic_odd"), np.zeros((1, 1)), np.zeros((1, 1)))
     assert _blowup_time(cubic, [1e60], 1e-2) == 0.01
     assert _blowup_time(cubic, [-3e3], 1e-2) == 0.01
 
@@ -406,12 +421,12 @@ def _three_cell_system(f):
     coordinates have a coupling sum of several terms."""
     m = np.array([[0.5, -1.25, 0.0], [0.75, 0.0, 0.3], [0.0, -0.6, 0.1]])
     h = np.array([[0.5 * (a == b) + 0.125 * (b - a) for b in range(f.k)] for a in range(f.k)])
-    return CoupledSystem(3, f.k, f, h, m)
+    return CoupledSystem(f, h, m)
 
 
 def _start(f, n, seed):
     x = np.random.default_rng(seed).uniform(-1, 1, size=(n, f.k))
-    if f.domain_excludes_zero:
+    if f.name == "singular_osc":
         x[:, 0] = np.copysign(np.abs(x[:, 0]) + 0.5, x[:, 0])
     return x.ravel().tolist()
 
@@ -433,7 +448,7 @@ FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, a
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(eps=FINITE, weights=st.lists(FINITE, min_size=4, max_size=4))
 def test_integrate_matches_rk4_over_rhs_for_any_finite_numbers(eps, weights):
-    sys = CoupledSystem(2, 2, preset_f("vanderpol", eps=eps), dynamics.VDP_H, np.reshape(weights, (2, 2)))
+    sys = CoupledSystem(preset_f("vanderpol", eps=eps), dynamics.VDP_H, np.reshape(weights, (2, 2)))
     _assert_integrate_matches_rhs_oracle(sys, [0.3, -0.1, 0.4, 0.2], 0.01, 40)
 
 
@@ -456,7 +471,7 @@ RK4_NAMES = {"h", "hh", "h6", "s", "steps", "out", "range", "hypot", "BLOWUP_NOR
 @pytest.mark.parametrize(
     "make",
     [lambda name=name, params=params: _three_cell_system(preset_f(name, **params)) for name, params in ORACLE_PRESETS]
-    + [lambda: CoupledSystem(2, 2, preset_f("vanderpol", eps=5e-324), dynamics.VDP_H,
+    + [lambda: CoupledSystem(preset_f("vanderpol", eps=5e-324), dynamics.VDP_H,
                              np.array([[-0.0, 1e300], [-5e-324, 2.2250738585072014e-308]]))],
     ids=["%s%s" % (n, p) for n, p in ORACLE_PRESETS] + ["special-floats"],
 )
@@ -513,7 +528,7 @@ def _kron_terms(M, H):
 def test_system_refuses_non_finite_coupling(h, m):
     assert _kron_terms(np.array(m), np.array(h)) is None
     with pytest.raises(ValueError, match="finite"):
-        CoupledSystem(2, 2, preset_f("vanderpol"), np.array(h), np.array(m))
+        CoupledSystem(preset_f("vanderpol"), np.array(h), np.array(m))
 
 
 def _assert_coupling_is_the_dense_krons(m, h):
@@ -521,9 +536,9 @@ def _assert_coupling_is_the_dense_krons(m, h):
     expected = _kron_terms(m, h)
     if expected is None:
         with pytest.raises(ValueError, match="finite"):
-            CoupledSystem(len(m), len(h), preset_f("zero", k=len(h)), h, m)
+            CoupledSystem(preset_f("zero", k=len(h)), h, m)
         return
-    got = CoupledSystem(len(m), len(h), preset_f("zero", k=len(h)), h, m)._coupling
+    got = CoupledSystem(preset_f("zero", k=len(h)), h, m)._coupling
     assert [(p, [(q, w.hex()) for q, w in terms]) for p, terms in got] == [
         (p, [(q, w.hex()) for q, w in terms]) for p, terms in expected
     ]
@@ -574,7 +589,7 @@ def test_coupling_terms_of_a_dense_row_need_no_dense_kron(monkeypatch):
     monkeypatch.setattr(dynamics, "_compile_rk4", lambda sys: None)
     tracemalloc.start()
     try:
-        sys = CoupledSystem(n, 1, preset_f("zero"), np.eye(1), m)
+        sys = CoupledSystem(preset_f("zero"), np.eye(1), m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -584,9 +599,11 @@ def test_coupling_terms_of_a_dense_row_need_no_dense_kron(monkeypatch):
 
 def test_system_refuses_no_cells_or_no_coordinates():
     with pytest.raises(ValueError, match="n >= 1"):
-        CoupledSystem(0, 2, preset_f("zero", k=2), np.zeros((2, 2)), np.zeros((0, 0)))
+        CoupledSystem(preset_f("zero", k=2), np.zeros((2, 2)), np.zeros((0, 0)))
     with pytest.raises(ValueError, match="k >= 1"):
-        CoupledSystem(1, 0, preset_f("zero", k=0), np.zeros((0, 0)), np.zeros((1, 1)))
+        CoupledSystem(preset_f("zero", k=0), np.zeros((0, 0)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="k >= 1"):
+        dynamics.Preset("none", (), ())
 
 
 @pytest.mark.parametrize(
@@ -596,4 +613,85 @@ def test_system_refuses_no_cells_or_no_coordinates():
 )
 def test_preset_text_must_be_arithmetic_in_its_coordinates(args, exprs):
     with pytest.raises(ValueError):
-        dynamics.Preset("bad", args, exprs, odd=False, fixes_origin=False)
+        dynamics.Preset("bad", args, exprs)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["u ^ u", "u @ u", "u << 1", "u >> 1", "u | u", "u & u", "u % 2.0", "u // 1.0", "~u", "not u",
+     "u ** 0.5", "u ** 2.0", "u ** -1", "u ** u", "2 ** u", "u ** (1 + 1)"],
+)
+def test_preset_grammar_is_rational_arithmetic(expr):
+    with pytest.raises(ValueError, match="not arithmetic"):
+        dynamics.Preset("bad", ("u",), (expr,))
+
+
+def test_preset_grammar_allows_signs_quotients_and_int_powers():
+    f = dynamics.Preset("ok", ("u", "v"), ("+u - -v / 2 * u ** 3", "u ** 0 + v ** (2)"))
+    assert f.func(2.0, 4.0) == [18.0, 17.0]
+
+
+def test_system_takes_n_and_k_from_m_and_f():
+    sys = checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
+    assert (sys.n, sys.k) == (2, 3)
+    assert len(sys.rhs([0.5] * 6)) == 6
+    for m in (np.zeros((2, 3)), np.zeros(2), np.zeros(())):
+        with pytest.raises(ValueError, match="square"):
+            CoupledSystem(preset_f("lorenz"), dynamics.LORENZ_H_PLUS, m)
+    with pytest.raises(ValueError, match="k=3"):
+        CoupledSystem(preset_f("lorenz"), dynamics.VDP_H, np.zeros((2, 2)))
+
+
+def test_cell_indices_are_checked():
+    sys = vdp_system()
+    for ell in (0, -1, 3):
+        with pytest.raises(ValueError, match="1..2"):
+            equivariance_check(sys, -np.eye(2), ell)
+    for pair in ((0, 2), (1, 3), (-1, 1)):
+        with pytest.raises(ValueError, match="1..2"):
+            antisynchrony_convergence(sys, pair, +1, dt=1e-2, T=0.1)
+    assert equivariance_check(sys, np.eye(2), 2).passed
+
+
+N_LORENZ = np.diag([-1.0, -1.0, 1.0])
+N_ROTATION = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+EQUIVARIANCE_SYSTEMS = {
+    "vdp-minus-I": (vdp_system, -np.eye(2), 1),
+    "vdp-I-cell2": (vdp_system, np.eye(2), 2),
+    "vdp-flip-v": (vdp_system, np.diag([1.0, -1.0]), 2),
+    "lorenz-H+-cell1": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), N_LORENZ, 1),
+    "lorenz-H+-cell2": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), N_LORENZ, 2),
+    "lorenz-H+-minus-I": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), -np.eye(3), 1),
+    "lorenz-H--cell1": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0), N_LORENZ, 1),
+    # a linear f commuting with a rotation N that is not exact in floats
+    "rotation": (lambda: CoupledSystem(dynamics.Preset("rot", ("u", "v"), ("-v", "u")), np.zeros((2, 2)),
+                                       np.array([[0.0, 0.5], [0.5, 0.0]])), N_ROTATION, 1),
+}
+HN_FAILS = "HN = NH = H fails (found HN = NH = -H instead)"
+# (reason, repr(max_residual), repr(tol)) at seeds 0, 1, 2, as the array
+# route of equivariance_check gave them
+EQUIVARIANCE_PINS = {
+    "vdp-minus-I": [(HN_FAILS, "inf", "0.0")] * 3,
+    "vdp-I-cell2": [(None, "0.0", "1.1261608584204218e-09"), (None, "0.0", "1.122099786246675e-09"),
+                    (None, "0.0", "1.4468745708893822e-09")],
+    "vdp-flip-v": [("f is not N-equivariant (residual %s)" % r, "inf", "0.0") for r in ("3.98", "3.95", "3.95")],
+    "lorenz-H+-cell1": [(None, "0.0", "8.04564831860361e-09"), (None, "0.0", "7.76462063259546e-09"),
+                        (None, "0.0", "8.126281045579468e-09")],
+    "lorenz-H+-cell2": [(None, "0.0", "8.04564831860361e-09"), (None, "0.0", "7.76462063259546e-09"),
+                        (None, "0.0", "8.126281045579468e-09")],
+    "lorenz-H+-minus-I": [("f is not N-equivariant (residual %s)" % r, "inf", "0.0") for r in ("7.3", "6.38", "7.64")],
+    "lorenz-H--cell1": [(HN_FAILS, "inf", "0.0")] * 3,
+    "rotation": [(None, "4.440892098500626e-16", "4.2931216402450597e-10"),
+                 (None, "4.440892098500626e-16", "4.295069287961372e-10"),
+                 (None, "4.440892098500626e-16", "4.4582538786718385e-10")],
+}
+
+
+@pytest.mark.parametrize("name", EQUIVARIANCE_PINS)
+def test_equivariance_report_fields_pinned(name):
+    make, N, ell = EQUIVARIANCE_SYSTEMS[name]
+    sys = make()
+    for seed, want in enumerate(EQUIVARIANCE_PINS[name]):
+        rep = equivariance_check(sys, N, ell, seed=seed)
+        assert (rep.reason, repr(rep.max_residual), repr(rep.tol)) == want
+        assert rep.hypotheses_met == (rep.reason is None)

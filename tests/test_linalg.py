@@ -11,7 +11,6 @@ from polydiag.linalg import (
     frac,
     identity,
     matrix,
-    mat_mul,
     mat_vec,
     nullspace,
     rank,
@@ -197,16 +196,6 @@ def oracle_span_contains(basis, v):
     return not any(row[k] != 0 and all(x == 0 for x in row[:k]) for row in red)
 
 
-def oracle_mat_mul(a, b):
-    a = [[frac(x) for x in row] for row in a]
-    b = [[frac(x) for x in row] for row in b]
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(cols))
-        for row in a
-    )
-
-
 def all_fractions(rows):
     return all(type(x) is F for row in rows for x in row)
 
@@ -282,19 +271,3 @@ def test_span_contains_matches_fraction_elimination(data):
     assert span_contains(basis, v) == oracle_span_contains(basis, v)
     if inside:
         assert span_contains(basis, v)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_mat_mul_matches_triple_loop(data):
-    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
-    a = data.draw(rational_matrices(nrows=r, ncols=k))
-    b = data.draw(rational_matrices(nrows=k, ncols=c))
-    got = mat_mul(a, b)
-    assert got == oracle_mat_mul(a, b)
-    assert all_fractions(got)
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(matrix([[1, 2]]), matrix([[1, 2]]))
