@@ -6,7 +6,6 @@ scan below decides this exactly for every polydiagonal subspace and
 assembles the invariant ones into a lattice under reverse inclusion.
 """
 
-import json
 import pathlib
 
 from polydiag import build_lattice, invariant_polydiagonals, graph

@@ -21,23 +21,23 @@ from polydiag import checks, dynamics
 from polydiag.partitions import parse_typical_element
 
 print("Two van der Pol cells, M = 0.5 A with A = [[0,0],[1,1]]:")
-sys_vdp = checks.vdp_example_system(scale=0.5)
-anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), 2)
+sys_vdp = checks.vdp_example_system()
+anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
 rep = dynamics.invariance_test(sys_vdp, anti, trials=3, dt=1e-3, T=50.0, tol=1e-6, seed=0)
 print("  start in (a,-a) x R^2: max distance %.2e -> %s" % (rep.max_distance, "stays" if rep.passed else "leaves"))
-sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), 2)
+sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2))
 rep = dynamics.invariance_test(sys_vdp, sync, trials=3, dt=1e-3, T=10.0, tol=1e-6, seed=0)
 print("  start in (a,a) x R^2 (not A-invariant): max distance %.2e -> leaves" % rep.max_distance)
 
 tail = dynamics.antisynchrony_convergence(sys_vdp, (1, 2), +1, dt=1e-3, T=400.0, seed=2, tail=0.2)
 print("  random start, tail max |u1 + u2| = %.2e (anti-synchrony attracts)" % tail)
-sys_lap = checks.vdp_example_system(scale=0.5, use_laplacian=True)
+sys_lap = checks.vdp_example_system(use_laplacian=True)
 tail = dynamics.antisynchrony_convergence(sys_lap, (1, 2), -1, dt=1e-3, T=400.0, seed=2, tail=0.2)
 print("  with M = 0.5 L instead: tail max |u1 - u2| = %.2e (synchrony attracts)" % tail)
 
 print("\nTwo Lorenz cells, N = diag(-1,-1,1), subspace ((u,v,w),(-u,-v,w)):")
 n_sym = np.diag([-1.0, -1.0, 1.0])
-twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), 3, n_sym)
+twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), n_sym)
 sys_v = checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0)
 rep = dynamics.invariance_test(sys_v, twisted, trials=3, dt=1e-3, T=50.0, tol=1e-6, seed=0)
 print("  v-coupled system, M = 2L (H N = N H = -H): max distance %.2e" % rep.max_distance)

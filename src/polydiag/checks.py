@@ -36,7 +36,7 @@ from .invariance import (
     eigendata,
     invariant_polydiagonals,
 )
-from .partitions import contains, orthogonal, typical_element
+from .partitions import contains, orthogonal, parse_typical_element, typical_element
 
 
 @dataclass
@@ -252,12 +252,11 @@ def suite_strong_connectivity(trials=200, n_max=7, seed=17) -> SuiteReport:
 # dynamics suites (the worked two-cell examples)
 
 
-def vdp_example_system(scale=0.5, use_laplacian=False):
-    """Two coupled van der Pol cells: cell 1 autonomous, cell 2 driven by
-    cell 1 and itself (A = [[0,0],[1,1]], L = [[0,0],[-1,1]])."""
-    a = np.array([[0.0, 0.0], [1.0, 1.0]])
-    lap = np.array([[0.0, 0.0], [-1.0, 1.0]])
-    m = scale * (lap if use_laplacian else a)
+def vdp_example_system(use_laplacian=False):
+    """Two coupled van der Pol cells with M = 0.5 A or M = 0.5 L: cell 1
+    autonomous, cell 2 driven by cell 1 and itself (A = [[0,0],[1,1]],
+    L = [[0,0],[-1,1]])."""
+    m = [[0.0, 0.0], [-0.5 if use_laplacian else 0.5, 0.5]]
     return dynamics.CoupledSystem(dynamics.preset_f("vanderpol"), dynamics.VDP_H, m)
 
 
@@ -270,11 +269,9 @@ def lorenz_pair_system(h, kappa):
 def suite_dynamics_vdp(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
     """Anti-phase subspace of the van der Pol pair stays invariant; the
     (not M-invariant) in-phase subspace serves as the negative control."""
-    from .partitions import parse_typical_element
-
     sys = vdp_example_system()
-    anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), 2)
-    sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), 2)
+    anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
+    sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2))
     failures = []
     rep = dynamics.invariance_test(sys, anti, trials=3, dt=dt, T=T, tol=tol, seed=seed)
     if not rep.passed:
@@ -289,19 +286,16 @@ def suite_dynamics_lorenz(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
     """Twisted subspace ((u,v,w),(-u,-v,w)) of the Lorenz pair: invariant
     for the v-coupled system with M = 2L, and for the w-coupled system via
     the cell symmetry; the w-coupling satisfies HN = NH = H."""
-    from .partitions import parse_typical_element
-
     n_sym = np.diag([-1.0, -1.0, 1.0])
-    twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), 3, n_sym)
+    twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), n_sym)
     failures = []
     sys_v = lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0)
-    rep = dynamics.invariance_test(sys_v, twisted, trials=3, dt=dt, T=T, tol=tol, seed=seed)
-    if not rep.passed:
-        failures.append("H- system drift %.3g exceeds %.1g (blowups %d)" % (rep.max_distance, tol, rep.blowups))
     sys_w = lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
-    rep2 = dynamics.invariance_test(sys_w, twisted, trials=3, dt=dt, T=T, tol=tol, seed=seed)
-    if not rep2.passed:
-        failures.append("H+ system drift %.3g exceeds %.1g (blowups %d)" % (rep2.max_distance, tol, rep2.blowups))
+    for label, sys_ in (("H-", sys_v), ("H+", sys_w)):
+        rep = dynamics.invariance_test(sys_, twisted, trials=3, dt=dt, T=T, tol=tol, seed=seed)
+        if not rep.passed:
+            failures.append("%s system drift %.3g exceeds %.1g (blowups %d)"
+                            % (label, rep.max_distance, tol, rep.blowups))
     eq = dynamics.equivariance_check(sys_w, n_sym, ell=1, seed=seed)
     if not eq.passed:
         failures.append("H+ equivariance: %s" % (eq.reason or "residual %.3g" % eq.max_residual))
@@ -320,9 +314,9 @@ def suite_dynamics_attractors(seed=2, dt=1e-3) -> SuiteReport:
     base = rng.uniform(-1, 1, size=3) + np.array([1.0, 1.0, 25.0])
     x0 = np.stack([base, np.diag([-1.0, -1.0, 1.0]) @ base + rng.uniform(-0.05, 0.05, size=3)])
     cases = (
-        ("vdp M=0.5A", "|u1+u2|", "1e-2", vdp_example_system(scale=0.5, use_laplacian=False), +1,
+        ("vdp M=0.5A", "|u1+u2|", "1e-2", vdp_example_system(), +1,
          dict(T=400.0, seed=seed, tail=0.2)),
-        ("vdp M=0.5L", "|u1-u2|", "1e-2", vdp_example_system(scale=0.5, use_laplacian=True), -1,
+        ("vdp M=0.5L", "|u1-u2|", "1e-2", vdp_example_system(use_laplacian=True), -1,
          dict(T=400.0, seed=seed, tail=0.2)),
         ("lorenz H+ M=-2L", "|u1+u2|", "1e-1", sys_w, +1, dict(T=100.0, x0=x0, tail=0.1)),
     )

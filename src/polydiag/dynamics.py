@@ -2,7 +2,8 @@
 
 Systems have the form xdot_i = f(x_i) + H sum_j M[i,j] x_j with identical
 internal dynamics f on R^k, a k x k coupling matrix H, and an n x n network
-matrix M.  A system takes f, H and M; n and k follow from M and f.
+matrix M.  A system takes f, H and M; n and k follow from M and f.  A
+twisted subspace takes P and N; its n and k must be the system's.
 Everything here is floating point; the exact machinery hands over tagged
 partitions and matrices once, at the boundary.
 
@@ -324,16 +325,18 @@ class Trajectory:
 def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
     """Fixed-step RK4 from x0 over [0, T] in round(T/dt) steps.
 
-    Raises ValueError unless dt and T are positive and the step count is at
-    least 1 and small enough for the output to be allocated.  Raises
-    BlowupError when the state norm passes 1e9 or turns into NaN, and when
-    float arithmetic faults during a step (a division by zero or an
-    overflowing power), where arrays would have carried inf or NaN into the
-    state at that same step.
+    Raises ValueError unless x0 has shape (n*k,) or (n, k), dt and T are
+    positive, and the step count is at least 1 and small enough for the
+    output to be allocated.  Raises BlowupError when the state norm passes
+    1e9 or turns into NaN, and when float arithmetic faults during a step
+    (a division by zero or an overflowing power), where arrays would have
+    carried inf or NaN into the state at that same step.
     """
     if not (dt > 0 and T > 0):
         raise ValueError("dt and T must be positive")
     nk = sys.n * sys.k
+    if np.shape(x0) not in ((nk,), (sys.n, sys.k)):
+        raise ValueError("x0 must have shape (%d,) or (%d, %d), not %s" % (nk, sys.n, sys.k, np.shape(x0)))
     x = np.array(x0, dtype=float).reshape(nk).tolist()
     try:
         steps = round(T / dt)
@@ -353,28 +356,35 @@ def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
 
 @dataclass
 class TwistedSubspace:
-    """Delta_P^N: x_i = x_j on shared classes, x_i = N x_j across starred
-    pairs, x_i = N x_i on the fixed class.  N defaults to -I, which gives
-    the plain tensor product R^k (x) Delta_P."""
+    """Delta_P^N of (R^k)^n: x_i = x_j on shared classes, x_i = N x_j across
+    starred pairs, x_i = N x_i on the fixed class.  P has n cells and the
+    k x k involution N gives k; N = -I gives the plain tensor product
+    R^k (x) Delta_P."""
 
     partition: TaggedPartition
-    k: int
-    N: np.ndarray | None = None
+    N: np.ndarray
 
     def __post_init__(self):
-        if self.N is None:
-            self.N = -np.eye(self.k)
-        self.N = np.asarray(self.N, dtype=float)
-        if self.N.shape != (self.k, self.k):
-            raise ValueError("N must be %dx%d" % (self.k, self.k))
-        if np.max(np.abs(self.N @ self.N - np.eye(self.k))) > 1e-12:
-            raise ValueError("N^2 must equal the identity")
+        N = self.N = np.asarray(self.N, dtype=float)
+        square = N.ndim == 2 and 1 <= len(N) == N.shape[1]
+        if not (square and np.max(np.abs(N @ N - np.eye(len(N)))) <= 1e-12):
+            raise ValueError("N must be a k x k matrix with k >= 1 and N^2 = I")
+
+    @property
+    def k(self):
+        return len(self.N)
+
+
+def _check_states(s: TwistedSubspace, shape):
+    """ValueError unless a batch of states of this shape is (m, P.n, k)."""
+    if len(shape) != 3 or tuple(shape[1:]) != (s.partition.n, s.k):
+        raise ValueError("states of shape %s do not fit %d cells in R^%d" % (tuple(shape), s.partition.n, s.k))
 
 
 def _residuals(states, s: TwistedSubspace):
     """Stacked constraint residuals for a batch of states (m, n, k)."""
     p = s.partition
-    res = []
+    res = [np.zeros((len(states), 0))]  # (m, 0) when P has no constraints
     rep = {ci: states[:, cls[0] - 1, :] for ci, cls in enumerate(p.classes)}
     for ci, cls in enumerate(p.classes):
         for cell in cls[1:]:
@@ -383,29 +393,22 @@ def _residuals(states, s: TwistedSubspace):
         res.append(rep[i] - rep[j] @ s.N.T)
     if p.fixed is not None:
         res.append(0.5 * (rep[p.fixed] - rep[p.fixed] @ s.N.T))
-    if not res:
-        return np.zeros((states.shape[0], 0))
     return np.concatenate(res, axis=1)
 
 
 def subspace_distances(states, s: TwistedSubspace):
-    """Normalized constraint residual per state of a batch (m, n, k)."""
-    states = np.asarray(states, dtype=float)
-    res = _residuals(states, s)
-    norms = np.linalg.norm(states.reshape(states.shape[0], -1), axis=1)
-    return np.linalg.norm(res, axis=1) / (norms + 1.0)
-
-
-def subspace_distance(x, s: TwistedSubspace) -> float:
-    """Normalized residual of the defining constraints at a state x.
+    """Normalized residual of the defining constraints at each state of a
+    batch (m, n, k); ValueError unless n and k are those of s.
 
     Same-class residuals x_i - x_rep, pair residuals x_i - N x_j, and fixed
     class residuals (x_i - N x_i)/2 (which is just x_i when N = -I), all
     stacked, measured in the Euclidean norm and divided by ||x|| + 1.
     """
-    p = s.partition
-    x = np.asarray(x, dtype=float).reshape(1, p.n, s.k)
-    return float(subspace_distances(x, s)[0])
+    states = np.asarray(states, dtype=float)
+    _check_states(s, states.shape)
+    res = _residuals(states, s)
+    norms = np.linalg.norm(states.reshape(states.shape[0], -1), axis=1)
+    return np.linalg.norm(res, axis=1) / (norms + 1.0)
 
 
 def sample_in_subspace(s: TwistedSubspace, rng, scale=1.0):
@@ -443,7 +446,8 @@ class InvarianceReport:
 def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6, seed=0):
     """Integrate from random starts inside s and track the worst subspace
     distance along the way.  Blow-ups are counted as inconclusive rather
-    than failures."""
+    than failures.  ValueError before any draw unless s fits sys's n and k."""
+    _check_states(s, (trials, sys.n, sys.k))
     rng = np.random.default_rng(seed)
     worst = 0.0
     blowups = 0

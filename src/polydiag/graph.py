@@ -93,23 +93,24 @@ def laplacian_matrix(g: WeightedDigraph):
     return tuple(tuple(row) for row in lap)
 
 
-def in_degree(g: WeightedDigraph, i: int) -> Fraction:
-    return sum((w for t, h, w in g.arrows if h == i), Fraction(0))
-
-
-def out_degree(g: WeightedDigraph, i: int) -> Fraction:
-    return sum((w for t, h, w in g.arrows if t == i), Fraction(0))
+def _net_flow(g: WeightedDigraph) -> list:
+    """Out-degree minus in-degree of every vertex, in one pass over the arrows."""
+    net = [Fraction(0)] * g.n
+    for t, h, w in g.arrows:
+        net[t - 1] += w
+        net[h - 1] -= w
+    return net
 
 
 def imbalance(g: WeightedDigraph, i: int) -> Fraction:
     """out-degree minus in-degree of vertex i."""
     if not 1 <= i <= g.n:
         raise ValueError("vertex %d out of range" % i)
-    return out_degree(g, i) - in_degree(g, i)
+    return _net_flow(g)[i - 1]
 
 
 def is_weight_balanced(g: WeightedDigraph) -> bool:
-    return all(imbalance(g, i) == 0 for i in range(1, g.n + 1))
+    return not any(_net_flow(g))
 
 
 def arrow_masks(n, pairs):

@@ -33,7 +33,6 @@ from json.encoder import encode_basestring_ascii
 
 from .linalg import clear_denominators, frac, nullspace, shifted, transpose
 from .partitions import (
-    SubspaceClass,
     TaggedPartition,
     classify,
     contains,

@@ -106,6 +106,29 @@ def test_count_csv(capsys):
     assert "polydiagonal,1,2,6,24,ok" in out
 
 
+def test_count_json(capsys):
+    code, out, _ = run(capsys, "count", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "rows": {"polydiagonal": [1, 2, 6, 24], "synchrony": [1, 1, 2, 5], "anti_synchrony": [0, 1, 4, 19],
+                 "minimally": [0, 1, 3, 10], "fully": [1, 1, 2, 7], "evenly": [1, 1, 2, 4]},
+        "cross_checked": dict.fromkeys(("polydiagonal", "synchrony", "anti_synchrony", "minimally", "fully",
+                                        "evenly"), True),
+    }
+
+
+def test_check_column_sums_on_a_file(capsys):
+    from polydiag import graph, invariance
+
+    path = os.path.join(DEMO_DIR, "lapdirichlet.json")
+    lap = graph.laplacian_matrix(graph.load_digraph(path))
+    expected = invariance.report_to_json(invariance.check_constant_column_sums_theorem(lap)) + "\n"
+    assert run(capsys, "check", "column-sums", "--file", path, "--matrix", "laplacian") == (0, expected, "")
+    code, out, _ = run(capsys, "check", "column-sums", "--file", os.path.join(DEMO_DIR, "gandgt.json"))
+    assert code == 1
+    assert json.loads(out)["reason"] == "column sums are not constant"
+
+
 def test_count_deterministic(capsys):
     _, out1, _ = run(capsys, "count", "4")
     _, out2, _ = run(capsys, "count", "4")

@@ -22,7 +22,7 @@ from polydiag.dynamics import (
     invariance_test,
     preset_f,
     sample_in_subspace,
-    subspace_distance,
+    subspace_distances,
 )
 from polydiag.partitions import parse_typical_element
 
@@ -61,18 +61,18 @@ def test_unknown_preset_and_params():
         preset_f("lorenz", eps=1)
 
 
-def vdp_system(scale=0.5, laplacian=False):
-    return checks.vdp_example_system(scale=scale, use_laplacian=laplacian)
+def vdp_system():
+    return checks.vdp_example_system()
 
 
 def test_integrate_linear_flow_stays_in_subspace():
     # zero internal dynamics, H = I: pure linear network flow
     m = np.array([[0.0, 0.0], [1.0, 1.0]])
     sys = CoupledSystem(preset_f("zero", k=2), np.eye(2), m)
-    s = TwistedSubspace(parse_typical_element("(a,-a)"), 2)
+    s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     x0 = sample_in_subspace(s, np.random.default_rng(1))
     traj = integrate(sys, x0, 1e-2, 5.0)
-    assert max(subspace_distance(x, s) for x in traj.states[::50]) < 1e-12
+    assert max(subspace_distances(traj.states[::50], s)) < 1e-12
 
 
 def test_integrate_single_lorenz_bounded():
@@ -107,52 +107,72 @@ def test_trajectory_csv():
 
 
 def test_subspace_distance_examples():
-    same = TwistedSubspace(parse_typical_element("(a,a)"), 3)
+    # each state as a batch of one
+    same = TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(3))
     x = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    assert subspace_distance(x, same) == 0.0
+    assert subspace_distances([x], same).tolist() == [0.0]
     n_sym = np.diag([-1.0, -1.0, 1.0])
-    twisted = TwistedSubspace(parse_typical_element("(a,-a)"), 3, n_sym)
+    twisted = TwistedSubspace(parse_typical_element("(a,-a)"), n_sym)
     y = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, 3.0]])
-    assert subspace_distance(y, twisted) == 0.0
-    plain = TwistedSubspace(parse_typical_element("(a,-a)"), 1)
-    assert subspace_distance(np.array([[1.0], [1.0]]), plain) > 0.1
+    assert subspace_distances([y], twisted).tolist() == [0.0]
+    plain = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(1))
+    assert subspace_distances([[[1.0], [1.0]]], plain)[0] > 0.1
 
 
 def test_subspace_distance_dimension_mismatch():
-    s = TwistedSubspace(parse_typical_element("(a,a)"), 2)
-    with pytest.raises(ValueError):
-        subspace_distance(np.ones(3), s)
+    # states must be (m, P.n, k): a flat state, one unbatched state, and
+    # batches with the wrong cell count or the wrong k are all refused
+    s = TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2))
+    for shape in ((3,), (4,), (2, 2), (1, 3, 2), (1, 2, 3), (1, 2, 1), (1, 1, 2, 2)):
+        with pytest.raises(ValueError, match="do not fit"):
+            subspace_distances(np.ones(shape), s)
+    assert subspace_distances(np.ones((5, 2, 2)), s).shape == (5,)
 
 
 def test_twisted_subspace_requires_involution():
-    with pytest.raises(ValueError):
-        TwistedSubspace(parse_typical_element("(a,-a)"), 2, np.array([[2.0, 0.0], [0.0, 1.0]]))
+    p = parse_typical_element("(a,-a)")
+    for n_bad in ([[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]], np.ones((2, 2, 2)), [-1.0], np.zeros((0, 0)),
+                  [[np.nan]]):
+        with pytest.raises(ValueError):
+            TwistedSubspace(p, n_bad)
+    s = TwistedSubspace(p, [[0.0, 1.0], [1.0, 0.0]])
+    assert s.k == len(s.N) == 2 and s.N.dtype == float
+
+
+def test_twisted_subspace_takes_partition_and_n_only():
+    with pytest.raises(TypeError):
+        TwistedSubspace(parse_typical_element("(a,-a)"))
+    with pytest.raises(TypeError):
+        TwistedSubspace(parse_typical_element("(a,-a)"), 2, -np.eye(2))
 
 
 def test_sample_in_subspace_fixed_class():
-    s = TwistedSubspace(parse_typical_element("(a,0)"), 2)
+    s = TwistedSubspace(parse_typical_element("(a,0)"), -np.eye(2))
     x = sample_in_subspace(s, np.random.default_rng(2))
     assert np.allclose(x[1], 0.0)
-    assert subspace_distance(x, s) < 1e-15
+    assert subspace_distances([x], s)[0] < 1e-15
 
 
 def test_invariance_short_runs():
     # odd f and an M-invariant anti-synchrony subspace
     rep = invariance_test(
-        vdp_system(), TwistedSubspace(parse_typical_element("(a,-a)"), 2), trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3
+        vdp_system(), TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2)),
+        trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3,
     )
     assert rep.passed
     # synchrony subspace with a non-odd f (invariant for any f)
     sys_l = checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0)
     rep2 = invariance_test(
-        sys_l, TwistedSubspace(parse_typical_element("(a,a)"), 3), trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3
+        sys_l, TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(3)),
+        trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3,
     )
     assert rep2.passed
     # minimally tagged subspace with a non-odd f that fixes the origin
     m = 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]])
     sys_min = CoupledSystem(preset_f("lorenz"), dynamics.LORENZ_H_MINUS, m)
     rep3 = invariance_test(
-        sys_min, TwistedSubspace(parse_typical_element("(0,a)"), 3), trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3
+        sys_min, TwistedSubspace(parse_typical_element("(0,a)"), -np.eye(3)),
+        trials=2, dt=1e-3, T=5.0, tol=1e-6, seed=3,
     )
     assert rep3.passed
 
@@ -168,17 +188,67 @@ def test_invariance_all_invariant_subspaces_of_example():
     sys = vdp_system()
     for p, _cls in invariance.invariant_polydiagonals(a).subspaces:
         rep = invariance_test(
-            sys, TwistedSubspace(p, 2), trials=1, dt=1e-3, T=5.0, tol=1e-6, seed=4
+            sys, TwistedSubspace(p, -np.eye(2)), trials=1, dt=1e-3, T=5.0, tol=1e-6, seed=4
         )
         assert rep.passed, typical_element(p)
 
 
 def test_invariance_negative_control_short():
     rep = invariance_test(
-        vdp_system(), TwistedSubspace(parse_typical_element("(a,a)"), 2), trials=2, dt=1e-3, T=10.0, tol=1e-6, seed=3
+        vdp_system(), TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2)),
+        trials=2, dt=1e-3, T=10.0, tol=1e-6, seed=3,
     )
     assert not rep.passed
     assert rep.max_distance > 1e-2
+
+
+# max_distance and blowups of invariance_test for every subspace and system
+# of the dynamics-vdp and dynamics-lorenz suites, three trials of T = 1 as
+# the suites draw them; the values were computed before TwistedSubspace took
+# (P, N) alone.
+SUITE_SUBSPACES = {
+    "vdp-anti": (checks.vdp_example_system, "(a,-a)", -np.eye(2), ["0.0"] * 3, [0, 0, 0]),
+    "vdp-sync": (checks.vdp_example_system, "(a,a)", -np.eye(2),
+                 ["0.3598946965149821", "0.12631953484904326", "0.17783371475418644"], [1, 0, 0]),
+    "lorenz-H-minus": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0), "(a,-a)",
+                       np.diag([-1.0, -1.0, 1.0]), ["0.0"] * 3, [0, 0, 0]),
+    "lorenz-H-plus": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), "(a,-a)",
+                      np.diag([-1.0, -1.0, 1.0]), ["0.0"] * 3, [0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", SUITE_SUBSPACES)
+def test_suite_invariance_reports_pinned(case):
+    make, te, n, distances, blowups = SUITE_SUBSPACES[case]
+    sys, s = make(), TwistedSubspace(parse_typical_element(te), n)
+    reps = [invariance_test(sys, s, trials=3, dt=1e-3, T=1.0, tol=1e-6, seed=seed) for seed in range(3)]
+    assert [repr(r.max_distance) for r in reps] == distances
+    assert [r.blowups for r in reps] == blowups
+
+
+@pytest.mark.parametrize("te, k", [("(a)", 4), ("(a,a,-a,-a)", 1)], ids=["one-cell-k4", "four-cells-k1"])
+def test_invariance_test_refuses_a_subspace_of_other_sizes(monkeypatch, te, k):
+    # the van der Pol pair has n = 2 cells of k = 2 coordinates; the check
+    # comes before any start is drawn or integrated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew or integrated a start")
+
+    monkeypatch.setattr(dynamics, "sample_in_subspace", unreachable)
+    monkeypatch.setattr(dynamics, "integrate", unreachable)
+    s = TwistedSubspace(parse_typical_element(te), -np.eye(k))
+    with pytest.raises(ValueError, match="do not fit"):
+        invariance_test(vdp_system(), s, trials=1, T=1.0)
+
+
+def test_integrate_accepts_flat_or_per_cell_x0_only():
+    # the Lorenz pair: n = 2 cells of k = 3 coordinates
+    sys = checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0)
+    flat = [1.0, 2.0, 20.0, -1.0, -2.0, 20.0]
+    ends = [integrate(sys, x0, 1e-3, 0.01).states[-1].tolist() for x0 in (flat, np.reshape(flat, (2, 3)))]
+    assert ends[0] == ends[1]
+    for shape in ((3, 2), (6, 1), (1, 6), (1, 2, 3), (5,), (7,)):
+        with pytest.raises(ValueError, match="x0 must have shape"):
+            integrate(sys, np.ones(shape), 1e-3, 0.01)
 
 
 def test_equivariance_lorenz():
@@ -203,10 +273,10 @@ def test_singular_oscillator_freely_tagged_invariant_set():
     # f odd with 0 outside its domain: motion started in the freely tagged
     # A-invariant set D_P for (a,-a) stays there and u never crosses 0
     sys = CoupledSystem(preset_f("singular_osc"), dynamics.VDP_H, 0.5 * np.array([[0.0, 0.0], [1.0, 1.0]]))
-    s = TwistedSubspace(parse_typical_element("(a,-a)"), 2)
+    s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     x0 = np.array([[1.2, 0.3], [-1.2, -0.3]])
     traj = integrate(sys, x0, 1e-3, 20.0)
-    assert max(subspace_distance(x, s) for x in traj.states[::100]) < 1e-9
+    assert max(subspace_distances(traj.states[::100], s)) < 1e-9
     u = traj.states[:, :, 0]
     assert np.min(np.abs(u)) > 1e-3
 

@@ -96,6 +96,8 @@ def test_weight_balanced_iff_row_equals_column_sums():
         row = [sum(a[i][j] for j in range(n)) for i in range(n)]
         col = [sum(a[i][j] for i in range(n)) for j in range(n)]
         assert is_weight_balanced(g) == (row == col)
+        # a[i][j] weighs the arrow j -> i: out-degrees are column sums
+        assert [imbalance(g, i + 1) for i in range(n)] == [c - r for r, c in zip(row, col)]
 
 
 def test_connectivity_predicates():

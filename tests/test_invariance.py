@@ -468,6 +468,14 @@ def test_orbits_rejects_non_group():
         orbits(inv, [swap])  # swap o swap = id is missing, so not closed
 
 
+def test_orbits_rejects_automorphisms_of_another_digraph():
+    # S3 is a group, but only (1)(2)(3) and (2 3) fix the one edge 2 <-> 3
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "threev_one_edge.json")
+    inv = invariant_polydiagonals(graph.adjacency_matrix(graph.load_digraph(path)))
+    with pytest.raises(ValueError, match="is not in the invariant set"):
+        orbits(inv, list(itertools.permutations((1, 2, 3))))
+
+
 @pytest.mark.parametrize("autos", [[], [(1, 2, 3)], [(1,)], [(1, 1)]], ids=["empty", "too-long", "too-short", "not-a-permutation"])
 def test_orbits_rejects_bad_permutations(autos):
     inv = invariant_polydiagonals(zeros(2, 2))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydiag import linalg
 from polydiag.linalg import (
     clear_denominators,
     frac,
