@@ -35,14 +35,14 @@ a = graph.adjacency_matrix(graph.load_digraph(DATA / "directed_c4.json"))
 rep = check_constant_column_sums_theorem(a)
 print("  lambda = %s, v = %s" % (rep.lam, vec(rep.v)))
 for r in rep.rows:
-    print("    %-10s %-15s contains v: %s" % (typical_element(r.partition), r.label, r.contains_v))
+    print("    %-10s %-15s contains v: %s" % (typical_element(r.partition), r.label, r.right_in_subspace))
 assert rep.passed
 
 print("\nUnweighted directed 3-cycle (column sums 1, v = ones):")
 a = graph.adjacency_matrix(graph.load_digraph(DATA / "directed_c3.json"))
 rep = check_constant_column_sums_theorem(a)
 for r in rep.rows:
-    print("    %-10s %-15s contains v: %s" % (typical_element(r.partition), r.label, r.contains_v))
+    print("    %-10s %-15s contains v: %s" % (typical_element(r.partition), r.label, r.right_in_subspace))
 assert rep.passed
 
 print("\nWith an odd number of cells, any invariant anti-synchrony subspace")

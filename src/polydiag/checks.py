@@ -3,9 +3,11 @@
 Each suite generates a batch of randomized (seeded) or fixed instances and
 returns a SuiteReport with falsifying witnesses instead of raising, so a
 failure is actionable.  The suites only generate instances and format
-witnesses: the theorem reports of :mod:`polydiag.invariance` decide the
-hypotheses and conclusions, once per instance.  The CLI ``check`` command
-and the test suite both run these.
+witnesses: the scan, theorem reports and dichotomy rows of
+:mod:`polydiag.invariance` decide the hypotheses and conclusions of the
+theorem suites, once per instance, and no suite tests membership or
+orthogonality itself.  The CLI ``check`` command and the test suite both
+run these.
 
 Instances are drawn on ints: weights, matrices and the unimodular
 conjugations are int arithmetic, and connectivity is decided on vertex
@@ -33,10 +35,11 @@ from .graph import (
 from .invariance import (
     check_constant_column_sums_theorem,
     check_main_lemma,
+    dichotomy_rows,
     eigendata,
     invariant_polydiagonals,
 )
-from .partitions import contains, orthogonal, parse_typical_element, typical_element
+from .partitions import parse_typical_element, typical_element
 
 
 @dataclass
@@ -219,11 +222,11 @@ def suite_frobenius_perron(trials=60, n_max=6, seed=13) -> SuiteReport:
     failures = []
     found = _sample(draw, trials)
     for g, a, eig in found:
-        v_r, v_l = eig.right_basis[0], eig.left_basis[0]
-        for p, cls in invariant_polydiagonals(a).subspaces:
-            if cls.synchrony and not contains(p, v_r):
+        for row in dichotomy_rows(a, eig):
+            p, cls = row.partition, row.cls
+            if cls.synchrony and not row.right_in_subspace:
                 failures.append("digraph %s: synchrony %s misses v_R" % (graph.to_json(g), typical_element(p)))
-            if cls.anti_synchrony and not orthogonal(p, v_l):
+            if cls.anti_synchrony and not row.left_in_perp:
                 failures.append("digraph %s: anti-synchrony %s not perp v_L" % (graph.to_json(g), typical_element(p)))
     return SuiteReport("frobenius-perron", len(found), not failures and len(found) == trials, failures)
 

@@ -354,6 +354,16 @@ def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
 # twisted polydiagonal subspaces of (R^k)^n
 
 
+def _involution(N):
+    """N as a float array; ValueError unless it is a k x k matrix with
+    k >= 1 and N^2 = I."""
+    N = np.asarray(N, dtype=float)
+    square = N.ndim == 2 and 1 <= len(N) == N.shape[1]
+    if not (square and np.max(np.abs(N @ N - np.eye(len(N)))) <= 1e-12):
+        raise ValueError("N must be a k x k matrix with k >= 1 and N^2 = I")
+    return N
+
+
 @dataclass
 class TwistedSubspace:
     """Delta_P^N of (R^k)^n: x_i = x_j on shared classes, x_i = N x_j across
@@ -365,10 +375,7 @@ class TwistedSubspace:
     N: np.ndarray
 
     def __post_init__(self):
-        N = self.N = np.asarray(self.N, dtype=float)
-        square = N.ndim == 2 and 1 <= len(N) == N.shape[1]
-        if not (square and np.max(np.abs(N @ N - np.eye(len(N)))) <= 1e-12):
-            raise ValueError("N must be a k x k matrix with k >= 1 and N^2 = I")
+        self.N = _involution(self.N)
 
     @property
     def k(self):
@@ -446,7 +453,10 @@ class InvarianceReport:
 def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6, seed=0):
     """Integrate from random starts inside s and track the worst subspace
     distance along the way.  Blow-ups are counted as inconclusive rather
-    than failures.  ValueError before any draw unless s fits sys's n and k."""
+    than failures.  ValueError before any draw unless trials >= 1 and s
+    fits sys's n and k."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %r" % (trials,))
     _check_states(s, (trials, sys.n, sys.k))
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -492,9 +502,12 @@ def equivariance_check(sys, N, ell, seed=0):
     """Check F(gamma_ell(x)) = gamma_ell(F(x)) for the single-cell map
     gamma_ell applying N in slot ell (1..n), at 50 random points, assuming
     f(Nx) = Nf(x) and HN = NH = H.  Hypothesis failures are reported and
-    the residual check is skipped."""
+    the residual check is skipped.  ValueError before any draw unless N is
+    a k x k involution for sys's k."""
     ell = _cell(sys, ell)
-    N = np.asarray(N, dtype=float)
+    N = _involution(N)
+    if len(N) != sys.k:
+        raise ValueError("N is %dx%d but the cells are in R^%d" % (len(N), len(N), sys.k))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-2, 2, size=(50, sys.k))
 

@@ -33,6 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 from .linalg import clear_denominators, frac, nullspace, shifted, transpose
 from .partitions import (
+    SubspaceClass,
     TaggedPartition,
     classify,
     contains,
@@ -467,13 +468,33 @@ def eigendata(m, lam) -> EigenData:
 @dataclass(frozen=True)
 class DichotomyRow:
     partition: TaggedPartition
-    label: str
+    cls: SubspaceClass
     right_in_subspace: bool
     left_in_perp: bool
 
     @property
+    def label(self):
+        return type_label(self.partition, self.cls)
+
+    @property
     def ok(self):
         return self.right_in_subspace or self.left_in_perp
+
+    @property
+    def sharpened(self):
+        """The constant-column-sums conclusion: a synchrony subspace
+        containing v or an evenly tagged one without it."""
+        has_v = self.right_in_subspace
+        return (self.cls.synchrony and has_v) or (self.cls.evenly_tagged and not has_v)
+
+
+def dichotomy_rows(m, eig: EigenData) -> tuple:
+    """One DichotomyRow per m-invariant polydiagonal W, in canonical order:
+    whether v_R lies in W and whether v_L is perpendicular to W, for the
+    eigenvectors of eig at a simple eigenvalue."""
+    v_r, v_l = eig.right_basis[0], eig.left_basis[0]
+    found = invariant_polydiagonals(m).subspaces
+    return tuple(DichotomyRow(p, cls, contains(p, v_r), orthogonal(p, v_l)) for p, cls in found)
 
 
 @dataclass(frozen=True)
@@ -503,21 +524,7 @@ def check_main_lemma(m, lam) -> MainLemmaReport:
             "eigenvalue %s has geometric multiplicity %d, need 1"
             % (lam, len(eig.right_basis))
         )
-    v_r, v_l = eig.right_basis[0], eig.left_basis[0]
-    rows = []
-    for p, cls in invariant_polydiagonals(m).subspaces:
-        in_w = contains(p, v_r)
-        in_perp = orthogonal(p, v_l)
-        rows.append(DichotomyRow(p, type_label(p, cls), in_w, in_perp))
-    return MainLemmaReport(eig.lam, v_r, v_l, tuple(rows))
-
-
-@dataclass(frozen=True)
-class ColumnSumsRow:
-    partition: TaggedPartition
-    label: str
-    contains_v: bool
-    conclusion_holds: bool
+    return MainLemmaReport(eig.lam, eig.right_basis[0], eig.left_basis[0], dichotomy_rows(m, eig))
 
 
 @dataclass(frozen=True)
@@ -525,7 +532,7 @@ class ColumnSumsReport:
     reason: str | None  # the failed hypothesis, None when all hold
     lam: Fraction | None
     v: tuple | None
-    rows: tuple
+    rows: tuple  # of DichotomyRow
 
     @property
     def hypotheses_met(self):
@@ -533,18 +540,18 @@ class ColumnSumsReport:
 
     @property
     def passed(self):
-        return self.hypotheses_met and all(r.conclusion_holds for r in self.rows)
+        return self.hypotheses_met and all(r.sharpened for r in self.rows)
 
     def violations(self):
-        return [r for r in self.rows if not r.conclusion_holds]
+        return [r for r in self.rows if not r.sharpened]
 
 
 def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     """Constant-column-sums dichotomy: every invariant polydiagonal must be a
     synchrony subspace containing v or an evenly tagged anti-synchrony
-    subspace not containing v.  Hypothesis violations are reported, not
-    raised; a non-square matrix raises ValueError.  Entries go through
-    :func:`linalg.frac`."""
+    subspace not containing v (:attr:`DichotomyRow.sharpened`).
+    Hypothesis violations are reported, not raised; a non-square matrix
+    raises ValueError.  Entries go through :func:`linalg.frac`."""
     m = _rational_matrix(m)
     n = len(m)
     sums = [sum(row[j] for row in m) for j in range(n)]
@@ -559,47 +566,26 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     v = eig.right_basis[0]
     if any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n)):
         return ColumnSumsReport("eigenvector has v_i + v_j = 0 for some i, j", lam, v, ())
-    rows = []
-    for p, cls in invariant_polydiagonals(m).subspaces:
-        has_v = contains(p, v)
-        holds = (cls.synchrony and has_v) or (cls.evenly_tagged and not has_v)
-        rows.append(ColumnSumsRow(p, type_label(p, cls), has_v, holds))
-    return ColumnSumsReport(None, lam, v, tuple(rows))
+    return ColumnSumsReport(None, lam, v, dichotomy_rows(m, eig))
 
 
 def report_to_json(report) -> str:
     """Serialize a lemma/theorem report for the CLI."""
     if isinstance(report, MainLemmaReport):
-        d = {
-            "lambda": str(report.lam),
-            "v_right": [str(x) for x in report.v_right],
-            "v_left": [str(x) for x in report.v_left],
-            "passed": report.passed,
-            "rows": [
-                {
-                    "typical": typical_element(r.partition),
-                    "label": r.label,
-                    "v_right_in_subspace": r.right_in_subspace,
-                    "v_left_in_perp": r.left_in_perp,
-                }
-                for r in report.rows
-            ],
-        }
+        d = {"lambda": str(report.lam), "v_right": _strs(report.v_right), "v_left": _strs(report.v_left)}
+        flags = [{"v_right_in_subspace": r.right_in_subspace, "v_left_in_perp": r.left_in_perp} for r in report.rows]
     else:
         d = {
             "hypotheses_met": report.hypotheses_met,
             "reason": report.reason,
             "lambda": None if report.lam is None else str(report.lam),
-            "v": None if report.v is None else [str(x) for x in report.v],
-            "passed": report.passed,
-            "rows": [
-                {
-                    "typical": typical_element(r.partition),
-                    "label": r.label,
-                    "contains_v": r.contains_v,
-                    "conclusion_holds": r.conclusion_holds,
-                }
-                for r in report.rows
-            ],
+            "v": None if report.v is None else _strs(report.v),
         }
+        flags = [{"contains_v": r.right_in_subspace, "conclusion_holds": r.sharpened} for r in report.rows]
+    d["passed"] = report.passed
+    d["rows"] = [{"typical": typical_element(r.partition), "label": r.label, **f} for r, f in zip(report.rows, flags)]
     return json.dumps(d, indent=2)
+
+
+def _strs(v):
+    return [str(x) for x in v]

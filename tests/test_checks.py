@@ -1,11 +1,12 @@
 import collections
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from polydiag import checks, graph, invariance, linalg
-from polydiag.partitions import typical_element
+from polydiag.partitions import contains, orthogonal, typical_element
 
 
 def test_suites_registry_names():
@@ -246,6 +247,50 @@ def test_main_lemma_keeps_the_scan_cap_error():
     # seed 9 draws a 9-cell matrix first; it must not be taken for a rejected draw
     with pytest.raises(ValueError, match="exceeds cap"):
         checks.suite_main_lemma(trials=1, n_max=9, seed=9)
+
+
+def _old_frobenius_perron(trials, seed, n_max=6, flip=False):
+    """The Frobenius-Perron suite as it decided each instance itself, with
+    contains and orthogonal on every invariant subspace.  flip negates both
+    decisions, so that every instance gives witnesses."""
+    rng = random.Random(seed)
+
+    def draw():
+        n = rng.randint(2, n_max)
+        d = rng.randint(1, max(1, n - 1))
+        g = graph.random_in_regular_digraph(n, d, rng)
+        if not graph.is_strongly_connected(g):
+            return None
+        a = graph.adjacency_matrix(g)
+        eig = invariance.eigendata(a, d)
+        return (g, a, eig) if len(eig.right_basis) == 1 else None
+
+    failures = []
+    found = checks._sample(draw, trials)
+    for g, a, eig in found:
+        v_r, v_l = eig.right_basis[0], eig.left_basis[0]
+        for p, cls in invariance.invariant_polydiagonals(a).subspaces:
+            if cls.synchrony and contains(p, v_r) == flip:
+                failures.append("digraph %s: synchrony %s misses v_R" % (graph.to_json(g), typical_element(p)))
+            if cls.anti_synchrony and orthogonal(p, v_l) == flip:
+                failures.append("digraph %s: anti-synchrony %s not perp v_L" % (graph.to_json(g), typical_element(p)))
+    return checks.SuiteReport("frobenius-perron", len(found), not failures and len(found) == trials, failures)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 13, 27])
+def test_frobenius_perron_matches_old_inline_decision(monkeypatch, seed):
+    """The suite reads the dichotomy rows and reports what its own contains
+    and orthogonal calls reported, witnesses included."""
+    assert checks.suite_frobenius_perron(trials=10, seed=seed) == _old_frobenius_perron(10, seed)
+    rows = checks.dichotomy_rows
+
+    def flipped(m, eig):
+        return tuple(dataclasses.replace(r, right_in_subspace=not r.right_in_subspace, left_in_perp=not r.left_in_perp)
+                     for r in rows(m, eig))
+
+    monkeypatch.setattr(checks, "dichotomy_rows", flipped)
+    rep = checks.suite_frobenius_perron(trials=10, seed=seed)
+    assert rep.failures and rep == _old_frobenius_perron(10, seed, flip=True)
 
 
 def _old_strong_connectivity_draws(trials, seed, n_max=7):

@@ -254,6 +254,8 @@ BAD_ARGV = {
     "lattice-boolean-weight": ["lattice", "{boolean_weight}"],
     "simulate-boolean-weight": ["simulate", "--preset", "vanderpol", "--digraph", "{boolean_weight}"],
     "column-sums-boolean-weight": ["check", "column-sums", "--file", "{boolean_weight}"],
+    "column-sums-above-scan-cap": ["check", "column-sums", "--file", "{cycle9}"],
+    "column-sums-laplacian-above-scan-cap": ["check", "column-sums", "--file", "{cycle9}", "--matrix", "laplacian"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
 }
 
@@ -267,6 +269,8 @@ def input_paths(d):
         ("garbled", '{"n": 2, "arrows": [[1,'),
         ("heavy", '{"n": 2, "arrows": [[1,2,"1e300"],[2,2,"1e300"]]}'),
         ("path13", json.dumps({"n": 13, "arrows": [[i, i + 1, str(i)] for i in range(1, 13)]})),
+        # column sums 1, simple eigenvalue 1 with v = ones: the report reaches the scan
+        ("cycle9", json.dumps({"n": 9, "arrows": [[i, i % 9 + 1, "1"] for i in range(1, 10)]})),
         ("negative_n", '{"n": -1, "arrows": []}'),
         ("fractional_n", '{"n": 2.5, "arrows": [[1,2,"1"]]}'),
         ("boolean_n", '{"n": true, "arrows": []}'),
@@ -300,6 +304,13 @@ def test_simulate_names_the_empty_digraph(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--preset", "vanderpol", "--digraph", path)
     assert code == 2 and out == ""
     assert err == "error: digraph %r has no vertices; a system needs n >= 1 cells\n" % path
+
+
+def test_file_reports_give_the_scan_cap_as_an_input_error(capsys, tmp_path):
+    path = input_paths(tmp_path)["cycle9"]
+    for argv in (["column-sums"], ["main-lemma", "--lambda", "1"]):
+        code, out, err = run(capsys, "check", *argv, "--file", path)
+        assert (code, out) == (2, "") and err.startswith("error: n=9 exceeds cap 8")
 
 
 def test_orbits_refuses_above_automorphism_limit_before_the_scan(capsys, tmp_path):
@@ -431,7 +442,8 @@ def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
 
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 DIGRAPHS = (
-    ["{pair}"] + [os.path.join(DEMO_DIR, n + ".json") for n in ("lapdirichlet", "directed_c3", "d3_cayley_equal")],
+    ["{pair}", "{cycle9}"]
+    + [os.path.join(DEMO_DIR, n + ".json") for n in ("lapdirichlet", "directed_c3", "d3_cayley_equal")],
     ["{float}", "{garbled}", "{missing}", "{fractional_endpoint}", "{boolean_endpoint}", "{string_endpoint}",
      "{boolean_weight}"],
 )

@@ -725,6 +725,7 @@ def test_cell_indices_are_checked():
 
 N_LORENZ = np.diag([-1.0, -1.0, 1.0])
 N_ROTATION = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+N_REFLECTION = np.array([[0.6, 0.8], [0.8, -0.6]])  # N^2 = I up to float rounding
 EQUIVARIANCE_SYSTEMS = {
     "vdp-minus-I": (vdp_system, -np.eye(2), 1),
     "vdp-I-cell2": (vdp_system, np.eye(2), 2),
@@ -733,9 +734,9 @@ EQUIVARIANCE_SYSTEMS = {
     "lorenz-H+-cell2": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), N_LORENZ, 2),
     "lorenz-H+-minus-I": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0), -np.eye(3), 1),
     "lorenz-H--cell1": (lambda: checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0), N_LORENZ, 1),
-    # a linear f commuting with a rotation N that is not exact in floats
-    "rotation": (lambda: CoupledSystem(dynamics.Preset("rot", ("u", "v"), ("-v", "u")), np.zeros((2, 2)),
-                                       np.array([[0.0, 0.5], [0.5, 0.0]])), N_ROTATION, 1),
+    # a linear f = 5N commuting with an involution N that is not exact in floats
+    "reflection": (lambda: CoupledSystem(dynamics.Preset("refl", ("u", "v"), ("3 * u + 4 * v", "4 * u - 3 * v")),
+                                         np.zeros((2, 2)), np.array([[0.0, 0.5], [0.5, 0.0]])), N_REFLECTION, 1),
 }
 HN_FAILS = "HN = NH = H fails (found HN = NH = -H instead)"
 # (reason, repr(max_residual), repr(tol)) at seeds 0, 1, 2, as the array
@@ -751,9 +752,9 @@ EQUIVARIANCE_PINS = {
                         (None, "0.0", "8.126281045579468e-09")],
     "lorenz-H+-minus-I": [("f is not N-equivariant (residual %s)" % r, "inf", "0.0") for r in ("7.3", "6.38", "7.64")],
     "lorenz-H--cell1": [(HN_FAILS, "inf", "0.0")] * 3,
-    "rotation": [(None, "4.440892098500626e-16", "4.2931216402450597e-10"),
-                 (None, "4.440892098500626e-16", "4.295069287961372e-10"),
-                 (None, "4.440892098500626e-16", "4.4582538786718385e-10")],
+    "reflection": [(None, "1.7763568394002505e-15", "1.7465608201225298e-09"),
+                   (None, "3.552713678800501e-15", "1.7475346439806864e-09"),
+                   (None, "2.6645352591003757e-15", "1.8291269393359194e-09")],
 }
 
 
@@ -765,3 +766,30 @@ def test_equivariance_report_fields_pinned(name):
         rep = equivariance_check(sys, N, ell, seed=seed)
         assert (rep.reason, repr(rep.max_residual), repr(rep.tol)) == want
         assert rep.hypotheses_met == (rep.reason is None)
+
+
+@pytest.mark.parametrize(
+    "N",
+    [-np.eye(1), -np.eye(3), [[1.0, 0.0, 0.0]], np.diag([2.0, 1.0]), N_ROTATION],
+    ids=["1x1", "3x3", "1x3", "diag-2-1", "rotation"],
+)
+def test_equivariance_check_refuses_n_that_is_not_a_k_by_k_involution(monkeypatch, N):
+    # the van der Pol pair has k = 2; the check comes before any point is drawn
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew a point")
+
+    monkeypatch.setattr(np.random, "default_rng", unreachable)
+    with pytest.raises(ValueError, match="N must be a k x k matrix|N is"):
+        equivariance_check(vdp_system(), N, 1)
+
+
+def test_invariance_test_refuses_no_trials(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew or integrated a start")
+
+    monkeypatch.setattr(dynamics, "sample_in_subspace", unreachable)
+    monkeypatch.setattr(dynamics, "integrate", unreachable)
+    s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            invariance_test(vdp_system(), s, trials=trials, T=1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import glob
 import hashlib
 import itertools
@@ -29,6 +31,7 @@ from polydiag.partitions import (
     classify,
     contains,
     enumerate_tagged_partitions,
+    orthogonal_to_ones,
     parse_typical_element,
     relabel,
     tagged,
@@ -125,6 +128,45 @@ def test_scan_matches_brute_force(m):
     mi = invariance._int_matrix(m)  # what is_invariant decides on, cleared once
     oracle = [p for p in enumerate_tagged_partitions(len(m)) if invariance._is_invariant_int(mi, p)]
     assert invariant_polydiagonals(m).partitions() == oracle
+
+
+def _scalar_plus_ones_cases():
+    rng = random.Random(8)
+    for n in range(1, 8):
+        for _ in range(3):
+            a = F(rng.randint(-4, 4), rng.randint(1, 3))
+            b = F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            yield "n%d-a%s-b%s" % (n, a, b), [[a * (i == j) + b for j in range(n)] for i in range(n)]
+
+
+SCALAR_PLUS_ONES = dict(_scalar_plus_ones_cases())
+
+
+@functools.lru_cache(maxsize=None)
+def _synchrony_or_ones_perp(n):
+    return [p for p in enumerate_tagged_partitions(n) if classify(p).synchrony or orthogonal_to_ones(p)]
+
+
+@pytest.mark.parametrize("m", SCALAR_PLUS_ONES.values(), ids=SCALAR_PLUS_ONES.keys())
+def test_scalar_plus_ones_leaves_exactly_synchrony_and_ones_perp_invariant(m):
+    """M = aI + bJ with b != 0: M W <= W exactly when W contains the ones
+    vector (a synchrony subspace) or is perpendicular to it (evenly
+    tagged).  The theorem and its converse, in closed form."""
+    n = len(m)
+    want = _synchrony_or_ones_perp(n)
+    assert invariant_polydiagonals(m).partitions() == want
+    assert len(want) == counting.egf_count("synchrony", n) + counting.egf_count("evenly", n)
+
+
+def test_k8_leaves_exactly_synchrony_and_ones_perp_invariant():
+    """K8's adjacency J - I beyond the brute-force oracle's n <= 7: every
+    hit is synchrony or perpendicular to the ones vector, and there are
+    Bell(8) + evenly(8) = 4,140 + 3,774 of them, so no such subspace is
+    missed."""
+    hits = invariant_polydiagonals(WALK_CASES["K8"]).partitions()
+    assert all(classify(p).synchrony or orthogonal_to_ones(p) for p in hits)
+    assert (counting.egf_count("synchrony", 8), counting.egf_count("evenly", 8)) == (4140, 3774)
+    assert len(hits) == 7914
 
 
 def test_scan_cap():
@@ -622,8 +664,8 @@ def test_column_sums_theorem_cycle3():
     assert rep.passed and rep.lam == 1
     rows = {typical_element(r.partition): r for r in rep.rows}
     assert set(rows) == {"(0,0,0)", "(a,a,a)", "(a,b,c)"}
-    assert rows["(a,a,a)"].contains_v and rows["(a,b,c)"].contains_v
-    assert not rows["(0,0,0)"].contains_v
+    assert rows["(a,a,a)"].right_in_subspace and rows["(a,b,c)"].right_in_subspace
+    assert not rows["(0,0,0)"].right_in_subspace
 
 
 def test_column_sums_theorem_k3_laplacian():
@@ -634,6 +676,45 @@ def test_column_sums_theorem_k3_laplacian():
         cls = classify(r.partition)
         if cls.anti_synchrony:
             assert cls.evenly_tagged
+
+
+def test_column_sums_rows_are_the_old_row_loop():
+    """On random constant-column-sum matrices whose hypotheses hold, the
+    rows are the ones the report once built itself: contains_v is v in W,
+    and the conclusion is synchrony with v or evenly tagged without it."""
+    rng = random.Random(18)
+    met = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+        lam = rng.randint(-2, 2)
+        m = matrix(rows + [[lam - sum(r[j] for r in rows) for j in range(n)]])
+        rep = check_constant_column_sums_theorem(m)
+        if not rep.hypotheses_met:
+            continue
+        met += 1
+        old = []
+        for p, cls in invariant_polydiagonals(m).subspaces:
+            has_v = contains(p, rep.v)
+            old.append((p, type_label(p, cls), has_v, (cls.synchrony and has_v) or (cls.evenly_tagged and not has_v)))
+        assert [(r.partition, r.label, r.right_in_subspace, r.sharpened) for r in rep.rows] == old
+        assert rep.violations() == [r for r in rep.rows if not r.sharpened]
+    assert met >= 10
+
+
+def test_sharpened_is_synchrony_with_v_or_evenly_tagged_without():
+    eig = eigendata(CYCLE3, 1)
+    rows = {typical_element(r.partition): r for r in invariance.dichotomy_rows(CYCLE3, eig)}
+    for typical, has_v, holds in (
+        ("(a,a,a)", True, True),
+        ("(a,a,a)", False, False),
+        ("(0,0,0)", False, True),  # evenly tagged
+        ("(0,0,0)", True, False),
+    ):
+        assert dataclasses.replace(rows[typical], right_in_subspace=has_v).sharpened == holds
+    uneven = invariance.DichotomyRow(parse_typical_element("(a,-a,-a)"), classify(parse_typical_element("(a,-a,-a)")),
+                                     False, False)
+    assert uneven.label == "fully tagged" and not uneven.sharpened
 
 
 def test_column_sums_hypothesis_failures_are_reported():
