@@ -239,7 +239,11 @@ def cmd_simulate(args):
 
 def cmd_check(args):
     if args.file and args.suite in ("main-lemma", "column-sums"):
-        m = _pick_matrix(_load_digraph(args.file), args.matrix)
+        g = _load_digraph(args.file)
+        cap = invariance.DEFAULT_SCAN_LIMIT  # the reports scan at the default cap
+        if g.n > cap:
+            raise InputError("n=%d exceeds cap %d, the most cells check --file scans" % (g.n, cap))
+        m = _pick_matrix(g, args.matrix)
         if args.suite == "main-lemma" and args.lam is None:
             raise InputError("main-lemma on a file needs --lambda")
         try:
@@ -247,7 +251,7 @@ def cmd_check(args):
                 report = invariance.check_main_lemma(m, args.lam)
             else:
                 report = invariance.check_constant_column_sums_theorem(m)
-        except ValueError as exc:  # a lambda that is not simple, or more cells than the scan takes
+        except ValueError as exc:  # a lambda that is not simple
             raise InputError(str(exc))
         _write(invariance.report_to_json(report) + "\n", args.output)
         return 0 if report.passed else 1

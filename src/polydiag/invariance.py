@@ -3,13 +3,14 @@
 A subspace W is M-invariant when M W is contained in W.  For a polydiagonal
 subspace this is decided exactly by applying M to the canonical basis of the
 subspace and testing membership of the images (:func:`is_invariant`).  The
-scan over all tagged partitions builds them one block at a time instead (an
-untagged class, the fixed class, or a pair of classes), and checks each
-block's basis image exactly as soon as the block is chosen.  The images
-accepted so far narrow the candidates for every later block to cells where
-they take the required values, so most of the Bell(n) set partitions are
-never formed.  It is exact, returns the canonical order, and is capped at
-n = 8 by default.
+scan over all tagged partitions builds them from the smallest free cell up
+instead: the cell joins the fixed class, or starts a block (an untagged
+class or a pair of classes) whose basis image is checked exactly as soon as
+the block is chosen.  The images accepted so far narrow the candidates for
+every later block, and for every later fixed cell, to cells where they take
+the required values, so most of the Bell(n) set partitions are never
+formed.  It is exact, returns the canonical order, and is capped at n = 8
+by default.
 
 The lattice orders the invariant subspaces by inclusion without vectors.
 Each subspace Delta_P is encoded by the relations x_i = x_j, x_i = -x_j and
@@ -121,23 +122,26 @@ def _invariant_partitions(mi):
     """Every tagged partition that the int matrix mi leaves invariant, in
     canonical order.
 
-    The search decides one block at a time, the one holding the smallest
-    free cell a: an untagged class P, the fixed class P (once) or a pair
-    (P, Q).  Its basis image M(1_P - 1_Q) is final once the block is
-    chosen, so it is checked exactly against this block and every earlier
-    one.  The images accepted so far also fix which later blocks are
-    possible: eq[c] (neg[c]) holds the cells where every image equals
-    (minus) its value at c, and zero the cells where every image is 0, so
-    P runs over submasks of eq[a], Q over submasks of neg[a] and a fixed
-    class lies inside zero.  An all-zero image constrains nothing.
+    The search decides the smallest free cell a at each step.  Either a
+    joins the fixed class, one cell at a time (the first such cell opens
+    it), or a starts a block: an untagged class P or a pair (P, Q).  A
+    block's basis image M(1_P - 1_Q) is final once the block is chosen, so
+    it is checked exactly against this block, every earlier one and the
+    fixed cells so far.  The images accepted so far also fix which later
+    choices are possible: eq[c] (neg[c]) holds the cells where every image
+    equals (minus) its value at c, and zero the cells where every image is
+    0, so P runs over submasks of eq[a], Q over submasks of neg[a], and a
+    joins the fixed class only inside zero.  An all-zero image constrains
+    nothing.
 
     The key orders set partitions as restricted growth strings, that is by
     the cells' class minima read as base-(n+1) digits, and then the
     involutions as :func:`partitions._partial_involutions` walks them: per
     block the code 0 untagged, 1 fixed, 2 + min(Q) paired, as base-(n+2)
-    digits by block.  Block b of a hit gives its cells the symbol b on P,
-    -b on Q, or 0 if fixed, and :func:`partitions.from_symbols` makes them
-    canonical.
+    digits by block.  The fixed class takes its block's place when its
+    smallest cell opens it.  Block b of a hit gives its cells the symbol b
+    on P, -b on Q, and the fixed cells keep 0;
+    :func:`partitions.from_symbols` makes them canonical.
     """
     n = len(mi)
     full = (1 << n) - 1
@@ -154,21 +158,22 @@ def _invariant_partitions(mi):
         lowest.append(j)
     place = [(n + 2) ** (n - 1 - k) for k in range(n)]
     # The decided blocks as (plus, minus, smallest cell of plus), cell
-    # bitmasks: (P, 0, r) untagged, (P, Q, r) a pair, (F, F, r) the fixed
-    # class.  An image must take one value v on plus and -v on minus, so
-    # (F, F) forces 0.
+    # bitmasks: (P, 0, r) untagged, (P, Q, r) a pair, and (0, 0, r) the
+    # place of the fixed class opened at r.  An image must take one value v
+    # on plus and -v on minus.  fixed is the bitmask of the fixed cells.
     blocks = []
     hits = []
 
     def accept(g, plus, minus, a, free, key, eq, neg, zero, fixed):
         """Recurse past the block (plus, minus) if its image g satisfies
-        the relations of this block and of every earlier one."""
+        the relations of this block, of every earlier one and of the fixed
+        cells so far."""
         blocks.append((plus, minus, a))
         if not any(g):  # satisfies every relation and constrains nothing
             search(free, key, eq, neg, zero, fixed)
         else:
             lv = _levels(g)
-            if not any(p & ~lv[g[r]] or q & ~lv.get(-g[r], 0) for p, q, r in reversed(blocks)):
+            if not fixed & ~lv.get(0, 0) and not any(p & ~lv[g[r]] or q & ~lv.get(-g[r], 0) for p, q, r in reversed(blocks)):
                 search(
                     free,
                     key,
@@ -187,6 +192,13 @@ def _invariant_partitions(mi):
         a = low.bit_length() - 1
         rest = free ^ low
         code = place[len(blocks)]
+        if low & zero:  # a may join the fixed class
+            if fixed:
+                search(rest, key + lowest[fixed] * weight[low], eq, neg, zero, fixed | low)
+            else:  # a opens it: a placeholder holds its block's place
+                blocks.append((0, 0, a))
+                search(rest, key + a * weight[low] + code, eq, neg, zero, low)
+                blocks.pop()
         cand = rest & eq[a]
         sub = cand
         while True:
@@ -198,10 +210,6 @@ def _invariant_partitions(mi):
             probe = lowest[sub] if sub else a
             if s[probe] == s[a]:
                 accept(s, plus, 0, a, left, at, eq, neg, zero, fixed)
-            if not fixed and not plus & ~zero:
-                blocks.append((plus, plus, a))
-                search(left, at + code, eq, neg, zero, True)
-                blocks.pop()
             partners = left & neg[a]
             minus = partners
             while minus:
@@ -216,19 +224,18 @@ def _invariant_partitions(mi):
                 break
             sub = (sub - 1) & cand
 
-    search(full, 0, [full] * n, [full] * n, full, False)
+    search(full, 0, [full] * n, [full] * n, full, 0)
     hits.sort()
     out = []
     for _, found in hits:
-        symbols = [0] * n  # block b gives b on plus, -b on minus, 0 if fixed
+        symbols = [0] * n  # block b gives b on plus, -b on minus
         for b, (plus, minus, _) in enumerate(found, start=1):
-            if minus != plus:
-                while plus:
-                    symbols[lowest[plus]] = b
-                    plus &= plus - 1
-                while minus:
-                    symbols[lowest[minus]] = -b
-                    minus &= minus - 1
+            while plus:
+                symbols[lowest[plus]] = b
+                plus &= plus - 1
+            while minus:
+                symbols[lowest[minus]] = -b
+                minus &= minus - 1
         out.append(from_symbols(symbols))
     return out
 

@@ -307,10 +307,14 @@ def test_simulate_names_the_empty_digraph(capsys, tmp_path):
 
 
 def test_file_reports_give_the_scan_cap_as_an_input_error(capsys, tmp_path):
-    path = input_paths(tmp_path)["cycle9"]
-    for argv in (["column-sums"], ["main-lemma", "--lambda", "1"]):
-        code, out, err = run(capsys, "check", *argv, "--file", path)
-        assert (code, out) == (2, "") and err.startswith("error: n=9 exceeds cap 8")
+    """Refused before the report, so also where a hypothesis fails (path13
+    has column sums that are not constant)."""
+    paths = input_paths(tmp_path)
+    for name, n in (("cycle9", 9), ("path13", 13)):
+        for argv in (["column-sums"], ["main-lemma", "--lambda", "1"]):
+            code, out, err = run(capsys, "check", *argv, "--file", paths[name])
+            assert (code, out) == (2, "") and err.startswith("error: n=%d exceeds cap 8" % n)
+            assert "n_cap" not in err and "--n-cap" not in err  # check has no such option
 
 
 def test_orbits_refuses_above_automorphism_limit_before_the_scan(capsys, tmp_path):

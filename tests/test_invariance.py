@@ -117,17 +117,49 @@ def _oracle_cases():
     yield "zero5", zeros(5, 5)
     yield "zero6", zeros(6, 6)
     yield "d3cayley", graph.adjacency_matrix(graph.cayley_digraph(graph.dihedral_group_table(3), [(3, F(1)), (4, F(1))]))
+    # sparse matrices, where the fixed class grows between other blocks and
+    # an image accepted in between cuts it
+    for n in range(5, 8):
+        yield "sparse%d" % n, matrix([[int(rng.random() < 0.25) for _ in range(n)] for _ in range(n)])
+    m = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+    for row in m:
+        row[1] = row[4] = 0
+    yield "zerocols6", matrix(m)
 
 
 ORACLE_CASES = dict(_oracle_cases())
 
 
-@pytest.mark.parametrize("m", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
-def test_scan_matches_brute_force(m):
-    """The pruned scan finds exactly the brute-force hits, in canonical order."""
+@functools.lru_cache(maxsize=None)
+def _brute_force_hits(name):
+    m = ORACLE_CASES[name]
     mi = invariance._int_matrix(m)  # what is_invariant decides on, cleared once
-    oracle = [p for p in enumerate_tagged_partitions(len(m)) if invariance._is_invariant_int(mi, p)]
-    assert invariant_polydiagonals(m).partitions() == oracle
+    return [p for p in enumerate_tagged_partitions(len(m)) if invariance._is_invariant_int(mi, p)]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_scan_matches_brute_force(name):
+    """The pruned scan finds exactly the brute-force hits, in canonical order."""
+    assert invariant_polydiagonals(ORACLE_CASES[name]).partitions() == _brute_force_hits(name)
+
+
+def _class_opens_inside_fixed_class(p):
+    """Some class of p has its smallest cell between two fixed cells, as in
+    (0,a,0): the search accepts its image while the fixed class is open and
+    grows the class after it."""
+    fixed = [i for i, x in enumerate(p.symbols) if x == 0]
+    firsts = {}
+    for i, x in enumerate(p.symbols):
+        firsts.setdefault(abs(x), i)
+    return any(fixed[0] < i < fixed[-1] for x, i in firsts.items() if x)
+
+
+@pytest.mark.parametrize("name", ["sparse5", "sparse6", "sparse7", "zerocols6"])
+def test_oracle_cases_grow_the_fixed_class_around_other_classes(name):
+    """The sparse oracle cases hold hits such as (0,a,b,0,-b), where a
+    class starts inside the fixed class, so they test the cell-by-cell
+    fixed class against brute force."""
+    assert any(_class_opens_inside_fixed_class(p) for p in _brute_force_hits(name))
 
 
 def _scalar_plus_ones_cases():
@@ -167,6 +199,36 @@ def test_k8_leaves_exactly_synchrony_and_ones_perp_invariant():
     assert all(classify(p).synchrony or orthogonal_to_ones(p) for p in hits)
     assert (counting.egf_count("synchrony", 8), counting.egf_count("evenly", 8)) == (4140, 3774)
     assert len(hits) == 7914
+
+
+def _complete_graph(n):
+    return graph.adjacency_matrix(graph.digraph_of_graph(n, itertools.combinations(range(1, n + 1), 2)))
+
+
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        pytest.param(_complete_graph(9), ("synchrony", "evenly"), id="K9"),
+        pytest.param(zeros(7, 7), ("polydiagonal",), id="zero7"),
+        pytest.param(_complete_graph(10), ("synchrony", "evenly"), id="K10", marks=pytest.mark.slow),
+    ],
+)
+def test_scan_counts_match_the_closed_forms(m, want):
+    """ROADMAP item 8's count oracle beyond the brute-force and walk
+    oracles: K_n leaves the synchrony and the evenly tagged subspaces
+    invariant (K9: 21,147 + 18,958 = 40,105; K10: 115,975 + 116,302 =
+    232,277), the zero matrix every polydiagonal (28,640 at n = 7).  Most
+    of these hits have a fixed class."""
+    n = len(m)
+    assert len(invariant_polydiagonals(m, n_cap=n).subspaces) == sum(counting.egf_count(k, n) for k in want)
+
+
+@pytest.mark.parametrize("m, want", [(_complete_graph(7), ("synchrony", "evenly")), (zeros(6, 6), ("polydiagonal",))],
+                         ids=["K7", "zero6"])
+def test_lattice_nodes_match_the_closed_forms(m, want):
+    """The lattice keeps every hit the closed forms count as a node."""
+    n = len(m)
+    assert len(build_lattice(invariant_polydiagonals(m)).nodes) == sum(counting.egf_count(k, n) for k in want)
 
 
 def test_scan_cap():
@@ -281,7 +343,7 @@ def _walk_cases():
         yield "signed%d" % n, matrix([[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
     yield "rational8", [[F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0) for _ in range(8)] for _ in range(8)]
     yield "cayley-z8", graph.adjacency_matrix(graph.cayley_digraph(graph.cyclic_group_table(8), [(1, F(1)), (7, F(1))]))
-    yield "K8", graph.adjacency_matrix(graph.digraph_of_graph(8, itertools.combinations(range(1, 9), 2)))
+    yield "K8", _complete_graph(8)
     yield "scalar6", matrix([[F(5, 2) if i == j else 0 for j in range(6)] for i in range(6)])
     yield "zero7", zeros(7, 7)
 
@@ -305,6 +367,23 @@ def test_scan_budget_n10():
     assert elapsed < 1.5, elapsed
     mi = invariance._int_matrix(m)
     assert inv.partitions() and all(invariance._is_invariant_int(mi, p) for p in inv.partitions())
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_scan_budget_beyond_the_default_cap(n):
+    """Random connected Laplacians at n = 12 and 13 scan within 1.5 s and
+    find exactly synchrony, {0} and R^n."""
+    m = graph.laplacian_matrix(graph.random_connected_graph(n, random.Random(1)))
+    start = time.perf_counter()
+    inv = invariant_polydiagonals(m, n_cap=13)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, elapsed
+    letters = "abcdefghijklm"[:n]
+    assert [typical_element(p) for p in inv.partitions()] == [
+        "(%s)" % ",".join("a" * n),
+        "(%s)" % ",".join("0" * n),
+        "(%s)" % ",".join(letters),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +484,7 @@ def _lattice_oracle_cases():
         yield name + "-A", graph.adjacency_matrix(g)
         yield name + "-L", graph.laplacian_matrix(g)
     for n in (4, 5, 6):
-        yield "K%d" % n, graph.adjacency_matrix(graph.digraph_of_graph(n, itertools.combinations(range(1, n + 1), 2)))
+        yield "K%d" % n, _complete_graph(n)
         yield "C%d" % n, graph.adjacency_matrix(graph.digraph_of_graph(n, [(i, i % n + 1) for i in range(1, n + 1)]))
     rng = random.Random(8)
     for t in range(20):
