@@ -14,7 +14,6 @@ each call gets a fresh namespace, so no call sees another's arguments.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import math
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 from . import counting, graph, invariance
 from .partitions import (
-    FILTERS,
+    KINDS,
     classify,
     enumerate_tagged_partitions,
     parse_typical_element,
@@ -88,13 +87,13 @@ def _pick_matrix(g, which):
     return graph.adjacency_matrix(g) if which == "adjacency" else graph.laplacian_matrix(g)
 
 
+_FILTERS = {kind.replace("_", "-"): test for kind, (_, test) in KINDS.items()}
+
+
 def cmd_enumerate(args):
-    pred = None
-    if args.filter:
-        if args.filter not in FILTERS:
-            raise InputError("unknown filter %r (choose from %s)" % (args.filter, ", ".join(sorted(FILTERS))))
-        pred = FILTERS[args.filter]
-    stream = enumerate_tagged_partitions(args.n, pred)
+    if args.filter and args.filter not in _FILTERS:
+        raise InputError("unknown filter %r (choose from %s)" % (args.filter, ", ".join(sorted(_FILTERS))))
+    stream = enumerate_tagged_partitions(args.n, _FILTERS.get(args.filter))
     if args.count_only:
         _write("%d\n" % sum(1 for _ in stream), args.output)
         return 0
@@ -111,7 +110,7 @@ def cmd_classify(args):
         except ValueError as exc:
             raise InputError(str(exc))
         c = classify(p)
-        rows.append({"typical": typical_element(p), "label": type_label(p, c), **dataclasses.asdict(c)})
+        rows.append({"typical": typical_element(p), "label": type_label(p, c), **c._asdict()})
     if args.format == "json":
         _write(json.dumps(rows, indent=2) + "\n", args.output)
     else:
@@ -282,7 +281,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="stream tagged partitions of {1..n}")
     p.add_argument("n", type=_NATURAL)
-    p.add_argument("--filter", help="one of: %s" % ", ".join(sorted(FILTERS)))
+    p.add_argument("--filter", help="one of: %s" % ", ".join(sorted(_FILTERS)))
     p.add_argument("--count-only", action="store_true")
     common(p)
     p.set_defaults(func=cmd_enumerate)

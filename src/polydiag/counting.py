@@ -1,10 +1,13 @@
 """Counting polydiagonal subspaces by three independent methods.
 
-Each type of subspace is counted by (1) an exponential generating function
-with exact rational coefficients, (2) a recurrence, and (3) a census that
+Each kind of subspace in :data:`polydiag.partitions.KINDS` is counted by
+(1) an exponential generating function with exact rational coefficients,
+(2) a recurrence, which the freely kinds lack, and (3) a census that
 enumerates every set partition and every partial involution on its
-classes.  The three must agree; the count table cross-checks them where
-the enumeration is feasible.
+classes.  The methods must agree; the count table cross-checks them where
+the enumeration is feasible.  A freely kind's EGF times e^x is its plain
+kind's: freely tagged times e^x is polydiagonal, and so on for fully and
+evenly tagged.
 
 The census builds no tagged partition.  A tagged partition's type depends
 only on its class sizes and its involution, and relabelling the classes
@@ -13,6 +16,8 @@ sorted tuple of class sizes) carry the same multiset of types.  The census
 therefore tallies the set partitions by shape, classifies the involutions
 of each shape once, and multiplies: ``count 8`` walks 4,140 set partitions
 and the involutions of 22 shapes instead of 219,920 tagged partitions.
+It adds up the weight of each distinct SubspaceClass and reads every
+kind's count off the table with the kind's test.
 """
 
 from __future__ import annotations
@@ -23,35 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import _classify, _partial_involutions, _rgs
+from .partitions import KINDS, _classify, _partial_involutions, _rgs
 
 DEFAULT_ORDER = 16
 ENUMERATION_CAP = 8
 
-KINDS = (
-    "polydiagonal",
-    "synchrony",
-    "anti_synchrony",
-    "minimally",
-    "fully",
-    "evenly",
-    "freely_evenly",
-    "freely_fully",
-)
-
-FIGURE_KINDS = KINDS[:6]  # the six rows of the published table
-
-# the table's short name for each kind
-ROW_SYMBOLS = {
-    "polydiagonal": "p",
-    "synchrony": "s",
-    "anti_synchrony": "a",
-    "minimally": "m",
-    "fully": "f",
-    "evenly": "e",
-    "freely_evenly": "e~",
-    "freely_fully": "f~",
-}
+FIGURE_KINDS = tuple(KINDS)[:6]  # the six rows of the published table
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +133,8 @@ def egf(kind: str, order: int = DEFAULT_ORDER) -> RationalSeries:
         return series_exp((bessel_like(order) - one) * Fraction(1, 2) + x)
     if kind == "freely_evenly":
         return series_exp((bessel_like(order) - one) * Fraction(1, 2))
+    if kind == "freely":
+        return series_exp((exp_x(order, 2) - one) * Fraction(1, 2))
     if kind == "anti_synchrony":
         return egf("polydiagonal", order) - egf("synchrony", order)
     if kind == "minimally":
@@ -221,7 +205,7 @@ def recurrence_count(kind: str, n: int) -> int:
         return _rec_seq("synchrony", n + 1) - _rec_seq("synchrony", n)
     if kind == "anti_synchrony":
         return _rec_seq("polydiagonal", n) - _rec_seq("synchrony", n)
-    if kind in ("freely_evenly", "freely_fully"):
+    if kind in KINDS:  # the freely kinds
         raise KeyError("no recurrence for %r; use egf_count or enumeration_count" % kind)
     raise KeyError("unknown kind %r" % kind)
 
@@ -242,26 +226,11 @@ def _census(n: int) -> dict:
         for c in a:
             sizes[c] += 1
         ways[tuple(sorted(s for s in sizes if s))] += 1
-    counts = dict.fromkeys(KINDS, 0)
+    weight = Counter()
     for sizes, w in ways.items():
         for pairs, fixed in _partial_involutions(len(sizes)):
-            c = _classify(sizes, pairs, fixed)
-            counts["polydiagonal"] += w
-            if c.synchrony:
-                counts["synchrony"] += w
-            else:
-                counts["anti_synchrony"] += w
-            if c.minimally_tagged:
-                counts["minimally"] += w
-            if c.fully_tagged:
-                counts["fully"] += w
-                if c.freely_tagged:
-                    counts["freely_fully"] += w
-            if c.evenly_tagged:
-                counts["evenly"] += w
-                if c.freely_tagged:
-                    counts["freely_evenly"] += w
-    return counts
+            weight[_classify(sizes, pairs, fixed)] += w
+    return {kind: sum(w for c, w in weight.items() if test(c)) for kind, (_, test) in KINDS.items()}
 
 
 def enumeration_count(kind: str, n: int) -> int:
@@ -316,7 +285,7 @@ def table_to_markdown(t: CountTable) -> str:
             "| %s | %s | %s | %s |"
             % (
                 kind,
-                ROW_SYMBOLS[kind],
+                KINDS[kind][0],
                 " | ".join(str(v) for v in vals),
                 "ok" if t.cross_checked[kind] else "MISMATCH",
             )

@@ -346,7 +346,8 @@ def from_edgelist(text: str) -> WeightedDigraph:
 
 
 def load_digraph(path) -> WeightedDigraph:
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     if str(path).endswith(".json"):
         return from_json(text)
     return from_edgelist(text)

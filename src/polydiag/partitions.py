@@ -19,6 +19,10 @@ canonicalizer, and every partition is built through it: class lists
 bijection and the invariance scan.  Only the enumeration, whose symbols
 are canonical by construction, skips it.  The class-list view
 (``classes``, ``pairs``, ``fixed``) is derived from the symbols.
+
+:data:`KINDS` is the one table of subspace kinds, each with its count-table
+symbol and its test on the type flags of :func:`classify`; ``enumerate
+--filter``, the census and the count table all read it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_lowercase
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,10 @@ def tagged(n, classes, pairs=(), fixed=None) -> TaggedPartition:
     return from_symbols([symbol[cell] for cell in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class SubspaceClass:
+class SubspaceClass(NamedTuple):
+    """The six type flags of :func:`classify`; a tuple, so that the census
+    can tally by it cheaply."""
+
     synchrony: bool
     anti_synchrony: bool
     minimally_tagged: bool
@@ -183,15 +190,18 @@ def type_label(p: TaggedPartition, cls: SubspaceClass | None = None) -> str:
     return "anti-synchrony"
 
 
-FILTERS = {
-    "synchrony": lambda c: c.synchrony,
-    "anti-synchrony": lambda c: c.anti_synchrony,
-    "minimally": lambda c: c.minimally_tagged,
-    "fully": lambda c: c.fully_tagged,
-    "evenly": lambda c: c.evenly_tagged,
-    "freely": lambda c: c.freely_tagged,
-    "freely-fully": lambda c: c.freely_tagged and c.fully_tagged,
-    "freely-evenly": lambda c: c.freely_tagged and c.evenly_tagged,
+# {kind: (count-table symbol, test on the SubspaceClass)} in table order; a
+# freely kind (``~``) is its plain kind with no fixed class.
+KINDS = {
+    "polydiagonal": ("p", lambda c: True),
+    "synchrony": ("s", lambda c: c.synchrony),
+    "anti_synchrony": ("a", lambda c: c.anti_synchrony),
+    "minimally": ("m", lambda c: c.minimally_tagged),
+    "fully": ("f", lambda c: c.fully_tagged),
+    "evenly": ("e", lambda c: c.evenly_tagged),
+    "freely_evenly": ("e~", lambda c: c.freely_tagged and c.evenly_tagged),
+    "freely_fully": ("f~", lambda c: c.freely_tagged and c.fully_tagged),
+    "freely": ("p~", lambda c: c.freely_tagged),
 }
 
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -86,9 +87,26 @@ def test_strong_connectivity_quick():
 
 def test_reports_carry_witnesses_on_failure():
     # a deliberately broken "suite": reuse the summary formatting
-    rep = checks.SuiteReport("demo", 1, False, ["it broke"])
+    rep = checks.SuiteReport("demo", 1, ["it broke"])
     text = rep.summary()
-    assert "FAIL" in text and "it broke" in text
+    assert not rep.passed and "FAIL" in text and "it broke" in text
+
+
+# the acceptance test of each sampled suite, replaced by one that rejects every draw
+REJECT_EVERY_DRAW = {
+    "column-sums": (checks, "check_constant_column_sums_theorem", lambda m: types.SimpleNamespace(hypotheses_met=False)),
+    "input-output": (graph, "is_weakly_connected", lambda g: False),
+    "frobenius-perron": (graph, "is_strongly_connected", lambda g: False),
+    "strong-connectivity": (graph, "weakly_connected", lambda *masks: False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECT_EVERY_DRAW))
+def test_sampled_suites_say_why_they_came_up_short(monkeypatch, name):
+    monkeypatch.setattr(*REJECT_EVERY_DRAW[name])
+    rep = checks.SUITES[name](trials=5)
+    assert not rep.passed and rep.trials == 0 and not rep.failures
+    assert rep.summary() == "%s: FAIL (0 trials)\n  note: only 0 of 5 instances found" % name
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +292,7 @@ def _old_frobenius_perron(trials, seed, n_max=6, flip=False):
                 failures.append("digraph %s: synchrony %s misses v_R" % (graph.to_json(g), typical_element(p)))
             if cls.anti_synchrony and orthogonal(p, v_l) == flip:
                 failures.append("digraph %s: anti-synchrony %s not perp v_L" % (graph.to_json(g), typical_element(p)))
-    return checks.SuiteReport("frobenius-perron", len(found), not failures and len(found) == trials, failures)
+    return checks.SuiteReport("frobenius-perron", len(found), failures)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 13, 27])

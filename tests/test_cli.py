@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polydiag
-from polydiag import checks
+from polydiag import checks, cli, counting
 from polydiag.cli import main
+from polydiag.partitions import KINDS
 
 
 def run(capsys, *argv):
@@ -39,6 +40,19 @@ def test_enumerate_filter_count(capsys):
 def test_enumerate_bad_filter(capsys):
     code, _, err = run(capsys, "enumerate", "3", "--filter", "weird")
     assert code == 2 and "unknown filter" in err
+    code, _, err = run(capsys, "enumerate", "3", "--filter", "anti_synchrony")
+    assert code == 2 and "anti-synchrony" in err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_filter_counts_what_the_census_counts(capsys, kind):
+    for n in range(7):
+        code, out, _ = run(capsys, "enumerate", str(n), "--filter", kind.replace("_", "-"), "--count-only")
+        assert (code, out) == (0, "%d\n" % counting.enumeration_count(kind, n)), n
+
+
+def test_polydiagonal_filter_keeps_every_line(capsys):
+    assert run(capsys, "enumerate", "5", "--filter", "polydiagonal") == run(capsys, "enumerate", "5")
 
 
 def test_classify(capsys):
@@ -458,7 +472,7 @@ MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)
 # Horizons, sizes and trial counts are always given and small, so every
 # example runs in well under a second.
 CLI_GRAMMAR = {
-    "enumerate": ([(["0", "3"], ["-1", "x"])], [("--filter", ["evenly", "freely-fully"], ["weird"], False),
+    "enumerate": ([(["0", "3"], ["-1", "x"])], [("--filter", sorted(cli._FILTERS), ["weird"], False),
                                                  ("--count-only", None, None, False)]),
     "classify": ([(["(a,-a,0)", "(a,a)", "()"], ["(b,a)", "(a,b"])], [("--format", ["text", "json"], ["xml"], False)]),
     "count": ([(["0", "4"], ["-1", "x", "2.5"])], [("--format", ["md", "csv", "json"], ["yaml"], False)]),

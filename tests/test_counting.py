@@ -82,10 +82,12 @@ def test_enumeration_goldens():
 
 def _object_census(n):
     """The census by building and classifying every tagged partition."""
-    counts = dict.fromkeys(KINDS, 0)
+    counts = dict.fromkeys(TABLE, 0) | {"freely_evenly": 0, "freely_fully": 0, "freely": 0}
     for p in enumerate_tagged_partitions(n):
         c = classify(p)
         counts["polydiagonal"] += 1
+        if c.freely_tagged:
+            counts["freely"] += 1
         if c.synchrony:
             counts["synchrony"] += 1
         else:
@@ -133,6 +135,7 @@ def test_series_identities():
     ex = exp_x(order)
     assert (e_free * ex).coeffs == e_full.coeffs
     assert (f_free * ex).coeffs == f_full.coeffs
+    assert (egf("freely", order) * ex).coeffs == p.coeffs
     assert (b * f_full).coeffs == p.coeffs
 
 
@@ -164,6 +167,17 @@ def test_all_kinds_table():
     t = count_table(4, kinds=KINDS)
     assert t.rows["freely_evenly"] == [1, 0, 1, 0, 6]
     assert all(t.cross_checked.values())
+    md = table_to_markdown(count_table(9, kinds=KINDS))
+    assert len(md.splitlines()) == 2 + 9 and "MISMATCH" not in md
+    assert "| freely | p~ | 1 | 1 | 3 | 11 | 49 | 257 | 1539 | 10299 | 75905 | 609441 | ok |" in md
+
+
+def test_freely_census_matches_its_egf():
+    counts = [1, 1, 3, 11, 49, 257, 1539, 10299, 75905, 609441]
+    assert [egf_count("freely", n) for n in range(10)] == counts
+    assert [counting._census(n)["freely"] for n in range(10)] == counts  # n = 9 is past the enumeration cap
+    with pytest.raises(KeyError, match="no recurrence"):
+        recurrence_count("freely", 4)
 
 
 @pytest.mark.parametrize("max_n", range(11))

@@ -1,6 +1,9 @@
+import gc
 import itertools
 import json
+import os
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +27,8 @@ from polydiag.graph import (
     perm_compose,
 )
 from polydiag.linalg import matrix
+
+DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 
 
 def perm_inverse(p):
@@ -424,3 +429,14 @@ def test_edgelist_parses_literal_text():
     assert graph.from_edgelist("  n=3\n\n 1  2 1\n2 3 -0.5  \n\n") == g
     with pytest.raises(ValueError):
         graph.from_edgelist("1 2 3\n")
+
+
+def test_load_digraph_closes_its_file(tmp_path):
+    edgelist = tmp_path / "pair.txt"
+    edgelist.write_text("n=2\n1 2 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for path in (os.path.join(DEMO_DIR, "vdp_pair.json"), edgelist):
+            graph.load_digraph(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

@@ -7,9 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiag import linalg
+from polydiag import cli, linalg
 from polydiag.partitions import (
-    FILTERS,
     BTypePartition,
     TaggedPartition,
     basis,
@@ -242,7 +241,7 @@ def test_json_matches_documented_shape():
 
 
 def test_filters_cover_documented_names():
-    assert {"synchrony", "anti-synchrony", "minimally", "fully", "evenly", "freely"} <= set(FILTERS)
+    assert {"synchrony", "anti-synchrony", "minimally", "fully", "evenly", "freely"} <= set(cli._FILTERS)
 
 
 # ---------------------------------------------------------------------------
