@@ -14,7 +14,6 @@ from .graph import (
     cayley_digraph,
     digraph_of_graph,
     from_adjacency,
-    imbalance,
     is_strongly_connected,
     is_weakly_connected,
     is_weight_balanced,
@@ -40,7 +39,6 @@ from .partitions import (
     contains,
     enumerate_tagged_partitions,
     from_btype,
-    orthogonal_to_ones,
     parse_typical_element,
     tagged,
     to_btype,

@@ -91,7 +91,7 @@ _FILTERS = {kind.replace("_", "-"): test for kind, (_, test) in KINDS.items()}
 
 
 def cmd_enumerate(args):
-    if args.filter and args.filter not in _FILTERS:
+    if args.filter is not None and args.filter not in _FILTERS:
         raise InputError("unknown filter %r (choose from %s)" % (args.filter, ", ".join(sorted(_FILTERS))))
     stream = enumerate_tagged_partitions(args.n, _FILTERS.get(args.filter))
     if args.count_only:

@@ -14,20 +14,18 @@ round-off, so tight invariance tolerances are meaningful.
 The systems of the paper's examples are tiny (two van der Pol or Lorenz
 cells, 4-6 floats of state), so the RK4 loop runs on plain Python floats,
 not numpy arrays: a numpy call on a handful of floats costs about 1 us of
-overhead whatever it computes (the array step took 88-107 us for either
-pair).  A preset is source text: the names of a cell's k coordinates and one
-rational expression per coordinate, with every parameter written as a
-parenthesised ``repr(float)``.  The same text gives ``Preset.func``, which
+overhead whatever it computes.  A preset is source text: the names of a
+cell's k coordinates and one rational expression per coordinate, with
+every parameter written as a parenthesised ``repr(float)``.  The same text gives ``Preset.func``, which
 maps the k floats of one cell to f's k values (the equivariance check
 samples f through it, row by row), and is inlined into one generated
 function per :class:`CoupledSystem` that runs the whole RK4 loop with the
 n*k coordinates in locals and each nonzero ``kron(M, H)`` weight as a
 literal.  It makes the same IEEE operations in the same order as
 :meth:`CoupledSystem.rhs` called four times per step.  A step takes
-3.3-3.6 us for the van der Pol pair and 5.2-6.1 us for the Lorenz pair
-(12-17 us and 15-21 us with list comprehensions around ``rhs``), and
-building a system with its function 1.3-1.6 ms, on a shared 2-vCPU Xeon VM
-with Python 3.11.  Arrays stay at the edges: each state is written into a
+3.3-3.6 us for the van der Pol pair and 5.2-6.1 us for the Lorenz pair,
+and building a system with its function 1.3-1.6 ms, on a shared 2-vCPU
+Xeon VM with Python 3.11.  Arrays stay at the edges: each state is written into a
 preallocated (steps+1, n, k) output.
 """
 

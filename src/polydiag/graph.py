@@ -102,13 +102,6 @@ def _net_flow(g: WeightedDigraph) -> list:
     return net
 
 
-def imbalance(g: WeightedDigraph, i: int) -> Fraction:
-    """out-degree minus in-degree of vertex i."""
-    if not 1 <= i <= g.n:
-        raise ValueError("vertex %d out of range" % i)
-    return _net_flow(g)[i - 1]
-
-
 def is_weight_balanced(g: WeightedDigraph) -> bool:
     return not any(_net_flow(g))
 

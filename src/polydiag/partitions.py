@@ -27,7 +27,6 @@ symbol and its test on the type flags of :func:`classify`; ``enumerate
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from string import ascii_lowercase
@@ -365,11 +364,6 @@ def orthogonal(p: TaggedPartition, v) -> bool:
     return all(sum(v[c] for c in plus) == sum(v[c] for c in minus) for plus, minus in p.supports())
 
 
-def orthogonal_to_ones(p: TaggedPartition) -> bool:
-    """True iff the all-ones vector is orthogonal to the subspace."""
-    return orthogonal(p, [1] * p.n)
-
-
 def relabel(p: TaggedPartition, perm) -> TaggedPartition:
     """Image of p under a vertex permutation (perm[i-1] is the image of i)."""
     if sorted(perm) != list(range(1, p.n + 1)):
@@ -425,49 +419,3 @@ def from_btype(q: BTypePartition) -> TaggedPartition:
     q.validate()
     symbol = {k: 0 if 0 in cls else max(cls, key=abs) for cls in q.classes for k in cls}
     return from_symbols([symbol[k] for k in range(1, q.n + 1)])
-
-
-def enumerate_btype_partitions(n):
-    """Direct enumeration of B-type partitions of {-n..n} (independent of
-    the bijection above): filter all set partitions of the 2n+1 points."""
-    universe = list(range(-n, n + 1))
-    for a in _rgs(len(universe)):
-        m = max(a) + 1 if a else 0
-        cells = [[] for _ in range(m)]
-        for idx, c in enumerate(a):
-            cells[c].append(universe[idx])
-        classes = [frozenset(cl) for cl in cells]
-        class_set = frozenset(classes)
-        if any(frozenset(-k for k in q) not in class_set for q in classes):
-            continue
-        if sum(1 for q in classes if q == frozenset(-k for k in q)) != 1:
-            continue
-        yield BTypePartition(n, class_set)
-
-
-# ---------------------------------------------------------------------------
-# JSON form
-
-
-def to_json_dict(p: TaggedPartition) -> dict:
-    d = {
-        "n": p.n,
-        "classes": [list(cls) for cls in p.classes],
-        "involution": {str(i): j for i, j in p.pairs},
-    }
-    if p.fixed is not None:
-        d["fixed"] = p.fixed
-    return d
-
-
-def from_json_dict(d: dict) -> TaggedPartition:
-    pairs = [(int(i), int(j)) for i, j in d.get("involution", {}).items()]
-    return tagged(d["n"], d["classes"], pairs, d.get("fixed"))
-
-
-def to_json(p: TaggedPartition) -> str:
-    return json.dumps(to_json_dict(p))
-
-
-def from_json(s: str) -> TaggedPartition:
-    return from_json_dict(json.loads(s))

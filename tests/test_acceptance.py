@@ -9,14 +9,15 @@ import numpy as np
 from polydiag import checks, counting, dynamics, graph, invariance
 from polydiag.partitions import (
     classify,
-    enumerate_btype_partitions,
     enumerate_tagged_partitions,
     from_btype,
-    orthogonal_to_ones,
+    orthogonal,
     parse_typical_element,
     to_btype,
     typical_element,
 )
+
+from btype_oracle import enumerate_btype_partitions
 
 FIGURE = {
     "polydiagonal": [1, 2, 6, 24, 116, 648, 4088, 28640, 219920],
@@ -162,7 +163,7 @@ def test_10_orthogonality_biconditional():
     with Budget("10 evenly tagged iff orthogonal to ones, n<=6", 10):
         for n in range(7):
             for p in enumerate_tagged_partitions(n):
-                assert classify(p).evenly_tagged == orthogonal_to_ones(p)
+                assert classify(p).evenly_tagged == orthogonal(p, [1] * p.n)
 
 
 def test_11_btype_bijection():

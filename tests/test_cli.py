@@ -218,6 +218,7 @@ def test_missing_file_is_input_error(capsys):
 PAIR = ["--preset", "vanderpol", "--digraph", "{pair}"]
 BAD_ARGV = {
     "enumerate-negative-n": ["enumerate", "-1"],
+    "enumerate-empty-filter": ["enumerate", "2", "--filter", ""],
     "count-negative-n": ["count", "-1"],
     "simulate-scale": ["simulate", *PAIR, "--scale", "abc"],
     "simulate-scale-beyond-float": ["simulate", *PAIR, "--scale", "1e400"],
@@ -243,6 +244,8 @@ BAD_ARGV = {
     "dynamics-vdp-no-step": ["check", "dynamics-vdp", "--dt", "0.5", "--T", "0.2"],
     "dynamics-vdp-steps-beyond-memory": ["check", "dynamics-vdp", "--dt", "1e-15", "--T", "1"],
     "main-lemma-lambda-zero-denominator": ["check", "main-lemma", "--file", "{pair}", "--lambda", "1/0"],
+    "main-lemma-no-lambda": ["check", "main-lemma", "--file", "{pair}"],
+    "main-lemma-lambda-not-simple": ["check", "main-lemma", "--file", "{pair}", "--lambda", "7"],
     "invariants-float-weight": ["invariants", "{float}"],
     "column-sums-float-weight": ["check", "column-sums", "--file", "{float}"],
     "orbits-format-dot": ["orbits", "{pair}", "--format", "dot"],
@@ -472,7 +475,7 @@ MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)
 # Horizons, sizes and trial counts are always given and small, so every
 # example runs in well under a second.
 CLI_GRAMMAR = {
-    "enumerate": ([(["0", "3"], ["-1", "x"])], [("--filter", sorted(cli._FILTERS), ["weird"], False),
+    "enumerate": ([(["0", "3"], ["-1", "x"])], [("--filter", sorted(cli._FILTERS), ["weird", ""], False),
                                                  ("--count-only", None, None, False)]),
     "classify": ([(["(a,-a,0)", "(a,a)", "()"], ["(b,a)", "(a,b"])], [("--format", ["text", "json"], ["xml"], False)]),
     "count": ([(["0", "4"], ["-1", "x", "2.5"])], [("--format", ["md", "csv", "json"], ["yaml"], False)]),

@@ -68,6 +68,22 @@ def test_recurrence_goldens():
         recurrence_count("freely_fully", 4)
 
 
+REFUSED = {
+    "egf negative n": (lambda: egf_count("synchrony", -1), ValueError, "n must be >= 0"),
+    "egf n beyond order": (lambda: egf_count("synchrony", 5, order=4), ValueError, "exceeds truncation order"),
+    "recurrence negative n": (lambda: recurrence_count("synchrony", -1), ValueError, "n must be >= 0"),
+    "recurrence unknown kind": (lambda: recurrence_count("nonsense", 3), KeyError, "unknown kind"),
+    "enumeration unknown kind": (lambda: enumeration_count("nonsense", 3), KeyError, "unknown kind"),
+    "series product of two orders": (lambda: series([1, 1], 3) * series([1, 1], 4), ValueError, "orders differ"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_enumeration_goldens():
     assert enumeration_count("anti_synchrony", 5) == 596
     assert enumeration_count("evenly", 3) == 4

@@ -18,7 +18,6 @@ from polydiag.graph import (
     digraph_of_graph,
     dihedral_group_table,
     from_adjacency,
-    imbalance,
     is_strongly_connected,
     is_vertex_transitive,
     is_weakly_connected,
@@ -69,14 +68,13 @@ def test_laplacian_row_sums_zero():
 
 
 def test_imbalance_examples():
+    """graph._net_flow gives each vertex's out-degree minus in-degree."""
     g = digraph_of_graph(3, [(1, 2), (2, 3)])
-    assert all(imbalance(g, i) == 0 for i in (1, 2, 3))
+    assert graph._net_flow(g) == [0, 0, 0]
     balanced = from_adjacency([[0, 0, 2], [1, 0, 0], [1, 1, 0]])
-    assert all(imbalance(balanced, i) == 0 for i in (1, 2, 3))
+    assert graph._net_flow(balanced) == [0, 0, 0]
     feedforward = from_adjacency([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert [imbalance(feedforward, i) for i in (1, 2, 3)] == [1, 0, -1]
-    with pytest.raises(ValueError):
-        imbalance(balanced, 4)
+    assert graph._net_flow(feedforward) == [1, 0, -1]
 
 
 def test_total_imbalance_vanishes():
@@ -89,7 +87,7 @@ def test_total_imbalance_vanishes():
                 if rng.random() < 0.4:
                     arrows.append((t, h, F(rng.randint(1, 5), rng.randint(1, 3))))
         g = WeightedDigraph(n, tuple(arrows))
-        assert sum(imbalance(g, i) for i in range(1, n + 1)) == 0
+        assert sum(graph._net_flow(g)) == 0
 
 
 def test_weight_balanced_iff_row_equals_column_sums():
@@ -102,7 +100,7 @@ def test_weight_balanced_iff_row_equals_column_sums():
         col = [sum(a[i][j] for i in range(n)) for j in range(n)]
         assert is_weight_balanced(g) == (row == col)
         # a[i][j] weighs the arrow j -> i: out-degrees are column sums
-        assert [imbalance(g, i + 1) for i in range(n)] == [c - r for r, c in zip(row, col)]
+        assert graph._net_flow(g) == [c - r for r, c in zip(row, col)]
 
 
 def test_connectivity_predicates():
@@ -206,6 +204,24 @@ def test_cayley_rejects_bad_tables():
         cayley_digraph([[0, 1], [1, 1]], [(1, F(1))])  # not a group
     with pytest.raises(ValueError):
         cayley_digraph(cyclic_group_table(3), [(1, F(1)), (1, F(2))])  # collision
+
+
+REFUSED = {
+    "adjacency not square": (lambda: from_adjacency([[0, 1], [1]]), "must be square"),
+    "table too large": (lambda: cayley_digraph(cyclic_group_table(25), [(1, F(1))]), "larger than 24"),
+    "table not closed": (lambda: cayley_digraph([[0, 1], [1, 2]], [(1, F(1))]), "not closed"),
+    "table without identity": (lambda: cayley_digraph([[0, 0], [0, 0]], [(1, F(1))]), "no identity"),
+    "table not associative": (lambda: cayley_digraph([[0, 1, 2], [1, 0, 0], [2, 0, 1]], [(1, F(1))]),
+                              "not associative"),
+    "balanced weights on one vertex": (lambda: graph.random_balanced_weights(1, random.Random(0)), "n >= 2"),
+    "in-degree zero": (lambda: graph.random_in_regular_digraph(3, 0, random.Random(0)), "1 <= d <= n"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_automorphism_group_axioms():

@@ -31,7 +31,7 @@ from polydiag.partitions import (
     classify,
     contains,
     enumerate_tagged_partitions,
-    orthogonal_to_ones,
+    orthogonal,
     parse_typical_element,
     relabel,
     tagged,
@@ -176,7 +176,7 @@ SCALAR_PLUS_ONES = dict(_scalar_plus_ones_cases())
 
 @functools.lru_cache(maxsize=None)
 def _synchrony_or_ones_perp(n):
-    return [p for p in enumerate_tagged_partitions(n) if classify(p).synchrony or orthogonal_to_ones(p)]
+    return [p for p in enumerate_tagged_partitions(n) if classify(p).synchrony or orthogonal(p, [1] * p.n)]
 
 
 @pytest.mark.parametrize("m", SCALAR_PLUS_ONES.values(), ids=SCALAR_PLUS_ONES.keys())
@@ -196,7 +196,7 @@ def test_k8_leaves_exactly_synchrony_and_ones_perp_invariant():
     Bell(8) + evenly(8) = 4,140 + 3,774 of them, so no such subspace is
     missed."""
     hits = invariant_polydiagonals(WALK_CASES["K8"]).partitions()
-    assert all(classify(p).synchrony or orthogonal_to_ones(p) for p in hits)
+    assert all(classify(p).synchrony or orthogonal(p, [1] * p.n) for p in hits)
     assert (counting.egf_count("synchrony", 8), counting.egf_count("evenly", 8)) == (4140, 3774)
     assert len(hits) == 7914
 

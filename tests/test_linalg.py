@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polydiag.linalg import (
     clear_denominators,
+    dot,
     frac,
     identity,
     matrix,
@@ -98,6 +99,18 @@ def test_span_contains_examples():
 def test_span_contains_dimension_mismatch():
     with pytest.raises(ValueError):
         span_contains([vector([1, 0])], vector([1, 0, 0]))
+
+
+REFUSED = {
+    "ragged rows": (lambda: matrix([[1, 2], [3]]), "ragged rows"),
+    "dot length mismatch": (lambda: dot(vector([1, 2]), vector([1, 2, 3])), "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 small_entries = st.integers(min_value=-6, max_value=6)

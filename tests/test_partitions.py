@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import itertools
-import json
 import random
 from fractions import Fraction as F
 
@@ -14,21 +13,19 @@ from polydiag.partitions import (
     basis,
     classify,
     contains,
-    enumerate_btype_partitions,
     enumerate_tagged_partitions,
     from_btype,
-    from_json,
     from_symbols,
     orthogonal,
-    orthogonal_to_ones,
     parse_typical_element,
     relabel,
     tagged,
     to_btype,
-    to_json,
     type_label,
     typical_element,
 )
+
+from btype_oracle import enumerate_btype_partitions
 
 
 def running_example():
@@ -143,15 +140,16 @@ def test_contains_examples():
 
 
 def test_orthogonal_to_ones_examples():
-    assert orthogonal_to_ones(parse_typical_element("(a,-a,0)"))
-    assert not orthogonal_to_ones(parse_typical_element("(a,a,-a)"))
-    assert not orthogonal_to_ones(parse_typical_element("(a,b,c)"))
+    ones = [1, 1, 1]
+    assert orthogonal(parse_typical_element("(a,-a,0)"), ones)
+    assert not orthogonal(parse_typical_element("(a,a,-a)"), ones)
+    assert not orthogonal(parse_typical_element("(a,b,c)"), ones)
 
 
 def test_orthodiagonal_biconditional_small():
     for n in range(5):
         for p in enumerate_tagged_partitions(n):
-            assert classify(p).evenly_tagged == orthogonal_to_ones(p)
+            assert classify(p).evenly_tagged == orthogonal(p, [1] * p.n)
 
 
 def test_distinct_partitions_give_distinct_subspaces():
@@ -220,24 +218,22 @@ def test_btype_validation():
         BTypePartition(1, frozenset({frozenset({0, 1}), frozenset({-1})})).validate()
 
 
-# ---------------------------------------------------------------------------
-# serialization
+def _btype(n, *classes):
+    return BTypePartition(n, frozenset(map(frozenset, classes)))
 
 
-def test_json_round_trip():
-    for n in range(5):
-        for p in enumerate_tagged_partitions(n):
-            assert from_json(to_json(p)) == p
+REFUSED = {
+    "btype cells missing": (lambda: _btype(2, {0}, {1}, {-1}).validate(), "do not partition"),
+    "btype classes overlap": (lambda: _btype(1, {-1, 0, 1}, {-1, 1}).validate(), "do not partition"),
+    "btype two self-negative classes": (lambda: _btype(1, {0}, {-1, 1}).validate(), "exactly one self-negative"),
+    "enumerate negative n": (lambda: list(enumerate_tagged_partitions(-1)), "n must be >= 0"),
+}
 
 
-def test_json_matches_documented_shape():
-    d = json.loads(to_json(tagged(4, [[1], [2], [3], [4]], [(0, 1)], 3)))
-    assert d == {
-        "n": 4,
-        "classes": [[1], [2], [3], [4]],
-        "involution": {"0": 1},
-        "fixed": 3,
-    }
+@pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_filters_cover_documented_names():
@@ -425,14 +421,14 @@ def test_class_views_round_trip_through_the_canonicalizer():
             assert q == p and hash(q) == hash(p)
 
 
-def test_to_json_and_str_bytes_pinned():
-    """sha256 of to_json and str of every tagged partition with n <= 6, in
-    enumeration order; a change of representation must not move it."""
+def test_str_bytes_pinned():
+    """sha256 of str of every tagged partition with n <= 6, in enumeration
+    order; a change of representation must not move it."""
     h = hashlib.sha256()
     for n in range(7):
         for p in enumerate_tagged_partitions(n):
-            h.update((to_json(p) + " " + str(p) + "\n").encode())
-    assert h.hexdigest() == "1a48c1c3bc4aa62741f5687bfdfe95b0e1a2bd51542dbaafab760910d6e49888"
+            h.update((str(p) + "\n").encode())
+    assert h.hexdigest() == "731b3d0e4a07909a7bf86e05e37c9258715ec6638fcb1ed65ba7e5b54e46194e"
 
 
 MALFORMED = {
@@ -446,6 +442,7 @@ MALFORMED = {
     "negative pair index": (2, [[1], [2]], [(-1, 0)], None),
     "self-pair": (2, [[1], [2]], [(1, 1)], None),
     "class in two pairs": (3, [[1], [2], [3]], [(0, 1), (1, 2)], None),
+    "pair listed both ways": (2, [[1], [2]], [(0, 1), (1, 0)], None),
     "fixed class out of range": (2, [[1], [2]], (), 2),
     "fixed class also paired": (3, [[1], [2], [3]], [(0, 1)], 1),
     "negative n": (-1, [], (), None),
@@ -456,14 +453,6 @@ MALFORMED = {
 def test_tagged_rejects_malformed_input(args):
     with pytest.raises(ValueError):
         tagged(*args)
-
-
-def test_from_json_rejects_a_pair_listed_both_ways():
-    d = {"n": 2, "classes": [[1], [2]], "involution": {"0": 1, "1": 0}}
-    with pytest.raises(ValueError):
-        from_json(json.dumps(d))
-    del d["involution"]["1"]
-    assert str(from_json(json.dumps(d))) == "(a,-a)"
 
 
 def test_tagged_canonicalizes_any_order():
