@@ -450,9 +450,10 @@ class InvarianceReport:
 
 def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6, seed=0):
     """Integrate from random starts inside s and track the worst subspace
-    distance along the way.  Blow-ups are counted as inconclusive rather
-    than failures.  ValueError before any draw unless trials >= 1 and s
-    fits sys's n and k."""
+    distance along the way.  A trial that blows up is counted in blowups
+    and left out of max_distance, and the report does not pass.
+    ValueError before any draw unless trials >= 1 and s fits sys's n and
+    k."""
     if trials < 1:
         raise ValueError("trials must be >= 1, got %r" % (trials,))
     _check_states(s, (trials, sys.n, sys.k))

@@ -394,12 +394,6 @@ def from_weight_map(n, weight) -> WeightedDigraph:
     return WeightedDigraph(n, tuple((t, h, w) for (t, h), w in weight.items()))
 
 
-def random_weight_balanced_digraph(n, rng):
-    """The digraph of :func:`random_balanced_weights`: the instance is drawn
-    on ints, and its weights become Fractions here."""
-    return from_weight_map(n, random_balanced_weights(n, rng))
-
-
 def random_in_regular_digraph(n, d, rng):
     """Unweighted digraph where every vertex has in-degree d (row sums d)."""
     if not 1 <= d <= n:

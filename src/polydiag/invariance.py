@@ -498,7 +498,10 @@ class DichotomyRow:
 def dichotomy_rows(m, eig: EigenData) -> tuple:
     """One DichotomyRow per m-invariant polydiagonal W, in canonical order:
     whether v_R lies in W and whether v_L is perpendicular to W, for the
-    eigenvectors of eig at a simple eigenvalue."""
+    eigenvectors of eig.  Raises ValueError before the scan unless
+    eig.lam is a simple eigenvalue."""
+    if len(eig.right_basis) != 1:
+        raise ValueError("eigenvalue %s has geometric multiplicity %d, need 1" % (eig.lam, len(eig.right_basis)))
     v_r, v_l = eig.right_basis[0], eig.left_basis[0]
     found = invariant_polydiagonals(m).subspaces
     return tuple(DichotomyRow(p, cls, contains(p, v_r), orthogonal(p, v_l)) for p, cls in found)
@@ -526,12 +529,8 @@ def check_main_lemma(m, lam) -> MainLemmaReport:
     simple.  Entries go through :func:`linalg.frac`."""
     m = _rational_matrix(m)
     eig = eigendata(m, lam)
-    if len(eig.right_basis) != 1:
-        raise ValueError(
-            "eigenvalue %s has geometric multiplicity %d, need 1"
-            % (lam, len(eig.right_basis))
-        )
-    return MainLemmaReport(eig.lam, eig.right_basis[0], eig.left_basis[0], dichotomy_rows(m, eig))
+    rows = dichotomy_rows(m, eig)  # raises before right_basis[0] is read
+    return MainLemmaReport(eig.lam, eig.right_basis[0], eig.left_basis[0], rows)
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,10 @@ def test_weak_connectivity_decides_the_simple_zero_eigenvalue():
     rng = random.Random(21)
     seen = collections.Counter()
     for _ in range(1000):
-        g = graph.random_weight_balanced_digraph(rng.randint(2, 6), rng)
-        connected = graph.is_weakly_connected(g)
+        n = rng.randint(2, 6)
+        weight = graph.random_balanced_weights(n, rng)
+        g = graph.from_weight_map(n, weight)
+        connected = graph.weakly_connected(*graph.arrow_masks(n, weight))
         assert connected == _simple_zero_eigenvalue(g), graph.to_json(g)
         seen[connected] += 1
     assert seen[True] and seen[False]
@@ -71,7 +73,16 @@ def test_input_output_report_unchanged_by_the_connectivity_test(monkeypatch, see
     monkeypatch.setattr(checks, "_uneven_anti_synchrony", lambda lap: scanned.append(lap) or scan(lap))
     fast = checks.suite_input_output(trials=20, seed=seed)
     assert len(scanned) == 20 and all(len(linalg.nullspace(lap)) == 1 for lap in scanned)
-    monkeypatch.setattr(checks.graph, "is_weakly_connected", _simple_zero_eigenvalue)
+    drawn = []
+    balanced = graph.random_balanced_weights
+
+    def recorded(n, rng):
+        drawn.append((n, balanced(n, rng)))
+        return drawn[-1][1]
+
+    # the exact kernel test on the digraph just drawn
+    monkeypatch.setattr(graph, "random_balanced_weights", recorded)
+    monkeypatch.setattr(graph, "weakly_connected", lambda *masks: _simple_zero_eigenvalue(graph.from_weight_map(*drawn[-1])))
     assert checks.suite_input_output(trials=20, seed=seed) == fast
 
 
@@ -95,7 +106,7 @@ def test_reports_carry_witnesses_on_failure():
 # the acceptance test of each sampled suite, replaced by one that rejects every draw
 REJECT_EVERY_DRAW = {
     "column-sums": (checks, "check_constant_column_sums_theorem", lambda m: types.SimpleNamespace(hypotheses_met=False)),
-    "input-output": (graph, "is_weakly_connected", lambda g: False),
+    "input-output": (graph, "weakly_connected", lambda *masks: False),
     "frobenius-perron": (graph, "is_strongly_connected", lambda g: False),
     "strong-connectivity": (graph, "weakly_connected", lambda *masks: False),
 }
@@ -283,8 +294,14 @@ def _old_frobenius_perron(trials, seed, n_max=6, flip=False):
         eig = invariance.eigendata(a, d)
         return (g, a, eig) if len(eig.right_basis) == 1 else None
 
+    found = []
+    attempts = 0
+    while len(found) < trials and attempts < trials * 40:
+        attempts += 1
+        inst = draw()
+        if inst is not None:
+            found.append(inst)
     failures = []
-    found = checks._sample(draw, trials)
     for g, a, eig in found:
         v_r, v_l = eig.right_basis[0], eig.left_basis[0]
         for p, cls in invariance.invariant_polydiagonals(a).subspaces:
@@ -313,8 +330,8 @@ def test_frobenius_perron_matches_old_inline_decision(monkeypatch, seed):
 
 def _old_strong_connectivity_draws(trials, seed, n_max=7):
     """The strong-connectivity instances as the suite drew them: digraphs
-    from random_weight_balanced_digraph, kept when weakly connected by a
-    search over neighbour lists."""
+    of random_balanced_weights, kept when weakly connected by a search
+    over neighbour lists."""
     rng = random.Random(seed)
 
     def weakly_connected(g):
@@ -330,11 +347,15 @@ def _old_strong_connectivity_draws(trials, seed, n_max=7):
                     stack.append(u)
         return len(seen) == g.n
 
-    def draw():
-        g = graph.random_weight_balanced_digraph(rng.randint(2, n_max), rng)
-        return g if weakly_connected(g) else None
-
-    return checks._sample(draw, trials)
+    found = []
+    attempts = 0
+    while len(found) < trials and attempts < trials * 40:
+        attempts += 1
+        n = rng.randint(2, n_max)
+        g = graph.from_weight_map(n, graph.random_balanced_weights(n, rng))
+        if weakly_connected(g):
+            found.append(g)
+    return found
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 40, 123])

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -195,6 +196,41 @@ def test_check_suite(capsys):
     assert out.startswith("conjecture53: PASS")
 
 
+# The theorem suites from the CLI: each at seeds 0-11 with the benchmark's
+# trial counts, each at its defaults, and two runs on two cells.
+SUITE_TRIALS = (
+    ("conjecture53", ["--trials", "6", "--n", "6"]),
+    ("column-sums", ["--trials", "24"]),
+    ("main-lemma", ["--trials", "24"]),
+    ("input-output", ["--trials", "5"]),
+    ("frobenius-perron", ["--trials", "7"]),
+    ("strong-connectivity", ["--trials", "800"]),
+)
+THEOREM_SUITE_ARGVS = (
+    [["check", name, "--seed", str(seed)] + extra for name, extra in SUITE_TRIALS for seed in range(12)]
+    + [["check", name] for name, _ in SUITE_TRIALS]
+    + [["check", "main-lemma", "--n", "2"], ["check", "input-output", "--n", "2"]]
+)
+# sha256 over each argv, its stdout and its exit code, in the order above
+THEOREM_SUITES_SHA256 = "0d89a8523c196ca887bb09db460d1578eba93623629f1f8907e27ede3a3376ea"
+
+
+def test_theorem_suite_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in THEOREM_SUITE_ARGVS:
+        code, out, _ = run(capsys, *argv)
+        digest.update(("%s\n%s%d\n" % (" ".join(argv), out, code)).encode())
+    assert len(THEOREM_SUITE_ARGVS) == 80
+    assert digest.hexdigest() == THEOREM_SUITES_SHA256
+
+
+@pytest.mark.parametrize("name, checks_ran", [("dynamics-vdp", 2), ("dynamics-lorenz", 4)])
+def test_dynamics_suites_count_the_checks_they_ran(capsys, name, checks_ran):
+    code, out, _ = run(capsys, "check", name, "--T", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "%s: PASS (%d trials)" % (name, checks_ran)
+
+
 def test_check_main_lemma_file(capsys, tmp_path):
     path = digraph_file(
         tmp_path, '{"n": 3, "arrows": [[1,1,"1"],[1,2,"1"],[2,3,"1"]]}'
@@ -309,6 +345,11 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
+
+
+def test_main_lemma_names_the_multiplicity_of_lambda(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "main-lemma", "--file", input_paths(tmp_path)["pair"], "--lambda", "7")
+    assert (code, out, err) == (2, "", "error: eigenvalue 7 has geometric multiplicity 0, need 1\n")
 
 
 def test_string_endpoint_reports_the_constructor_error(capsys, tmp_path):

@@ -297,6 +297,18 @@ def test_antisynchrony_convergence_direction():
     assert tail < 1e-2
 
 
+@pytest.mark.xfail(strict=True, reason="the vanderpol preset is the time-reversed oscillator; its states decay to 0")
+def test_vdp_attractor_cases_keep_their_amplitude():
+    """The two van der Pol cases of dynamics-attractors, from the start the
+    suite draws: a van der Pol cell settles on its limit cycle, so the
+    whole state keeps an amplitude of at least 0.1 over the last fifth of
+    the run (T = 40 here, 400 in the suite)."""
+    for use_laplacian in (False, True):
+        x0 = np.random.default_rng(2).uniform(-1, 1, size=(2, 2))
+        traj = integrate(checks.vdp_example_system(use_laplacian), x0, 1e-3, 40.0)
+        assert np.max(np.abs(traj.states[int(len(traj.times) * 0.8):])) >= 0.1, use_laplacian
+
+
 # ---------------------------------------------------------------------------
 # the plain-float integrator against an independent reference
 

@@ -726,6 +726,14 @@ def test_main_lemma_requires_simple_eigenvalue():
         check_main_lemma(DIRICHLET, 2)  # not an eigenvalue
 
 
+@pytest.mark.parametrize("lam, multiplicity", [(5, 0), (1, 2)])
+def test_dichotomy_rows_require_a_simple_eigenvalue(lam, multiplicity):
+    identity = matrix([[1, 0], [0, 1]])
+    want = "eigenvalue %d has geometric multiplicity %d, need 1" % (lam, multiplicity)
+    with pytest.raises(ValueError, match=want):
+        invariance.dichotomy_rows(identity, eigendata(identity, lam))
+
+
 def test_column_sums_theorem_colsum3():
     rep = check_constant_column_sums_theorem(COLSUM3)
     assert rep.hypotheses_met and rep.passed
