@@ -13,7 +13,9 @@ Instances are drawn on ints: weights, matrices and the unimodular
 conjugations are int arithmetic, and connectivity is decided on vertex
 bitmasks (:func:`graph.arrow_masks`).  They become Fractions and
 WeightedDigraphs at the report boundary, where a theorem report or a
-witness needs them.
+witness needs them.  numpy and :mod:`polydiag.dynamics` are imported by
+the dynamics suites and their systems alone, so the theorem suites start
+without them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import dynamics, graph
+from . import graph
 from .graph import (
     adjacency_matrix,
     laplacian_matrix,
@@ -263,12 +263,18 @@ def vdp_example_system(use_laplacian=False):
     """Two coupled van der Pol cells with M = 0.5 A or M = 0.5 L: cell 1
     autonomous, cell 2 driven by cell 1 and itself (A = [[0,0],[1,1]],
     L = [[0,0],[-1,1]])."""
+    from . import dynamics
+
     m = [[0.0, 0.0], [-0.5 if use_laplacian else 0.5, 0.5]]
     return dynamics.CoupledSystem(dynamics.preset_f("vanderpol"), dynamics.VDP_H, m)
 
 
 def lorenz_pair_system(h, kappa):
     """Two Lorenz cells with symmetric Laplacian coupling M = kappa*L."""
+    import numpy as np
+
+    from . import dynamics
+
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     return dynamics.CoupledSystem(dynamics.preset_f("lorenz"), h, kappa * lap)
 
@@ -282,6 +288,10 @@ def _dynamics_report(name, outcomes) -> SuiteReport:
 def suite_dynamics_vdp(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
     """Anti-phase subspace of the van der Pol pair stays invariant; the
     (not M-invariant) in-phase subspace serves as the negative control."""
+    import numpy as np
+
+    from . import dynamics
+
     sys = vdp_example_system()
     anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2))
@@ -297,6 +307,10 @@ def suite_dynamics_lorenz(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
     """Twisted subspace ((u,v,w),(-u,-v,w)) of the Lorenz pair: invariant
     for the v-coupled system with M = 2L, and for the w-coupled system via
     the cell symmetry; the w-coupling satisfies HN = NH = H."""
+    import numpy as np
+
+    from . import dynamics
+
     n_sym = np.diag([-1.0, -1.0, 1.0])
     twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), n_sym)
     outcomes = []
@@ -320,6 +334,10 @@ def suite_dynamics_attractors(seed=2, dt=1e-3) -> SuiteReport:
     probe attraction: the ``vanderpol`` preset is the time-reversed van
     der Pol oscillator, whose origin attracts small states, so both decay
     to a whole-state tail of about 1e-41 and pass with any subspace."""
+    import numpy as np
+
+    from . import dynamics
+
     sys_w = lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
     rng = np.random.default_rng(seed)
     base = rng.uniform(-1, 1, size=3) + np.array([1.0, 1.0, 25.0])

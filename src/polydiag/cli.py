@@ -87,7 +87,7 @@ def _pick_matrix(g, which):
     return graph.adjacency_matrix(g) if which == "adjacency" else graph.laplacian_matrix(g)
 
 
-_FILTERS = {kind.replace("_", "-"): test for kind, (_, test) in KINDS.items()}
+_FILTERS = {kind.replace("_", "-"): test for kind, (_, test, _) in KINDS.items()}
 
 
 def cmd_enumerate(args):

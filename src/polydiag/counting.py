@@ -5,9 +5,19 @@ Each kind of subspace in :data:`polydiag.partitions.KINDS` is counted by
 (2) a recurrence, which the freely kinds lack, and (3) a census that
 enumerates every set partition and every partial involution on its
 classes.  The methods must agree; the count table cross-checks them where
-the enumeration is feasible.  A freely kind's EGF times e^x is its plain
-kind's: freely tagged times e^x is polydiagonal, and so on for fully and
-evenly tagged.
+the enumeration is feasible.
+
+The EGFs come from the exponential formula (Bergeron, Labelle & Leroux,
+*Combinatorial Species and Tree-like Structures*, 1998): a tagged
+partition is a set of blocks, so a kind's EGF is exp of the EGF of the
+blocks it allows in :data:`~polydiag.partitions.KINDS`.  On k cells there
+are 1 untagged class, 2^(k-1) - 1 pairs of classes and, at even k,
+binomial(k, k/2)/2 pairs of equal size.  An optional fixed class adds the
+term x, as exp(x) = e^x counts one set of any size, the empty set too; a
+required fixed class multiplies by e^x - 1 instead.  So a freely kind's
+EGF times e^x is its plain kind's: freely tagged times e^x is
+polydiagonal, and so on for fully and evenly tagged.  anti_synchrony is
+polydiagonal minus synchrony.
 
 The census builds no tagged partition.  A tagged partition's type depends
 only on its class sizes and its involution, and relabelling the classes
@@ -50,17 +60,10 @@ class RationalSeries:
     def order(self):
         return len(self.coeffs) - 1
 
-    def __add__(self, other):
-        other = _coerce(other, self.order)
-        return RationalSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other):
-        other = _coerce(other, self.order)
         return RationalSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalSeries(tuple(a * other for a in self.coeffs))
         if self.order != other.order:
             raise ValueError("truncation orders differ")
         n = self.order
@@ -71,14 +74,6 @@ class RationalSeries:
             for j in range(n + 1 - i):
                 out[i + j] += a * other.coeffs[j]
         return RationalSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-
-def _coerce(x, order):
-    if isinstance(x, RationalSeries):
-        return x
-    return RationalSeries((Fraction(x),) + (Fraction(0),) * order)
 
 
 def series(coeffs, order) -> RationalSeries:
@@ -100,47 +95,32 @@ def series_exp(s: RationalSeries) -> RationalSeries:
     return RationalSeries(tuple(h))
 
 
-def exp_x(order, scale=1) -> RationalSeries:
-    """Series of e^(scale*x)."""
-    return RationalSeries(
-        tuple(Fraction(scale) ** k / math.factorial(k) for k in range(order + 1))
-    )
-
-
-def bessel_like(order) -> RationalSeries:
-    """Sum over n of binomial(2n,n) x^(2n) / (2n)!  (the I0(2x) expansion);
-    the coefficient of x^(2k) is 1/(k!)^2."""
-    cs = [Fraction(0)] * (order + 1)
-    for k in range(0, order // 2 + 1):
-        cs[2 * k] = Fraction(1, math.factorial(k) ** 2)
-    return RationalSeries(tuple(cs))
+def exp_x(order) -> RationalSeries:
+    """Series of e^x."""
+    return RationalSeries(tuple(Fraction(1, math.factorial(k)) for k in range(order + 1)))
 
 
 @lru_cache(maxsize=None)
 def egf(kind: str, order: int = DEFAULT_ORDER) -> RationalSeries:
-    """The exponential generating function of a kind, truncated."""
-    one = _coerce(1, order)
-    x = series([0, 1], order)
-    if kind == "synchrony":
-        return series_exp(exp_x(order) - one)  # Bell numbers
-    if kind == "polydiagonal":
-        return series_exp((exp_x(order, 2) - one + 2 * x) * Fraction(1, 2))
-    if kind == "fully":
-        return series_exp((exp_x(order, 2) - 2 * exp_x(order) + 2 * x + one) * Fraction(1, 2))
-    if kind == "freely_fully":
-        return series_exp((exp_x(order, 2) - 2 * exp_x(order) + one) * Fraction(1, 2))
-    if kind == "evenly":
-        return series_exp((bessel_like(order) - one) * Fraction(1, 2) + x)
-    if kind == "freely_evenly":
-        return series_exp((bessel_like(order) - one) * Fraction(1, 2))
-    if kind == "freely":
-        return series_exp((exp_x(order, 2) - one) * Fraction(1, 2))
+    """The exponential generating function of a kind, truncated: exp of the
+    EGF of the blocks that the kind allows (see the module docstring)."""
+    if kind not in KINDS:
+        raise KeyError("unknown kind %r" % kind)
     if kind == "anti_synchrony":
         return egf("polydiagonal", order) - egf("synchrony", order)
-    if kind == "minimally":
-        # partitions with one distinguished block: (e^x - 1) * Bell EGF
-        return (exp_x(order) - one) * egf("synchrony", order)
-    raise KeyError("unknown kind %r" % kind)
+    untagged, pairs, fixed = KINDS[kind][2]
+    blocks = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
+        if untagged:
+            blocks[k] += Fraction(1, math.factorial(k))
+        if pairs == "any":
+            blocks[k] += Fraction(2 ** (k - 1) - 1, math.factorial(k))
+        elif pairs == "even" and k % 2 == 0:
+            blocks[k] += Fraction(1, 2 * math.factorial(k // 2) ** 2)
+        if fixed == "optional" and k == 1:
+            blocks[k] += 1
+    h = series_exp(RationalSeries(tuple(blocks)))
+    return h * (exp_x(order) - series([1], order)) if fixed == "required" else h
 
 
 def egf_count(kind: str, n: int, order: int | None = None) -> int:
@@ -230,7 +210,7 @@ def _census(n: int) -> dict:
     for sizes, w in ways.items():
         for pairs, fixed in _partial_involutions(len(sizes)):
             weight[_classify(sizes, pairs, fixed)] += w
-    return {kind: sum(w for c, w in weight.items() if test(c)) for kind, (_, test) in KINDS.items()}
+    return {kind: sum(w for c, w in weight.items() if test(c)) for kind, (_, test, _) in KINDS.items()}
 
 
 def enumeration_count(kind: str, n: int) -> int:

@@ -21,8 +21,11 @@ are canonical by construction, skips it.  The class-list view
 (``classes``, ``pairs``, ``fixed``) is derived from the symbols.
 
 :data:`KINDS` is the one table of subspace kinds, each with its count-table
-symbol and its test on the type flags of :func:`classify`; ``enumerate
---filter``, the census and the count table all read it.
+symbol, its test on the type flags of :func:`classify` and the blocks its
+tagged partitions may have: untagged classes, pairs of classes (of equal
+sizes or any) and a fixed class (forbidden, optional or required).
+``enumerate --filter``, the census and the count table read the tests;
+the EGFs of :mod:`polydiag.counting` read the blocks.
 """
 
 from __future__ import annotations
@@ -189,18 +192,22 @@ def type_label(p: TaggedPartition, cls: SubspaceClass | None = None) -> str:
     return "anti-synchrony"
 
 
-# {kind: (count-table symbol, test on the SubspaceClass)} in table order; a
-# freely kind (``~``) is its plain kind with no fixed class.
+# {kind: (count-table symbol, test on the SubspaceClass, blocks)} in table
+# order.  The blocks are the ones the kind's tagged partitions may have, as
+# (untagged, pairs, fixed): untagged classes allowed or not; pairs of
+# classes None, "any" or "even" (equal sizes); the fixed class None,
+# "optional" or "required".  anti_synchrony, the complement of synchrony,
+# has None.  A freely kind (``~``) is its plain kind with no fixed class.
 KINDS = {
-    "polydiagonal": ("p", lambda c: True),
-    "synchrony": ("s", lambda c: c.synchrony),
-    "anti_synchrony": ("a", lambda c: c.anti_synchrony),
-    "minimally": ("m", lambda c: c.minimally_tagged),
-    "fully": ("f", lambda c: c.fully_tagged),
-    "evenly": ("e", lambda c: c.evenly_tagged),
-    "freely_evenly": ("e~", lambda c: c.freely_tagged and c.evenly_tagged),
-    "freely_fully": ("f~", lambda c: c.freely_tagged and c.fully_tagged),
-    "freely": ("p~", lambda c: c.freely_tagged),
+    "polydiagonal": ("p", lambda c: True, (True, "any", "optional")),
+    "synchrony": ("s", lambda c: c.synchrony, (True, None, None)),
+    "anti_synchrony": ("a", lambda c: c.anti_synchrony, None),
+    "minimally": ("m", lambda c: c.minimally_tagged, (True, None, "required")),
+    "fully": ("f", lambda c: c.fully_tagged, (False, "any", "optional")),
+    "evenly": ("e", lambda c: c.evenly_tagged, (False, "even", "optional")),
+    "freely_evenly": ("e~", lambda c: c.freely_tagged and c.evenly_tagged, (False, "even", None)),
+    "freely_fully": ("f~", lambda c: c.freely_tagged and c.fully_tagged, (False, "any", None)),
+    "freely": ("p~", lambda c: c.freely_tagged, (True, "any", None)),
 }
 
 

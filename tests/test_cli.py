@@ -394,16 +394,31 @@ def test_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_exact_commands_load_no_numpy(tmp_path):
+# every exact route, and each theorem suite at a few trials; {file} is a
+# 3-cycle, whose column sums are 1 and whose eigenvalue 1 is simple
+EXACT_ARGVS = {
+    "enumerate": ["enumerate", "3"],
+    "classify": ["classify", "(a,-a,0)"],
+    "count": ["count", "4"],
+    "invariants": ["invariants", "{file}"],
+    "lattice": ["lattice", "{file}"],
+    "orbits": ["orbits", "{file}"],
+    "main-lemma-file": ["check", "main-lemma", "--file", "{file}", "--lambda", "1"],
+    "column-sums-file": ["check", "column-sums", "--file", "{file}"],
+} | {name: ["check", name, "--trials", "3"] for name, _ in SUITE_TRIALS}
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
+def test_exact_commands_load_no_numpy(tmp_path, argv):
     path = digraph_file(tmp_path, '{"n": 3, "arrows": [[1,2,"1"],[2,3,"1"],[3,1,"1"]]}')
     probe = (
-        "import sys, polydiag.cli; code = polydiag.cli.main(['invariants', %r]); "
-        "print(code, 'numpy' in sys.modules, file=sys.stderr)" % path
+        "import sys, polydiag.cli; code = polydiag.cli.main(%r); "
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)" % [a.replace("{file}", path) for a in argv]
     )
     src = os.path.dirname(os.path.dirname(polydiag.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert "(a,a,a)" in out.stdout
+    assert out.stdout
     assert out.stderr.strip() == "0 False"
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from polydiag import counting
+from polydiag.cli import main
 from polydiag.counting import (
     FIGURE_KINDS,
     KINDS,
@@ -204,3 +206,19 @@ def test_count_table_truncated_at_max_n_matches_order_16(max_n):
     for kind in KINDS:
         assert t.rows[kind] == [egf_count(kind, n, 16) for n in range(max_n + 1)]
         assert t.cross_checked[kind]
+
+
+# sha256 over egf(kind, 16).coeffs for every kind, then each `count N
+# --format F` for N = 0..9 as "N F exit-code" and its stdout
+COUNTING_OUTPUT_SHA256 = "df59df2728ce592ba998e6593ffbc9275e4a6b7742919283cdbed9a757257c0b"
+
+
+def test_counting_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        digest.update(("%s %r\n" % (kind, egf(kind, 16).coeffs)).encode())
+    for n in range(10):
+        for fmt in ("md", "csv", "json"):
+            code = main(["count", str(n), "--format", fmt])
+            digest.update(("%d %s %d\n%s" % (n, fmt, code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == COUNTING_OUTPUT_SHA256

@@ -223,6 +223,25 @@ def test_scan_counts_match_the_closed_forms(m, want):
     assert len(invariant_polydiagonals(m, n_cap=n).subspaces) == sum(counting.egf_count(k, n) for k in want)
 
 
+def _divisor_count(n):
+    return sum(1 for k in range(1, n + 1) if n % k == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_directed_cycle_counts_match_the_divisor_forms(n):
+    """ROADMAP item 9's sparse count oracle, for one cycle.  The directed
+    cycle C_n permutes the cells cyclically, so it leaves invariant the
+    subspaces x_{i+k} = x_i for k | n (d(n), all synchrony), for even n
+    the subspaces x_{i+k} = -x_i for k | n/2 (d(n/2), freely tagged), and
+    {0}.  d counts divisors; the counting module plays no part."""
+    m = graph.adjacency_matrix(graph.cayley_digraph(graph.cyclic_group_table(n), [(1 % n, 1)]))
+    anti_periodic = _divisor_count(n // 2) if n % 2 == 0 else 0
+    classes = [c for _, c in invariant_polydiagonals(m, n_cap=12).subspaces]
+    assert len(classes) == _divisor_count(n) + anti_periodic + 1
+    assert sum(c.synchrony for c in classes) == _divisor_count(n)
+    assert sum(c.freely_tagged for c in classes) == _divisor_count(n) + anti_periodic
+
+
 @pytest.mark.parametrize("m, want", [(_complete_graph(7), ("synchrony", "evenly")), (zeros(6, 6), ("polydiagonal",))],
                          ids=["K7", "zero6"])
 def test_lattice_nodes_match_the_closed_forms(m, want):

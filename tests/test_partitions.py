@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from polydiag import cli, linalg
 from polydiag.partitions import (
+    KINDS,
     BTypePartition,
     TaggedPartition,
     basis,
@@ -238,6 +240,41 @@ def test_refuses_bad_input(call, message):
 
 def test_filters_cover_documented_names():
     assert {"synchrony", "anti-synchrony", "minimally", "fully", "evenly", "freely"} <= set(cli._FILTERS)
+
+
+def _blocks_of(p):
+    """(untagged classes present, (size, size) of each pair, fixed class
+    present), read off the symbols: an untagged class is a positive symbol
+    whose negative is absent, a pair is s with -s, the fixed class is 0."""
+    size = Counter(p.symbols)
+    untagged = any(s > 0 and -s not in size for s in size)
+    pairs = [(size[s], size[-s]) for s in size if s > 0 and -s in size]
+    return untagged, pairs, 0 in size
+
+
+def _allows(blocks, untagged, pairs, fixed):
+    may_untag, may_pair, may_fix = blocks
+    return (
+        (may_untag or not untagged)
+        and (may_pair is not None or not pairs)
+        and (may_pair != "even" or all(a == b for a, b in pairs))
+        and {None: not fixed, "optional": True, "required": fixed}[may_fix]
+    )
+
+
+def test_kind_blocks_agree_with_the_kind_predicates():
+    """A kind allows a tagged partition's blocks exactly when its predicate
+    accepts the partition's type, for every partition with n <= 6."""
+    cases = 0
+    for n in range(7):
+        for p in enumerate_tagged_partitions(n):
+            found, c = _blocks_of(p), classify(p)
+            for kind, (_, test, blocks) in KINDS.items():
+                if blocks is not None:
+                    assert _allows(blocks, *found) == test(c), (kind, str(p))
+                    cases += 1
+    assert cases == 39080
+    assert KINDS["anti_synchrony"][2] is None
 
 
 # ---------------------------------------------------------------------------
