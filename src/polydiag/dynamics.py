@@ -23,10 +23,11 @@ function per :class:`CoupledSystem` that runs the whole RK4 loop with the
 n*k coordinates in locals and each nonzero ``kron(M, H)`` weight as a
 literal.  It makes the same IEEE operations in the same order as
 :meth:`CoupledSystem.rhs` called four times per step.  A step takes
-3.3-3.6 us for the van der Pol pair and 5.2-6.1 us for the Lorenz pair,
-and building a system with its function 1.3-1.6 ms, on a shared 2-vCPU
-Xeon VM with Python 3.11.  Arrays stay at the edges: each state is written into a
-preallocated (steps+1, n, k) output.
+about 1.5 us for the van der Pol pair and 2.2 us for the Lorenz pair,
+and building a system with its function 0.63 ms and 0.94 ms, on a shared
+2-vCPU Xeon VM with Python 3.11 (minimum of 400 runs).  Arrays stay at
+the edges: each state is written into a preallocated (steps+1, n, k)
+output.
 """
 
 from __future__ import annotations

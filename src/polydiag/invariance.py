@@ -6,11 +6,15 @@ subspace and testing membership of the images (:func:`is_invariant`).  The
 scan over all tagged partitions builds them from the smallest free cell up
 instead: the cell joins the fixed class, or starts a block (an untagged
 class or a pair of classes) whose basis image is checked exactly as soon as
-the block is chosen.  The images accepted so far narrow the candidates for
-every later block, and for every later fixed cell, to cells where they take
-the required values, so most of the Bell(n) set partitions are never
-formed.  It is exact, returns the canonical order, and is capped at n = 8
-by default.
+the block is chosen.  Before that check a candidate block is tested on the
+few cells whose image value it forces (a second and the last cell of P, the
+first and the last of Q, the lowest fixed cell); each test is one equation
+of the exact check, so it drops no hit, and it rejects most candidates
+without building their image.  The images accepted so far narrow the
+candidates for every later block, and for every later fixed cell, to cells
+where they take the required values, so most of the Bell(n) set partitions
+are never formed.  It is exact, returns the canonical order, and is capped
+at n = 8 by default.
 
 The lattice orders the invariant subspaces by inclusion without vectors.
 Each subspace Delta_P is encoded by the relations x_i = x_j, x_i = -x_j and
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -125,14 +130,23 @@ def _invariant_partitions(mi):
     The search decides the smallest free cell a at each step.  Either a
     joins the fixed class, one cell at a time (the first such cell opens
     it), or a starts a block: an untagged class P or a pair (P, Q).  A
-    block's basis image M(1_P - 1_Q) is final once the block is chosen, so
-    it is checked exactly against this block, every earlier one and the
-    fixed cells so far.  The images accepted so far also fix which later
-    choices are possible: eq[c] (neg[c]) holds the cells where every image
-    equals (minus) its value at c, and zero the cells where every image is
-    0, so P runs over submasks of eq[a], Q over submasks of neg[a], and a
-    joins the fixed class only inside zero.  An all-zero image constrains
-    nothing.
+    block's basis image g = M(1_P - 1_Q) is final once the block is chosen,
+    so it is checked exactly, cell by cell, against this block, every
+    earlier one and the fixed cells so far.  The images accepted so far
+    also fix which later choices are possible: eq[c] (neg[c]) holds the
+    cells where every image equals (minus) its value at c, and zero the
+    cells where every image is 0, so P runs over submasks of eq[a], Q over
+    submasks of neg[a], and a joins the fixed class only inside zero.  An
+    all-zero image constrains nothing.
+
+    Before that exact check, a candidate is tested on the few cells whose
+    value the block forces: g[a] = g at the second and the last cell of P,
+    g = 0 at the lowest fixed cell, and g = -g[a] at the first and the last
+    cell of Q.  Each is one of the exact check's own equations, and an
+    all-zero image passes them all, so no hit is lost.  The tests on cells
+    of P and the fixed cell read M 1_Q only in the columns where their rows
+    have entries; Q is split there, and each part of Q in those columns is
+    tested once for all the parts outside them.
 
     The key orders set partitions as restricted growth strings, that is by
     the cells' class minima read as base-(n+1) digits, and then the
@@ -141,21 +155,28 @@ def _invariant_partitions(mi):
     digits by block.  The fixed class takes its block's place when its
     smallest cell opens it.  Block b of a hit gives its cells the symbol b
     on P, -b on Q, and the fixed cells keep 0;
-    :func:`partitions.from_symbols` makes them canonical.
+    :func:`partitions.from_symbols` makes them canonical.  Hits are found
+    in any order and sorted by key at the end.
     """
     n = len(mi)
     full = (1 << n) - 1
-    sums = [[0] * n]  # sums[A]: M 1_A, built up from the lowest cell of A
+    # Images have a padding cell n, always 0: lowest[fixed] is a cell where
+    # every image is 0 even while there is no fixed class.  The tables
+    # double with each cell j: A | 2^j for every A over cells below j.
+    sums = [[0] * (n + 1)]  # sums[A]: M 1_A
     spread = (n + 2) ** n
     weight = [0]  # weight[A]: the set-partition digit places of the cells of A
     lowest = [n]  # lowest[A]: the smallest cell of A, 0-based
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        higher = mask ^ low
-        sums.append([x + row[j] for x, row in zip(sums[higher], mi)])
-        weight.append(weight[higher] + (n + 1) ** (n - 1 - j) * spread)
-        lowest.append(j)
+    highest = [-1]  # highest[A]: the largest cell of A
+    for j in range(n):
+        column = [row[j] for row in mi] + [0]
+        digit = (n + 1) ** (n - 1 - j) * spread
+        sums += [list(map(operator.add, s, column)) for s in sums]
+        weight += [w + digit for w in weight]
+        lowest += [j, *lowest[1:]]
+        highest += [j] * len(highest)
+    nothing = sums[0]
+    support = [sum(1 << j for j, x in enumerate(row) if x) for row in mi] + [0]  # nonzero columns per row
     place = [(n + 2) ** (n - 1 - k) for k in range(n)]
     # The decided blocks as (plus, minus, smallest cell of plus), cell
     # bitmasks: (P, 0, r) untagged, (P, Q, r) a pair, and (0, 0, r) the
@@ -164,24 +185,47 @@ def _invariant_partitions(mi):
     blocks = []
     hits = []
 
-    def accept(g, plus, minus, a, free, key, eq, neg, zero, fixed):
-        """Recurse past the block (plus, minus) if its image g satisfies
-        the relations of this block, of every earlier one and of the fixed
-        cells so far."""
+    def holds(s, t, fixed):
+        """Whether the image s - t takes one value on the plus cells and its
+        negative on the minus cells of every block, newest first, and 0 on
+        the fixed cells."""
+        for p, q, r in reversed(blocks):
+            x = s[r] - t[r]
+            while p:
+                i = lowest[p]
+                if s[i] - t[i] != x:
+                    return False
+                p &= p - 1
+            while q:
+                i = lowest[q]
+                if t[i] - s[i] != x:
+                    return False
+                q &= q - 1
+        while fixed:
+            i = lowest[fixed]
+            if s[i] != t[i]:
+                return False
+            fixed &= fixed - 1
+        return True
+
+    def accept(s, t, plus, minus, a, free, key, eq, neg, zero, fixed):
+        """Recurse past the block (plus, minus) if its image s - t
+        satisfies the relations of this block, of every earlier one and of
+        the fixed cells so far."""
         blocks.append((plus, minus, a))
-        if not any(g):  # satisfies every relation and constrains nothing
+        if s == t:  # a zero image satisfies every relation and constrains nothing
             search(free, key, eq, neg, zero, fixed)
-        else:
-            lv = _levels(g)
-            if not fixed & ~lv.get(0, 0) and not any(p & ~lv[g[r]] or q & ~lv.get(-g[r], 0) for p, q, r in reversed(blocks)):
-                search(
-                    free,
-                    key,
-                    [e & lv[x] for e, x in zip(eq, g)],
-                    [e & lv.get(-x, 0) for e, x in zip(neg, g)],
-                    zero & lv.get(0, 0),
-                    fixed,
-                )
+        elif holds(s, t, fixed):
+            g = list(map(operator.sub, s, t))
+            lv = _levels(g)  # has 0, the padding cell's value
+            search(
+                free,
+                key,
+                list(map(operator.and_, eq, map(lv.__getitem__, g))),
+                [e & lv.get(-x, 0) for e, x in zip(neg, g)],
+                zero & lv[0],
+                fixed,
+            )
         blocks.pop()
 
     def search(free, key, eq, neg, zero, fixed):
@@ -192,34 +236,58 @@ def _invariant_partitions(mi):
         a = low.bit_length() - 1
         rest = free ^ low
         code = place[len(blocks)]
+        f = lowest[fixed]  # the lowest fixed cell, or the padding cell
         if low & zero:  # a may join the fixed class
             if fixed:
-                search(rest, key + lowest[fixed] * weight[low], eq, neg, zero, fixed | low)
+                search(rest, key + f * weight[low], eq, neg, zero, fixed | low)
             else:  # a opens it: a placeholder holds its block's place
                 blocks.append((0, 0, a))
                 search(rest, key + a * weight[low] + code, eq, neg, zero, low)
                 blocks.pop()
+        around = support[a] | support[f]
         cand = rest & eq[a]
         sub = cand
         while True:
             plus = low | sub
             left = free ^ plus
-            at = key + a * weight[plus]
             s = sums[plus]
-            # a second cell of P, so that most images fail before _levels
-            probe = lowest[sub] if sub else a
-            if s[probe] == s[a]:
-                accept(s, plus, 0, a, left, at, eq, neg, zero, fixed)
+            sa = s[a]
+            probe = lowest[sub] if sub else a  # the second cell of P
+            top = highest[plus]  # the last cell of P
+            if s[probe] == sa == s[top] and not s[f]:
+                accept(s, nothing, plus, 0, a, left, key + a * weight[plus], eq, neg, zero, fixed)
             partners = left & neg[a]
-            minus = partners
-            while minus:
-                t = sums[minus]
-                q = lowest[minus]
-                v = s[a] - t[a]
-                if s[q] - t[q] == -v and s[probe] - t[probe] == v:
-                    g = [x - y for x, y in zip(s, t)]
-                    accept(g, plus, minus, a, left ^ minus, at + q * weight[minus] + (2 + q) * code, eq, neg, zero, fixed)
-                minus = (minus - 1) & partners
+            if partners:
+                # The image is s - t with t = M 1_Q.  Its values at probe,
+                # top and f, against its value at a, read t only in the
+                # columns near; Q's part there is tested once, then every
+                # part far from them is tried with it.
+                d = sa - s[probe]
+                e = sa - s[top]
+                sf = s[f]
+                near = partners & (around | support[probe] | support[top])
+                far = partners ^ near
+                qn = near
+                while True:
+                    t = sums[qn]
+                    ta = t[a]
+                    if ta - t[probe] == d and ta - t[top] == e and t[f] == sf:
+                        v = ta - sa  # the image's value on Q
+                        qf = far
+                        while True:
+                            minus = qn | qf
+                            if minus:
+                                t = sums[minus]
+                                q = lowest[minus]
+                                last = highest[minus]
+                                if s[q] - t[q] == v and s[last] - t[last] == v:
+                                    accept(s, t, plus, minus, a, left ^ minus, key + a * weight[plus] + q * weight[minus] + (2 + q) * code, eq, neg, zero, fixed)
+                            if not qf:
+                                break
+                            qf = (qf - 1) & far
+                    if not qn:
+                        break
+                    qn = (qn - 1) & near
             if not sub:
                 break
             sub = (sub - 1) & cand
