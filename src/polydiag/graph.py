@@ -29,7 +29,7 @@ class WeightedDigraph:
         for t, h, w in self.arrows:
             if not (type(t) is int and type(h) is int and 1 <= t <= self.n and 1 <= h <= self.n):
                 raise ValueError("arrow (%r,%r): endpoints must be integers in 1..%d" % (t, h, self.n))
-            arrows.append((t, h, frac(w)))
+            arrows.append((t, h, frac(w)))  # the one coercion of an arrow weight
         arrows.sort()
         arrows = tuple(arrows)
         object.__setattr__(self, "arrows", arrows)
@@ -275,7 +275,6 @@ def cayley_digraph(table, generators) -> WeightedDigraph:
     arrows = []
     seen = set()
     for s, weight in generators:
-        weight = frac(weight)
         for gidx in range(m):
             t, h = gidx + 1, table[gidx][s] + 1
             if (t, h) in seen:
@@ -315,7 +314,7 @@ def to_json_dict(g: WeightedDigraph) -> dict:
 def from_json_dict(d: dict) -> WeightedDigraph:
     if "edges" in d:
         return digraph_of_graph(d["n"], [tuple(e) for e in d["edges"]])
-    return WeightedDigraph(d["n"], tuple((t, h, frac(w)) for t, h, w in d["arrows"]))
+    return WeightedDigraph(d["n"], tuple((t, h, w) for t, h, w in d["arrows"]))
 
 
 def to_json(g: WeightedDigraph) -> str:
@@ -334,7 +333,7 @@ def from_edgelist(text: str) -> WeightedDigraph:
     arrows = []
     for ln in lines[1:]:
         t, h, w = ln.split()
-        arrows.append((int(t), int(h), frac(w)))
+        arrows.append((int(t), int(h), w))
     return WeightedDigraph(n, tuple(arrows))
 
 

@@ -1,5 +1,10 @@
 """Exact M-invariance of polydiagonal subspaces, lattices, and orbit tools.
 
+A matrix enters through one door, :func:`_exact`, which refuses a ragged or
+non-square matrix and makes each entry a Fraction with :func:`linalg.frac`.
+Every public function here that takes a matrix passes it through once, and
+the scan behind it coerces no entry again.
+
 A subspace W is M-invariant when M W is contained in W.  For a polydiagonal
 subspace this is decided exactly by applying M to the canonical basis of the
 subspace and testing membership of the images (:func:`is_invariant`).  The
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .linalg import clear_denominators, frac, nullspace, shifted, transpose
+from .linalg import frac, nullspace, shifted, transpose
 from .partitions import (
     SubspaceClass,
     TaggedPartition,
@@ -53,16 +58,22 @@ from .partitions import (
 DEFAULT_SCAN_LIMIT = 8
 
 
-def _int_matrix(m):
-    """Clear denominators: invariance is unchanged by scaling M, and plain
-    int arithmetic is much faster than Fraction in the inner loop.  Each
-    entry goes through :func:`linalg.frac` first, so a string such as
-    ``"1/2"`` is the rational it spells.  The whole matrix is scaled by one
-    common denominator; scaling its rows apart would change which subspaces
-    are invariant."""
-    rows, dens = clear_denominators(m)
-    den = math.lcm(*dens)
-    return [[x * (den // d) for x in row] for row, d in zip(rows, dens)]
+def _exact(m) -> tuple:
+    """m as a square tuple of Fraction rows.  A ragged or non-square m
+    raises ValueError before any entry is read."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    return tuple(tuple(frac(x) for x in row) for row in m)
+
+
+def _int_matrix(mat):
+    """The exact matrix mat times the lcm of all its denominators: int
+    arithmetic is much faster than Fraction in the inner loop, and scaling
+    M by one factor keeps every invariant subspace (scaling its rows apart
+    would not)."""
+    den = math.lcm(*[x.denominator for row in mat for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def _is_invariant_int(mi, p: TaggedPartition) -> bool:
@@ -80,28 +91,12 @@ def _is_invariant_int(mi, p: TaggedPartition) -> bool:
     return True
 
 
-def _require_square(m) -> int:
-    """The size n of an n x n matrix; ValueError for a ragged or non-square
-    one."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    return n
-
-
-def _rational_matrix(m) -> tuple:
-    """m as a square tuple of Fraction rows, every entry through
-    :func:`linalg.frac`: strings such as ``"1/2"`` parse exactly, floats
-    raise TypeError, and a ragged or non-square m raises ValueError."""
-    _require_square(m)
-    return tuple(tuple(frac(x) for x in row) for row in m)
-
-
 def is_invariant(m, p: TaggedPartition) -> bool:
     """Exact decision of M Delta_P <= Delta_P."""
-    if _require_square(m) != p.n:
+    mat = _exact(m)
+    if len(mat) != p.n:
         raise ValueError("matrix must be %dx%d" % (p.n, p.n))
-    return _is_invariant_int(_int_matrix(m), p)
+    return _is_invariant_int(_int_matrix(mat), p)
 
 
 @dataclass(frozen=True)
@@ -312,10 +307,9 @@ def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
     """All tagged partitions whose subspace is m-invariant, in canonical
     order, by a block-by-block exact search (see
     :func:`_invariant_partitions`)."""
-    n = _require_square(m)
-    if n > n_cap:
-        raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (n, n_cap))
-    mat = _rational_matrix(m)
+    if len(m) > n_cap:
+        raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (len(m), n_cap))
+    mat = _exact(m)
     hits = _invariant_partitions(_int_matrix(mat))
     return InvariantSet(mat, tuple((p, classify(p)) for p in hits))
 
@@ -533,7 +527,8 @@ class EigenData:
 
 
 def eigendata(m, lam) -> EigenData:
-    _require_square(m)
+    """Nullspace bases of m - lam I and m^T - lam I, exact."""
+    m = _exact(m)
     lam = frac(lam)
     right = nullspace(shifted(m, lam))
     left = nullspace(shifted(transpose(m), lam))
@@ -595,7 +590,7 @@ def check_main_lemma(m, lam) -> MainLemmaReport:
     v_R in W or v_L perpendicular to W, recording which disjunct holds.
     Raises ValueError for a non-square matrix or a lam that is not
     simple.  Entries go through :func:`linalg.frac`."""
-    m = _rational_matrix(m)
+    m = _exact(m)
     eig = eigendata(m, lam)
     rows = dichotomy_rows(m, eig)  # raises before right_basis[0] is read
     return MainLemmaReport(eig.lam, eig.right_basis[0], eig.left_basis[0], rows)
@@ -626,7 +621,7 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
     subspace not containing v (:attr:`DichotomyRow.sharpened`).
     Hypothesis violations are reported, not raised; a non-square matrix
     raises ValueError.  Entries go through :func:`linalg.frac`."""
-    m = _rational_matrix(m)
+    m = _exact(m)
     n = len(m)
     sums = [sum(row[j] for row in m) for j in range(n)]
     if len(set(sums)) > 1:

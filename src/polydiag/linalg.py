@@ -2,11 +2,13 @@
 integers inside.
 
 Vectors are tuples of Fraction and matrices are tuples of row tuples.
-Everything is immutable and every operation is pure.  Plain Python ints
-are accepted anywhere a rational is expected (they are exact), but floats
-and booleans are rejected: callers with decimal input must pass strings
-like ``"0.25"`` so the conversion is exact decimal parsing rather than a
-binary approximation.
+Everything is immutable and every operation is pure.
+
+:func:`frac` is the one rule for exact numbers: an int, a Fraction or a
+string such as ``"0.25"`` or ``"-1/2"`` is the rational it spells, and a
+float or a bool raises TypeError.  Each input meets it at one door: a
+weight in :class:`graph.WeightedDigraph`, a matrix in
+:func:`invariance._exact`, rows here in :func:`clear_denominators`.
 
 Row reduction does not compute in Fraction.  Each row is cleared of
 denominators once (:func:`clear_denominators`) and the work is done on
@@ -36,16 +38,14 @@ def frac(x) -> Fraction:
 
 
 def clear_denominators(rows):
-    """(ints, dens): row i times dens[i], the lcm of its entries'
-    denominators, is the int row ints[i].  Every entry goes through
-    :func:`frac`."""
-    ints, dens = [], []
+    """Each row times the lcm of its entries' denominators, as a list of
+    int rows.  Every entry goes through :func:`frac`."""
+    ints = []
     for row in rows:
         row = [frac(x) for x in row]
         d = math.lcm(*[x.denominator for x in row])
         ints.append([x.numerator * (d // x.denominator) for x in row])
-        dens.append(d)
-    return ints, dens
+    return ints
 
 
 def vector(entries) -> tuple:
@@ -82,8 +82,7 @@ def mat_vec(m, v) -> tuple:
 
 
 def shifted(m, lam) -> tuple:
-    """m - lam*I for a square m."""
-    lam = frac(lam)
+    """m - lam*I for a square m and a Fraction lam."""
     return tuple(
         tuple(x - lam if i == j else x for j, x in enumerate(row))
         for i, row in enumerate(m)
@@ -113,7 +112,7 @@ def _rref_pivots(m):
     p*row_i - f*row_r (p the pivot, f = row_i[c]) and divides it by the gcd
     of its entries, so every row stays a nonzero multiple of the row that
     Fraction elimination would hold, and the pivots are the same."""
-    rows, _ = clear_denominators(m)
+    rows = clear_denominators(m)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []

@@ -260,7 +260,8 @@ def test_string_entries_are_the_rationals_they_spell():
     as_fractions = [[F(3), F(1, 2)], [F(3, 2), F(2)]]
     as_strings = [["3", "1/2"], ["3/2", "2"]]
     mixed = [["3", F(1, 2)], [F(3, 2), "2"]]
-    assert invariance._int_matrix(mixed) == invariance._int_matrix(as_strings) == [[6, 1], [3, 4]]
+    assert invariance._exact(mixed) == invariance._exact(as_strings) == invariance._exact(as_fractions)
+    assert invariance._int_matrix(invariance._exact(as_strings)) == [[6, 1], [3, 4]]
     expected = invariant_polydiagonals(as_fractions).partitions()
     assert parse_typical_element("(a,a)") in expected
     for m in (as_strings, mixed):
@@ -853,6 +854,7 @@ def test_theorem_reports_read_string_entries(m):
             continue
         assert check_main_lemma(m, lam) == want
         assert check_main_lemma(m, str(lam)) == want
+        assert eigendata(m, str(lam)) == eigendata(fr, lam)
 
 
 def test_theorem_reports_reject_float_entries():

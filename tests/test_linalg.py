@@ -44,9 +44,7 @@ def test_frac_passes_a_fraction_through():
 
 
 def test_clear_denominators_per_row():
-    rows, dens = clear_denominators([["1/2", F(1, 3), 2], [4, "-6", 0], []])
-    assert rows == [[3, 2, 12], [4, -6, 0], []]
-    assert dens == [6, 1, 1]
+    assert clear_denominators([["1/2", F(1, 3), 2], [4, "-6", 0], []]) == [[3, 2, 12], [4, -6, 0], []]
 
 
 def test_rref_identity():
