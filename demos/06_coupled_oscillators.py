@@ -54,4 +54,4 @@ x0 = dynamics.sample_in_subspace(twisted, np.random.default_rng(5), scale=5.0) +
 traj = dynamics.integrate(sys_w, x0, 1e-3, 30.0)
 with open(out, "w") as fh:
     fh.write(traj.to_csv())
-print("  final state:", np.round(traj.states[-1].ravel(), 3))
+print("  final state:", np.round(traj.state(-1), 3))

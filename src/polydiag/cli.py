@@ -184,8 +184,6 @@ _DEFAULT_COUPLING = {"vanderpol": "vdp", "lorenz": "lorenz_w", "singular_osc": "
 
 
 def cmd_simulate(args):
-    import numpy as np
-
     from . import dynamics
 
     params = {}
@@ -200,22 +198,29 @@ def cmd_simulate(args):
         raise InputError("digraph %r has no vertices; a system needs n >= 1 cells" % args.digraph)
     m = _pick_matrix(g, args.matrix)
     try:
-        with np.errstate(over="raise"):
-            m_float = float(args.scale) * np.array([[float(x) for x in row] for row in m])
-    except (OverflowError, FloatingPointError):
+        scale = float(args.scale)
+        m_float = [[scale * float(x) for x in row] for row in m]
+        finite = all(math.isfinite(x) for row in m_float for x in row)
+    except OverflowError:  # the scale or a weight is beyond the float range
+        finite = False
+    if not finite:
         raise InputError("--scale %s times the weights of %s leaves the float range" % (args.scale, args.digraph))
     coupling = args.coupling or _DEFAULT_COUPLING.get(args.preset, "identity")
-    h = np.eye(preset.k) if _COUPLINGS[coupling] is None else getattr(dynamics, _COUPLINGS[coupling])
+    k = preset.k
+    h = ([[float(a == b) for b in range(k)] for a in range(k)] if _COUPLINGS[coupling] is None
+         else getattr(dynamics, _COUPLINGS[coupling]))
     try:
         sys_ = dynamics.CoupledSystem(preset, h, m_float)
     except ValueError as exc:  # a coupling of the wrong size for the preset
         raise InputError("coupling %s: %s" % (coupling, exc))
     if args.x0:
-        x0 = np.array(args.x0)
-        if x0.size != g.n * preset.k:
-            raise InputError("--x0 needs %d values" % (g.n * preset.k))
+        x0 = args.x0
+        if len(x0) != g.n * k:
+            raise InputError("--x0 needs %d values" % (g.n * k))
     else:
-        x0 = np.random.default_rng(args.seed).uniform(-1, 1, size=g.n * preset.k)
+        import numpy as np
+
+        x0 = np.random.default_rng(args.seed).uniform(-1, 1, size=g.n * k).tolist()
     try:
         traj = dynamics.integrate(sys_, x0, args.dt, args.T)
     except dynamics.BlowupError as exc:
@@ -229,7 +234,7 @@ def cmd_simulate(args):
         "preset": args.preset,
         "coupling": coupling,
         "steps": len(traj.times) - 1,
-        "final_state": [float(v) for v in traj.states[-1].ravel()],
+        "final_state": traj.state(-1),
     }
     if args.output:
         print(json.dumps(summary))

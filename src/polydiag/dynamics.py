@@ -25,18 +25,24 @@ literal.  It makes the same IEEE operations in the same order as
 :meth:`CoupledSystem.rhs` called four times per step.  A step takes
 about 1.5 us for the van der Pol pair and 2.2 us for the Lorenz pair,
 and building a system with its function 0.63 ms and 0.94 ms, on a shared
-2-vCPU Xeon VM with Python 3.11 (minimum of 400 runs).  Arrays stay at
-the edges: each state is written into a preallocated (steps+1, n, k)
-output.
+2-vCPU Xeon VM with Python 3.11 (minimum of 400 runs).  The path from a
+system to its CSV is plain floats too: the states are written one after
+another into a preallocated flat ``array('d')`` (8 bytes a value, as in a
+float64 array), and :meth:`Trajectory.to_csv` formats a column that
+repeats once, so the copies and negations that an invariant polydiagonal
+makes of a column cost no formatting of their own.  numpy is imported
+only inside the functions that still work on arrays: the twisted-subspace
+tools, the invariance, equivariance and convergence tests.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from numbers import Real
 
 from .partitions import TaggedPartition
 
@@ -153,30 +159,39 @@ def _reject_extra(params):
         raise TypeError("unknown preset parameters: %s" % sorted(params))
 
 
-VDP_H = np.array([[0.0, 0.0], [1.0, 0.0]])
-LORENZ_H_PLUS = np.diag([0.0, 0.0, 1.0])  # couples the w equation
-LORENZ_H_MINUS = np.diag([0.0, 1.0, 0.0])  # couples the v equation
+VDP_H = ((0.0, 0.0), (1.0, 0.0))
+LORENZ_H_PLUS = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))  # couples the w equation
+LORENZ_H_MINUS = ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0))  # couples the v equation
 
 
 # ---------------------------------------------------------------------------
 # systems and trajectories
 
 
+def _side(a) -> int:
+    """n when a is a sequence of n rows of n entries each, else 0."""
+    try:
+        n = len(a)
+        return n if all(len(row) == n for row in a) else 0
+    except TypeError:  # a or one of its rows has no length
+        return 0
+
+
 @dataclass
 class CoupledSystem:
-    """n = len(M) cells of k = f.k coordinates each.  States are flat:
+    """n = len(M) cells of k = f.k coordinates each.  M (n x n) and H
+    (k x k) are rows of real numbers, such as nested lists or 2-d arrays;
+    they are kept as given and read as floats.  States are flat:
     coordinate a of cell i (0-based) sits at i*k + a."""
 
     f: Preset
-    H: np.ndarray
-    M: np.ndarray
+    H: object
+    M: object
 
     def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        self.M = np.asarray(self.M, dtype=float)
-        if self.H.shape != (self.k, self.k):
+        if _side(self.H) != self.k:
             raise ValueError("coupling dimensions inconsistent with k=%d" % self.k)
-        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1] or len(self.M) < 1:
+        if _side(self.M) < 1:
             raise ValueError("a system needs a square network matrix of n >= 1 cells")
         self._cells = tuple(range(0, self.n * self.k, self.k))
         self._coupling = _coupling_terms(self.M, self.H)
@@ -203,28 +218,49 @@ class CoupledSystem:
         return out
 
 
+def _is_zero_row(row) -> bool:
+    """Whether every entry of a row of real numbers is 0.0 or -0.0.  A flat
+    row whose memory is all zero bytes (an array row of 0.0) is decided on
+    those bytes, without an object per entry.  Any other row is decided by
+    ``math.hypot``, which reads each entry as a float (TypeError for
+    anything else) and is 0.0 only when every entry is a zero; an inf or a
+    NaN makes it inf or NaN."""
+    try:
+        view = memoryview(row)
+        if view.ndim == 1 and not view.tobytes().strip(b"\0"):
+            return True
+    except TypeError:  # no buffer: a list or a tuple
+        pass
+    return math.hypot(*row) == 0.0
+
+
 def _coupling_terms(M, H):
     """The nonzero entries of kron(M, H) per row, found from the nonzero
     entries of M and H: row p = i*k + a holds (j*k + b, M[i, j] * H[a, b])
     in column order, the same IEEE products as the dense kron, without
     those that underflow to (signed) zero.  An inf or NaN in M or H, or a
     product that overflows, is a ValueError: each puts inf or NaN into the
-    kron (inf * 0 is NaN)."""
+    kron (inf * 0 is NaN).  Zero rows of M are passed over whole (see
+    :func:`_is_zero_row`), so a sparse M costs no float per zero row."""
     k = len(H)
-    nz = np.nonzero(M)  # NaN and inf count as nonzero, -0.0 does not
-    m_values = M[nz]
-    m_rows = [[] for _ in range(len(M))]
-    for i, j, m in zip(nz[0].tolist(), nz[1].tolist(), m_values.tolist()):
-        m_rows[i].append((j * k, m))
-    h_rows = [[(b, h) for b, h in enumerate(row) if h != 0.0] for row in H.tolist()]
+    H = [[float(h) for h in row] for row in H]
+    finite = all(math.isfinite(h) for row in H for h in row)
+    m_rows = []
+    for row in M:
+        if _is_zero_row(row):
+            m_rows.append(())
+            continue
+        row = [float(m) for m in row]
+        finite = finite and all(map(math.isfinite, row))
+        m_rows.append([(j * k, m) for j, m in enumerate(row) if m != 0.0])
+    h_rows = [[(b, h) for b, h in enumerate(row) if h != 0.0] for row in H]
     rows = (
         (i * k + a, tuple((jk + b, w) for jk, m in m_row for b, h in h_row if (w := m * h) != 0.0))
         for i, m_row in enumerate(m_rows)
         for a, h_row in enumerate(h_rows)
     )
     coupling = tuple((p, terms) for p, terms in rows if terms)
-    if not (np.isfinite(m_values).all() and np.isfinite(H).all()
-            and all(math.isfinite(w) for _, terms in coupling for _, w in terms)):
+    if not (finite and all(math.isfinite(w) for _, terms in coupling for _, w in terms)):
         raise ValueError("M, H and kron(M, H) must have finite entries")
     return coupling
 
@@ -245,7 +281,8 @@ def _rk4_source(sys: CoupledSystem) -> str:
     coupling sum ``(0.0 + w1 * y_q1 + w2 * y_q2 ...)`` over the nonzero
     entries of row p of kron(M, H) in column order: the IEEE operations of
     :meth:`CoupledSystem.rhs`, in the same order.  Each step checks the
-    state norm and writes ``out[s]``; a division by zero or an overflowing
+    state norm and writes the state to ``out[s*nk : (s+1)*nk]``, a flat
+    float array; a division by zero or an overflowing
     power becomes a BlowupError at that step.  Only the preset's checked
     arithmetic, ``repr`` of finite floats and the names of ``_RK4_GLOBALS``
     reach the source.
@@ -288,8 +325,10 @@ def _rk4_source(sys: CoupledSystem) -> str:
            "            break",
            "        if not hypot(%s) <= BLOWUP_NORM:" % xs,
            "            raise BlowupError(s * h, hypot(%s))" % xs,
-           "        out[s] = (%s,)" % xs,
-           "    else:",
+           "        i = s * %d" % nk,
+           "        out[i] = x0"]
+        + ["        out[i + %d] = x%d" % (p, p) for p in range(1, nk)]
+        + ["    else:",
            "        return",
            "    raise BlowupError(s * h)",
            ""]
@@ -308,17 +347,91 @@ def _compile_rk4(sys: CoupledSystem):
     return namespace.pop("rk4")
 
 
+def _toggled(text):
+    """The %g texts of a column's negation: the leading minus toggled."""
+    return [t[1:] if t[0] == "-" else "-" + t for t in text]
+
+
+def _negated(key: bytes, signs: int) -> bytes:
+    """The binary64 bytes of the negation of the floats whose bytes are
+    key.  Negating a float flips its sign bit, and signs, read in the same
+    byte order as key, holds the sign bit of each."""
+    return (int.from_bytes(key, "little") ^ signs).to_bytes(len(key), "little")
+
+
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # (len(times), n, k)
+    """``times[s]`` is ``s * dt``.  ``states`` holds the states one after
+    another as one flat float array of len(times) * n*k values: coordinate
+    a of cell i at times[s] is ``states[s*n*k + i*k + a]``, and column j,
+    one coordinate over time, is the slice ``states[j::n*k]``.
+
+    On an invariant polydiagonal whole columns repeat bit for bit: x_i =
+    x_j copies a column, x_i = -x_j negates it.  :meth:`to_csv` formats
+    such a column once and shares its text with the equal and opposite
+    columns."""
+
+    times: array
+    states: array
+
+    def state(self, s) -> list:
+        """The state at times[s] as a list of n*k floats; s may be
+        negative, as in a list index."""
+        nk = len(self.states) // len(self.times)
+        s = range(len(self.times))[s]
+        return self.states[s * nk : s * nk + nk].tolist()
 
     def to_csv(self) -> str:
-        m, n, k = self.states.shape
-        head = "t," + ",".join("x%d" % (j + 1) for j in range(n * k))
-        row = "%.10g" + ",%.16g" * (n * k)
-        flat = self.states.reshape(m, n * k).tolist()
-        return head + "\n" + "\n".join([row % (t, *x) for t, x in zip(self.times.tolist(), flat)]) + "\n"
+        """A header ``t,x1,...`` and per state the line
+        ``("%.10g" + ",%.16g" * nk) % (t, *state)``, for finite states.
+
+        Columns are matched on their binary64 bytes, which tell apart the
+        zeros that %.16g writes as ``0`` and ``-0``.  A column that is
+        equal or opposite to no other one is formatted by the row format;
+        the others are formatted once per group of equal and opposite
+        columns, and the row format takes that text through ``%s``, with
+        each leading minus toggled in a negated column."""
+        m = len(self.times)
+        nk = len(self.states) // m
+        states = self.states
+        signs = int.from_bytes(array("d", [-0.0] * m).tobytes(), "little")
+        first = {}  # column bytes -> (the first column equal or opposite to it, whether opposite)
+        source = []
+        for j in range(nk):
+            key = states[j::nk].tobytes()
+            if key not in first:
+                first[key] = (j, False)
+                first.setdefault(_negated(key, signs), (j, True))
+            source.append(first[key])
+        copies = Counter(i for i, _ in source)
+        values = [None] * (m * (nk + 1))
+        values[:: nk + 1] = self.times
+        row, texts = "%.10g", {}
+        for j, (i, negated) in enumerate(source):
+            if copies[i] == 1:
+                values[j + 1 :: nk + 1] = states[j::nk]
+                row += ",%.16g"
+                continue
+            if i not in texts:
+                texts[i] = ("\n".join(["%.16g"] * m) % tuple(states[i::nk])).split("\n")
+            values[j + 1 :: nk + 1] = _toggled(texts[i]) if negated else texts[i]
+            row += ",%s"
+        head = "t," + ",".join("x%d" % (j + 1) for j in range(nk))
+        return head + "\n" + (row + "\n") * m % tuple(values)
+
+
+def _flat_state(x0, n, k) -> list:
+    """x0 as a flat list of n*k floats.  ValueError unless x0 is a
+    sequence of n*k real numbers or of n rows of k real numbers."""
+    try:
+        if len(x0) == n * k and all(isinstance(v, Real) for v in x0):
+            return [float(v) for v in x0]
+        if len(x0) == n and all(not isinstance(r, Real) and len(r) == k and all(isinstance(v, Real) for v in r)
+                                for r in x0):
+            return [float(v) for r in x0 for v in r]
+    except TypeError:  # x0 or one of its rows has no length
+        pass
+    raise ValueError("x0 must have shape (%d,) or (%d, %d)" % (n * k, n, k))
 
 
 def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
@@ -334,19 +447,17 @@ def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
     if not (dt > 0 and T > 0):
         raise ValueError("dt and T must be positive")
     nk = sys.n * sys.k
-    if np.shape(x0) not in ((nk,), (sys.n, sys.k)):
-        raise ValueError("x0 must have shape (%d,) or (%d, %d), not %s" % (nk, sys.n, sys.k, np.shape(x0)))
-    x = np.array(x0, dtype=float).reshape(nk).tolist()
+    x = _flat_state(x0, sys.n, sys.k)
     try:
         steps = round(T / dt)
-        out = np.empty((steps + 1, nk))
+        states = array("d", [0.0]) * ((steps + 1) * nk)
     except (OverflowError, MemoryError, ValueError):
         raise ValueError("T/dt = %.3g RK4 steps do not fit in memory" % (T / dt)) from None
     if steps < 1:
         raise ValueError("T/dt = %.3g rounds to no RK4 step" % (T / dt))
-    out[0] = x
-    sys._rk4(*x, dt, steps, out)
-    return Trajectory(np.arange(steps + 1) * dt, out.reshape(steps + 1, sys.n, sys.k))
+    states[:nk] = array("d", x)
+    sys._rk4(*x, dt, steps, states)
+    return Trajectory(array("d", (s * dt for s in range(steps + 1))), states)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +467,8 @@ def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
 def _involution(N):
     """N as a float array; ValueError unless it is a k x k matrix with
     k >= 1 and N^2 = I."""
+    import numpy as np
+
     N = np.asarray(N, dtype=float)
     square = N.ndim == 2 and 1 <= len(N) == N.shape[1]
     if not (square and np.max(np.abs(N @ N - np.eye(len(N)))) <= 1e-12):
@@ -371,7 +484,7 @@ class TwistedSubspace:
     R^k (x) Delta_P."""
 
     partition: TaggedPartition
-    N: np.ndarray
+    N: object  # read by _involution, kept as a k x k float array
 
     def __post_init__(self):
         self.N = _involution(self.N)
@@ -389,6 +502,8 @@ def _check_states(s: TwistedSubspace, shape):
 
 def _residuals(states, s: TwistedSubspace):
     """Stacked constraint residuals for a batch of states (m, n, k)."""
+    import numpy as np
+
     p = s.partition
     res = [np.zeros((len(states), 0))]  # (m, 0) when P has no constraints
     rep = {ci: states[:, cls[0] - 1, :] for ci, cls in enumerate(p.classes)}
@@ -410,6 +525,8 @@ def subspace_distances(states, s: TwistedSubspace):
     class residuals (x_i - N x_i)/2 (which is just x_i when N = -I), all
     stacked, measured in the Euclidean norm and divided by ||x|| + 1.
     """
+    import numpy as np
+
     states = np.asarray(states, dtype=float)
     _check_states(s, states.shape)
     res = _residuals(states, s)
@@ -420,6 +537,8 @@ def subspace_distances(states, s: TwistedSubspace):
 def sample_in_subspace(s: TwistedSubspace, rng, scale=1.0):
     """Random state inside the subspace: one coefficient block per class,
     uniform in [-scale, scale]^k, propagated through the constraints."""
+    import numpy as np
+
     p = s.partition
     x = np.zeros((p.n, s.k))
     values = {}
@@ -455,6 +574,8 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
     and left out of max_distance, and the report does not pass.
     ValueError before any draw unless trials >= 1 and s fits sys's n and
     k."""
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1, got %r" % (trials,))
     _check_states(s, (trials, sys.n, sys.k))
@@ -468,7 +589,8 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
         except BlowupError:
             blowups += 1
             continue
-        worst = max(worst, float(np.max(subspace_distances(traj.states, s))))
+        states = np.reshape(traj.states, (-1, sys.n, sys.k))
+        worst = max(worst, float(np.max(subspace_distances(states, s))))
     return InvarianceReport(s, trials, tol, worst, blowups)
 
 
@@ -504,6 +626,8 @@ def equivariance_check(sys, N, ell, seed=0):
     f(Nx) = Nf(x) and HN = NH = H.  Hypothesis failures are reported and
     the residual check is skipped.  ValueError before any draw unless N is
     a k x k involution for sys's k."""
+    import numpy as np
+
     ell = _cell(sys, ell)
     N = _involution(N)
     if len(N) != sys.k:
@@ -517,10 +641,11 @@ def equivariance_check(sys, N, ell, seed=0):
     f_res = float(np.max(np.abs(f_rows(pts @ N.T) - f_rows(pts) @ N.T)))
     if f_res > 1e-10:
         return EquivarianceReport("f is not N-equivariant (residual %.3g)" % f_res, np.inf, 0.0)
-    hn, nh = sys.H @ N, N @ sys.H
-    if np.max(np.abs(hn - sys.H)) > 1e-12 or np.max(np.abs(nh - sys.H)) > 1e-12:
+    h = np.asarray(sys.H, dtype=float)
+    hn, nh = h @ N, N @ h
+    if np.max(np.abs(hn - h)) > 1e-12 or np.max(np.abs(nh - h)) > 1e-12:
         reason = "HN = NH = H fails"
-        if np.max(np.abs(hn + sys.H)) <= 1e-12 and np.max(np.abs(nh + sys.H)) <= 1e-12:
+        if np.max(np.abs(hn + h)) <= 1e-12 and np.max(np.abs(nh + h)) <= 1e-12:
             reason += " (found HN = NH = -H instead)"
         return EquivarianceReport(reason, np.inf, 0.0)
 
@@ -546,12 +671,15 @@ def antisynchrony_convergence(sys, pair, sign, dt=1e-3, T=400.0, seed=0, tail=0.
     where u is the first coordinate of each cell.  Measures which of the
     synchrony (sign=-1) / anti-synchrony (sign=+1) subspaces attracts.
     The cells of pair are 1-based."""
+    import numpy as np
+
     i, j = (_cell(sys, c) for c in pair)
     if x0 is None:
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-1, 1, size=(sys.n, sys.k))
     traj = integrate(sys, x0, dt, T)
     start = int(len(traj.times) * (1.0 - tail))
-    u_i = traj.states[start:, i - 1, 0]
-    u_j = traj.states[start:, j - 1, 0]
+    states = np.reshape(traj.states[start * sys.n * sys.k :], (-1, sys.n, sys.k))
+    u_i = states[:, i - 1, 0]
+    u_j = states[:, j - 1, 0]
     return float(np.max(np.abs(u_i + sign * u_j)))

@@ -58,13 +58,21 @@ from .partitions import (
 DEFAULT_SCAN_LIMIT = 8
 
 
+class _Exact(tuple):
+    """A square tuple of Fraction rows that :func:`_exact` made."""
+
+
 def _exact(m) -> tuple:
     """m as a square tuple of Fraction rows.  A ragged or non-square m
-    raises ValueError before any entry is read."""
+    raises ValueError before any entry is read.  A matrix that _exact made
+    is returned as it is, so a report hands its matrix on to
+    :func:`eigendata` and the scan without coercing it again."""
+    if type(m) is _Exact:
+        return m
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    return tuple(tuple(frac(x) for x in row) for row in m)
+    return _Exact(tuple(frac(x) for x in row) for row in m)
 
 
 def _int_matrix(mat):

@@ -8,7 +8,9 @@ Everything is immutable and every operation is pure.
 string such as ``"0.25"`` or ``"-1/2"`` is the rational it spells, and a
 float or a bool raises TypeError.  Each input meets it at one door: a
 weight in :class:`graph.WeightedDigraph`, a matrix in
-:func:`invariance._exact`, rows here in :func:`clear_denominators`.
+:func:`invariance._exact`, rows here in :func:`clear_denominators`, which
+takes an int or a Fraction as it is, so an exact matrix is not coerced
+twice.
 
 Row reduction does not compute in Fraction.  Each row is cleared of
 denominators once (:func:`clear_denominators`) and the work is done on
@@ -37,12 +39,16 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+_EXACT = (int, Fraction)  # exact already: frac would at most wrap an int in a Fraction
+
+
 def clear_denominators(rows):
     """Each row times the lcm of its entries' denominators, as a list of
-    int rows.  Every entry goes through :func:`frac`."""
+    int rows.  Every entry that is not an int or a Fraction goes through
+    :func:`frac`."""
     ints = []
     for row in rows:
-        row = [frac(x) for x in row]
+        row = [x if type(x) in _EXACT else frac(x) for x in row]
         d = math.lcm(*[x.denominator for x in row])
         ints.append([x.numerator * (d // x.denominator) for x in row])
     return ints
@@ -105,6 +111,8 @@ def rref(m):
 
 def _rref_pivots(m):
     """Fraction-free Gauss-Jordan elimination: (int rows, pivot columns).
+    ValueError("ragged rows") unless every row of m has the length of the
+    first.
 
     Row r < rank, divided by its pivot entry rows[r][pivots[r]], is row r
     of the reduced row-echelon form of m; the rows from the rank on are
@@ -115,6 +123,8 @@ def _rref_pivots(m):
     rows = clear_denominators(m)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
     pivots = []
     r = 0
     for c in range(ncols):

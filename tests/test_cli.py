@@ -408,18 +408,42 @@ EXACT_ARGVS = {
 } | {name: ["check", name, "--trials", "3"] for name, _ in SUITE_TRIALS}
 
 
-@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
-def test_exact_commands_load_no_numpy(tmp_path, argv):
-    path = digraph_file(tmp_path, '{"n": 3, "arrows": [[1,2,"1"],[2,3,"1"],[3,1,"1"]]}')
+def _run_in_fresh_process(argv):
+    """main(argv) in a new interpreter: (its stdout, its stderr), where
+    the probe writes the exit code and whether numpy was imported by the
+    end to stderr, after anything main wrote there."""
     probe = (
         "import sys, polydiag.cli; code = polydiag.cli.main(%r); "
-        "print(code, 'numpy' in sys.modules, file=sys.stderr)" % [a.replace("{file}", path) for a in argv]
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)" % argv
     )
     src = os.path.dirname(os.path.dirname(polydiag.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout
-    assert out.stderr.strip() == "0 False"
+    return out.stdout, out.stderr.strip()
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
+def test_exact_commands_load_no_numpy(tmp_path, argv):
+    path = digraph_file(tmp_path, '{"n": 3, "arrows": [[1,2,"1"],[2,3,"1"],[3,1,"1"]]}')
+    out, err = _run_in_fresh_process([a.replace("{file}", path) for a in argv])
+    assert out
+    assert err == "0 False"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_simulate_with_x0_loads_no_numpy(tmp_path, to_file):
+    """Only the seeded draw of a start needs numpy: with --x0, simulate
+    runs on floats from argv to CSV, written to stdout or to --output."""
+    path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}')
+    argv = ["simulate", "--preset", "vanderpol", "--digraph", path, "--scale", "0.5", "--dt", "0.01", "--T", "1",
+            "--x0=0.3,-0.2,-0.3,0.2"]
+    csv = tmp_path / "traj.csv"
+    out, err = _run_in_fresh_process(argv + ["--output", str(csv)] if to_file else argv)
+    assert err == "0 False"
+    text = csv.read_text() if to_file else out
+    assert text.startswith("t,x1,x2,x3,x4\n") and len(text.splitlines()) == 102
+    if to_file:
+        assert json.loads(out)["status"] == "ok"
 
 
 def _in_process(argv):

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ def vdp_system():
     return checks.vdp_example_system()
 
 
+def _cell_states(traj, sys):
+    """The flat states of a trajectory as an (m, n, k) array."""
+    return np.reshape(traj.states, (-1, sys.n, sys.k))
+
+
 def test_integrate_linear_flow_stays_in_subspace():
     # zero internal dynamics, H = I: pure linear network flow
     m = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -72,7 +78,7 @@ def test_integrate_linear_flow_stays_in_subspace():
     s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     x0 = sample_in_subspace(s, np.random.default_rng(1))
     traj = integrate(sys, x0, 1e-2, 5.0)
-    assert max(subspace_distances(traj.states[::50], s)) < 1e-12
+    assert max(subspace_distances(_cell_states(traj, sys)[::50], s)) < 1e-12
 
 
 def test_integrate_single_lorenz_bounded():
@@ -104,6 +110,110 @@ def test_trajectory_csv():
     text = traj.to_csv()
     assert text.splitlines()[0] == "t,x1,x2,x3,x4"
     assert len(text.splitlines()) == len(traj.times) + 1
+
+
+def _rows(traj):
+    """The states of a trajectory, one tuple per time."""
+    nk = len(traj.states) // len(traj.times)
+    return [tuple(traj.states[i : i + nk]) for i in range(0, len(traj.states), nk)]
+
+
+def _trajectory(times, cols):
+    """A Trajectory with the given times and columns."""
+    return dynamics.Trajectory(array("d", times), array("d", [v for row in zip(*cols) for v in row]))
+
+
+def _csv_by_rows(traj):
+    """The CSV of a trajectory by its defining formula, one % per row."""
+    nk = len(traj.states) // len(traj.times)
+    row = "%.10g" + ",%.16g" * nk
+    lines = ["t," + ",".join("x%d" % (j + 1) for j in range(nk))]
+    return "\n".join(lines + [row % (t, *x) for t, x in zip(traj.times, _rows(traj))]) + "\n"
+
+
+CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _zero_signs_flipped(col):
+    """col with the sign of each zero flipped: equal to col under ==, not
+    in the bits that %.16g writes."""
+    return [-v if v == 0.0 else v for v in col]
+
+
+PLANTS = {
+    "copy": lambda col: list(col),
+    "negation": lambda col: [-v for v in col],
+    "zeros": lambda col: [0.0] * len(col),
+    "negative zeros": lambda col: [-0.0] * len(col),
+    "copy with zero signs flipped": _zero_signs_flipped,
+    "negation with zero signs flipped": lambda col: _zero_signs_flipped([-v for v in col]),
+}
+
+
+@st.composite
+def planted_trajectories(draw):
+    """Columns of finite floats, with copies, negations, all-zero columns
+    of either sign and zero-sign twins of earlier columns planted among
+    them; zeros are frequent, so twins and -0.0 columns often hold some."""
+    m = draw(st.integers(1, 12))
+    column = st.lists(st.one_of(CSV_FLOATS, st.sampled_from([0.0, -0.0])), min_size=m, max_size=m)
+    cols = draw(st.lists(column, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 6))):
+        plant = PLANTS[draw(st.sampled_from(sorted(PLANTS)))]
+        cols.append(plant(draw(st.sampled_from(cols))))
+    cols = draw(st.permutations(cols))
+    times = draw(st.lists(CSV_FLOATS, min_size=m, max_size=m))
+    return _trajectory(times, cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(planted_trajectories())
+def test_csv_equals_the_per_row_formula(traj):
+    assert traj.to_csv() == _csv_by_rows(traj)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.lists(st.lists(CSV_FLOATS, min_size=m, max_size=m), min_size=1, max_size=6, unique_by=tuple)))
+def test_csv_without_planted_columns_equals_the_per_row_formula(cols):
+    traj = _trajectory([0.01 * s for s in range(len(cols[0]))], cols)
+    assert traj.to_csv() == _csv_by_rows(traj)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],  # no column repeats: each one in the row format
+     [[1.0, 2.0, 3.0], [-1.0, 7.0, 3.0]],  # ends agree up to sign, the middle does not
+     [[-0.0, 1.0, -0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [-0.0, -1.0, -0.0]]],  # == but not bits
+    ids=["distinct", "ends-only", "signed-zeros"],
+)
+def test_csv_of_near_repeats_equals_the_per_row_formula(cols):
+    traj = _trajectory([0.0, 0.5, 1.0], cols)
+    assert traj.to_csv() == _csv_by_rows(traj)
+
+
+def test_states_are_one_flat_float_array():
+    """8 bytes a value, as in a float64 array; times are s * dt as numpy
+    computes them, and state(s) reads the values of one time."""
+    traj = integrate(vdp_system(), [0.3, -0.2, -0.1, 0.2], 0.01, 1.0)
+    assert traj.states.itemsize == 8 and len(traj.states) == 101 * 4
+    assert traj.times.tobytes() == (np.arange(101) * 0.01).tobytes()
+    assert traj.state(0) == [0.3, -0.2, -0.1, 0.2]
+    assert traj.state(-1) == traj.state(100) == traj.states[-4:].tolist()
+    with pytest.raises(IndexError):
+        traj.state(101)
+
+
+def test_csv_formats_an_antisynchronous_pair_once(monkeypatch):
+    """On (a,-a) x R^2 the van der Pol pair's states are (u, v, -u, -v)
+    bit for bit: the last two columns reuse the text of the first two."""
+    toggled, toggle = [], dynamics._toggled
+    monkeypatch.setattr(dynamics, "_toggled", lambda text: toggled.append(text) or toggle(text))
+    traj = integrate(vdp_system(), [0.3, -0.2, -0.3, 0.2], 0.005, 5.0)
+    assert all(x[2] == -x[0] and x[3] == -x[1] for x in _rows(traj))
+    assert traj.to_csv() == _csv_by_rows(traj)
+    assert len(toggled) == 2
 
 
 def test_subspace_distance_examples():
@@ -244,7 +354,7 @@ def test_integrate_accepts_flat_or_per_cell_x0_only():
     # the Lorenz pair: n = 2 cells of k = 3 coordinates
     sys = checks.lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0)
     flat = [1.0, 2.0, 20.0, -1.0, -2.0, 20.0]
-    ends = [integrate(sys, x0, 1e-3, 0.01).states[-1].tolist() for x0 in (flat, np.reshape(flat, (2, 3)))]
+    ends = [integrate(sys, x0, 1e-3, 0.01).state(-1) for x0 in (flat, np.reshape(flat, (2, 3)))]
     assert ends[0] == ends[1]
     for shape in ((3, 2), (6, 1), (1, 6), (1, 2, 3), (5,), (7,)):
         with pytest.raises(ValueError, match="x0 must have shape"):
@@ -276,8 +386,9 @@ def test_singular_oscillator_freely_tagged_invariant_set():
     s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     x0 = np.array([[1.2, 0.3], [-1.2, -0.3]])
     traj = integrate(sys, x0, 1e-3, 20.0)
-    assert max(subspace_distances(traj.states[::100], s)) < 1e-9
-    u = traj.states[:, :, 0]
+    states = _cell_states(traj, sys)
+    assert max(subspace_distances(states[::100], s)) < 1e-9
+    u = states[:, :, 0]
     assert np.min(np.abs(u)) > 1e-3
 
 
@@ -286,7 +397,7 @@ def test_integrator_fourth_order():
     x0 = np.array([0.3, -0.1, 0.4, 0.2])
     ends = []
     for dt in (4e-3, 2e-3, 1e-3):
-        ends.append(integrate(sys, x0, dt, 1.0).states[-1])
+        ends.append(np.array(integrate(sys, x0, dt, 1.0).state(-1)))
     e1 = np.linalg.norm(ends[0] - ends[1])
     e2 = np.linalg.norm(ends[1] - ends[2])
     assert 10.0 < e1 / e2 < 24.0  # ~16 for a 4th order method
@@ -305,8 +416,9 @@ def test_vdp_attractor_cases_keep_their_amplitude():
     the run (T = 40 here, 400 in the suite)."""
     for use_laplacian in (False, True):
         x0 = np.random.default_rng(2).uniform(-1, 1, size=(2, 2))
-        traj = integrate(checks.vdp_example_system(use_laplacian), x0, 1e-3, 40.0)
-        assert np.max(np.abs(traj.states[int(len(traj.times) * 0.8):])) >= 0.1, use_laplacian
+        sys = checks.vdp_example_system(use_laplacian)
+        traj = integrate(sys, x0, 1e-3, 40.0)
+        assert np.max(np.abs(_cell_states(traj, sys)[int(len(traj.times) * 0.8):])) >= 0.1, use_laplacian
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +487,10 @@ def _z7_system():
 def test_integrate_matches_float_reference_bit_for_bit(make, cell, x0):
     sys = make()
     dt, steps = 0.005, 400
-    ref = _rk4_reference(cell, sys.M.tolist(), sys.H.tolist(), x0, dt, steps)
+    ref = _rk4_reference(cell, np.asarray(sys.M, dtype=float).tolist(), np.asarray(sys.H, dtype=float).tolist(), x0,
+                         dt, steps)
     traj = integrate(sys, np.array(x0), dt, steps * dt)
-    got = traj.states.reshape(steps + 1, -1)
-    assert got.tobytes() == np.array(ref).tobytes()
+    assert traj.states.tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -491,7 +603,7 @@ def _assert_integrate_matches_rhs_oracle(sys, x0, dt, steps):
     states, blowup = _rk4_over_rhs(sys, x0, dt, steps)
     if blowup is None:
         traj = integrate(sys, np.array(x0), dt, steps * dt)
-        assert traj.states.reshape(steps + 1, -1).tobytes() == np.array(states).tobytes()
+        assert traj.states.tobytes() == np.array(states).tobytes()
     else:
         with pytest.raises(BlowupError) as info:
             integrate(sys, np.array(x0), dt, steps * dt)
@@ -545,7 +657,7 @@ def test_integrate_matches_rk4_over_rhs_with_split_coupling_sums(monkeypatch, na
     _assert_integrate_matches_rhs_oracle(sys, _start(f, 3, 7), 0.01, 150)
 
 
-RK4_NAMES = {"h", "hh", "h6", "s", "steps", "out", "range", "hypot", "BLOWUP_NORM", "BlowupError",
+RK4_NAMES = {"h", "hh", "h6", "s", "i", "steps", "out", "range", "hypot", "BLOWUP_NORM", "BlowupError",
              "OverflowError", "ZeroDivisionError"}
 
 
@@ -561,6 +673,7 @@ def test_generated_source_holds_only_known_names_and_numbers(monkeypatch, make, 
     monkeypatch.setattr(dynamics, "_TERMS_PER_LINE", terms_per_line)
     sys = make()
     nk = sys.n * sys.k
+    stores = {"out[i]"} | {"out[i + %d]" % p for p in range(1, nk)}
     tree = ast.parse(dynamics._rk4_source(sys))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -570,7 +683,7 @@ def test_generated_source_holds_only_known_names_and_numbers(monkeypatch, make, 
             assert type(node.value) in (int, float), node.value
         elif isinstance(node, ast.Call):
             assert node.func.id in ("range", "hypot", "BlowupError")
-        assert not isinstance(node, (ast.Attribute, ast.Subscript)) or ast.unparse(node) == "out[s]"
+        assert not isinstance(node, (ast.Attribute, ast.Subscript)) or ast.unparse(node) in stores
 
 
 @pytest.mark.parametrize(
@@ -614,16 +727,19 @@ def test_system_refuses_non_finite_coupling(h, m):
 
 
 def _assert_coupling_is_the_dense_krons(m, h):
+    """M and H as arrays (whose zero rows are read as bytes) and as nested
+    lists give the terms of the dense kron."""
     m, h = np.array(m, dtype=float), np.array(h, dtype=float)
     expected = _kron_terms(m, h)
-    if expected is None:
-        with pytest.raises(ValueError, match="finite"):
-            CoupledSystem(preset_f("zero", k=len(h)), h, m)
-        return
-    got = CoupledSystem(preset_f("zero", k=len(h)), h, m)._coupling
-    assert [(p, [(q, w.hex()) for q, w in terms]) for p, terms in got] == [
-        (p, [(q, w.hex()) for q, w in terms]) for p, terms in expected
-    ]
+    for spelling in ((h, m), (h.tolist(), m.tolist())):
+        if expected is None:
+            with pytest.raises(ValueError, match="finite"):
+                CoupledSystem(preset_f("zero", k=len(h)), *spelling)
+            continue
+        got = CoupledSystem(preset_f("zero", k=len(h)), *spelling)._coupling
+        assert [(p, [(q, w.hex()) for q, w in terms]) for p, terms in got] == [
+            (p, [(q, w.hex()) for q, w in terms]) for p, terms in expected
+        ]
 
 
 @pytest.mark.parametrize(
@@ -717,8 +833,11 @@ def test_system_takes_n_and_k_from_m_and_f():
     sys = checks.lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
     assert (sys.n, sys.k) == (2, 3)
     assert len(sys.rhs([0.5] * 6)) == 6
-    for m in (np.zeros((2, 3)), np.zeros(2), np.zeros(())):
+    for m in (np.zeros((2, 3)), np.zeros(2), np.zeros(()), [[0.0, 0.0], [0.0]]):
         with pytest.raises(ValueError, match="square"):
+            CoupledSystem(preset_f("lorenz"), dynamics.LORENZ_H_PLUS, m)
+    for m in (np.zeros((2, 2, 1)), np.ones((2, 2, 1)), [["0", "0"], ["0", "0"]]):  # entries that are no numbers
+        with pytest.raises(TypeError):
             CoupledSystem(preset_f("lorenz"), dynamics.LORENZ_H_PLUS, m)
     with pytest.raises(ValueError, match="k=3"):
         CoupledSystem(preset_f("lorenz"), dynamics.VDP_H, np.zeros((2, 2)))

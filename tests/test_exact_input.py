@@ -5,7 +5,8 @@ Fractions and strings as the rationals they spell, refuses a float or a
 bool with TypeError, and, when it takes a matrix, refuses a ragged or
 non-square one with ValueError.  Behind those doors the digraph readers and
 the scan coerce nothing again: one ``invariants`` run calls ``linalg.frac``
-once per arrow weight and once per matrix entry.
+once per arrow weight and once per matrix entry, and a ``check
+main-lemma|column-sums --file`` run once more, for the eigenvalue.
 """
 
 import os
@@ -105,3 +106,23 @@ def test_one_invariants_run_coerces_each_weight_and_entry_once(which, monkeypatc
     assert cli.main(["invariants", D3, "--matrix", which]) == 0
     assert capsys.readouterr().out
     assert len(calls) == len(g.arrows) + g.n ** 2 == 48
+
+
+@pytest.mark.parametrize("argv", [["main-lemma", "--lambda", "2"], ["column-sums"]], ids=["main-lemma", "column-sums"])
+def test_one_report_run_coerces_each_weight_and_entry_once(argv, monkeypatch, capsys):
+    """12 arrows, a 6 x 6 matrix and the eigenvalue: 49 calls of frac (193
+    when the report, eigendata, both nullspaces and the scan each coerced
+    the matrix)."""
+    g = graph.load_digraph(D3)
+    frac = linalg.frac
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return frac(x)
+
+    for module in (graph, invariance, linalg):
+        monkeypatch.setattr(module, "frac", counted)
+    assert cli.main(["check", argv[0], "--file", D3, *argv[1:]]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == len(g.arrows) + g.n ** 2 + 1 == 49

@@ -101,6 +101,10 @@ def test_span_contains_dimension_mismatch():
 
 REFUSED = {
     "ragged rows": (lambda: matrix([[1, 2], [3]]), "ragged rows"),
+    "rank of a longer row": (lambda: rank([[1], [2, 3]]), "ragged rows"),
+    "rank of a shorter row": (lambda: rank([[1, 2], [3]]), "ragged rows"),
+    "nullspace of a longer row": (lambda: nullspace([[1, 2], [3, 4, 5]]), "ragged rows"),
+    "rref of a shorter row": (lambda: rref([[1, 2, 3], [4, 5]]), "ragged rows"),
     "dot length mismatch": (lambda: dot(vector([1, 2]), vector([1, 2, 3])), "dimension mismatch"),
 }
 
