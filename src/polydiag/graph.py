@@ -9,6 +9,7 @@ the weight of the arrow *to* i *from* j.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -374,16 +375,58 @@ def random_balanced_weights(n, rng):
     Each cycle adds equal weight to the in- and out-degree of the vertices
     it visits, so the result is weight-balanced with positive weights and
     no loops.  Cancellation cannot occur since all weights are positive.
+
+    The draw is ``rng.randint(2, n + 1)`` cycles, each on the vertices
+    ``rng.sample(range(1, n + 1), rng.randint(2, n))`` with the weight
+    ``rng.randint(1, 3)``, but made from ``rng.getrandbits`` alone, as
+    CPython's ``random.Random`` makes them: a number below m is
+    ``getrandbits(k)`` with ``k = m.bit_length()``, drawn again while it
+    is m or more, and the sample swaps from a pool, or rejects repeats in
+    a set when n exceeds sample's set size (possible only for n >= 22).
+    So the same digraphs come out in the same order and rng is left in
+    the same state, with much less interpreter overhead than those calls.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    # each number below m is drawn inline, as random.Random._randbelow
+    # draws it: a helper call per number gives back about a fifth of the
+    # time saved
+    bits = rng.getrandbits
+    k_n, k_len = n.bit_length(), (n - 1).bit_length()
+    r = bits(k_n)
+    while r >= n:
+        r = bits(k_n)
+    vertices = list(range(1, n + 1))
     weight = {}
-    for _ in range(rng.randint(2, n + 1)):
-        length = rng.randint(2, n)
-        cyc = rng.sample(range(1, n + 1), length)
-        w = rng.randint(1, 3)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            weight[(a, b)] = weight.get((a, b), 0) + w
+    for _ in range(2 + r):
+        r = bits(k_len)
+        while r >= n - 1:
+            r = bits(k_len)
+        length = 2 + r
+        cyc = []
+        if n <= 21 or (length > 5 and n <= 21 + 4 ** math.ceil(math.log(length * 3, 4))):
+            pool = vertices.copy()
+            for top in range(n, n - length, -1):
+                k = top.bit_length()
+                j = bits(k)
+                while j >= top:
+                    j = bits(k)
+                cyc.append(pool[j])
+                pool[j] = pool[top - 1]
+        else:
+            selected = set()
+            for _ in range(length):
+                j = bits(k_n)
+                while j >= n or j in selected:
+                    j = bits(k_n)
+                selected.add(j)
+                cyc.append(j + 1)
+        w = bits(2)
+        while w == 3:
+            w = bits(2)
+        w += 1
+        for arrow in zip(cyc, cyc[1:] + cyc[:1]):
+            weight[arrow] = weight.get(arrow, 0) + w
     return weight
 
 

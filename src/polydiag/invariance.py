@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .linalg import frac, nullspace, shifted, transpose
+from .linalg import clear_denominators, frac, nullspace, shifted, transpose
 from .partitions import (
     SubspaceClass,
     TaggedPartition,
@@ -570,10 +570,15 @@ def dichotomy_rows(m, eig: EigenData) -> tuple:
     """One DichotomyRow per m-invariant polydiagonal W, in canonical order:
     whether v_R lies in W and whether v_L is perpendicular to W, for the
     eigenvectors of eig.  Raises ValueError before the scan unless
-    eig.lam is a simple eigenvalue."""
+    eig.lam is a simple eigenvalue.
+
+    Both tests are scale-free, W being a subspace, so they are made on
+    the int multiples of v_R and v_L from :func:`linalg.clear_denominators`
+    (a positive factor each), which compare and add much faster than
+    Fractions and give the same answers."""
     if len(eig.right_basis) != 1:
         raise ValueError("eigenvalue %s has geometric multiplicity %d, need 1" % (eig.lam, len(eig.right_basis)))
-    v_r, v_l = eig.right_basis[0], eig.left_basis[0]
+    v_r, v_l = clear_denominators((eig.right_basis[0], eig.left_basis[0]))
     found = invariant_polydiagonals(m).subspaces
     return tuple(DichotomyRow(p, cls, contains(p, v_r), orthogonal(p, v_l)) for p, cls in found)
 
@@ -641,7 +646,8 @@ def check_constant_column_sums_theorem(m) -> ColumnSumsReport:
             "eigenvalue %s has geometric multiplicity %d" % (lam, len(eig.right_basis)), lam, None, ()
         )
     v = eig.right_basis[0]
-    if any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n)):
+    w = clear_denominators((v,))[0]  # the test is scale-free, as in dichotomy_rows
+    if any(w[i] + w[j] == 0 for i in range(n) for j in range(i, n)):
         return ColumnSumsReport("eigenvector has v_i + v_j = 0 for some i, j", lam, v, ())
     return ColumnSumsReport(None, lam, v, dichotomy_rows(m, eig))
 

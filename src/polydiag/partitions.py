@@ -161,19 +161,15 @@ def _classify(sizes, pairs, fixed) -> SubspaceClass:
     """:func:`classify` from the class sizes and the involution alone; no
     other property of the partition matters.  ``sizes`` is indexed by
     whatever names the classes in ``pairs`` and ``fixed``: class indices
-    in the census, symbols in :func:`classify`."""
+    in the census, symbols in :func:`classify`.  The flags are passed to
+    SubspaceClass by position, in its field order: a keyword call of a
+    NamedTuple costs more than the rest of this function, which the
+    census calls once per class-size shape and partial involution."""
     dom = 2 * len(pairs) + (1 if fixed is not None else 0)
     synchrony = dom == 0
     fully = dom == len(sizes)
     evenly = fully and all(sizes[i] == sizes[j] for i, j in pairs)
-    return SubspaceClass(
-        synchrony=synchrony,
-        anti_synchrony=not synchrony,
-        minimally_tagged=(not pairs and fixed is not None),
-        fully_tagged=fully,
-        evenly_tagged=evenly,
-        freely_tagged=fixed is None,
-    )
+    return SubspaceClass(synchrony, not synchrony, not pairs and fixed is not None, fully, evenly, fixed is None)
 
 
 def type_label(p: TaggedPartition, cls: SubspaceClass | None = None) -> str:

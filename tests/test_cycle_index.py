@@ -155,16 +155,22 @@ def test_cycle_index_gives_the_one_cycle_forms():
 # hits of the scan for the cycle types named by ROADMAP item 9
 KNOWN = {(2,) * 5: 17632, (3, 3, 3): 139, (4, 4): 56, (2, 2, 1, 1, 1): 1352, (5, 3, 2, 2): 432,
          (6, 4, 2, 1): 968, (2,) * 6: 207936}
-SLOW = {(6, 4, 2, 1), (2,) * 6}
 SMALL = [c for n in range(1, 8) for c in _cycle_types(n)]
-CASES = SMALL + [c for c in KNOWN if c not in SMALL]
+EIGHT = list(_cycle_types(8))
+# the identity of n = 8 fixes all 219,920 tagged partitions, a scan of 5-8 s
+SLOW = {(6, 4, 2, 1), (2,) * 6, (1,) * 8}
+CASES = SMALL + EIGHT + [c for c in KNOWN if c not in SMALL + EIGHT]
 
 
 def test_cycle_index_totals():
     """The 44 cycle types with n <= 7 have 44,335 fixed tagged partitions in
-    all; the named types have the counts ROADMAP item 9 lists."""
-    assert len(SMALL) == 44
+    all, and the 22 with n = 8 have 277,223, of which the identity fixes
+    219,920 (every tagged partition of 8 cells); the named types have the
+    counts ROADMAP item 9 lists."""
+    assert len(SMALL) == 44 and len(EIGHT) == 22
     assert sum(cycle_index_counts(c)[0] for c in SMALL) == 44335
+    assert sum(cycle_index_counts(c)[0] for c in EIGHT) == 277223
+    assert cycle_index_counts((1,) * 8) == (219920, 4140, 75905)
     assert {c: cycle_index_counts(c)[0] for c in KNOWN} == KNOWN
 
 

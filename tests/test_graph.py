@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import warnings
@@ -388,8 +389,9 @@ def test_laplacian_matches_the_row_sum_formula():
         assert len(lap) == g.n and all(len(row) == g.n for row in lap)
 
 
-def _old_random_weight_balanced_digraph(n, rng):
-    """The draw as it was built with Fraction weights."""
+def _library_balanced_weights(n, rng):
+    """random_balanced_weights as it was written on rng.randint and
+    rng.sample: the reference for the stream of the getrandbits draw."""
     weight = {}
     for _ in range(rng.randint(2, n + 1)):
         length = rng.randint(2, n)
@@ -397,6 +399,12 @@ def _old_random_weight_balanced_digraph(n, rng):
         w = rng.randint(1, 3)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             weight[(a, b)] = weight.get((a, b), 0) + w
+    return weight
+
+
+def _old_random_weight_balanced_digraph(n, rng):
+    """The draw as it was built with Fraction weights."""
+    weight = _library_balanced_weights(n, rng)
     return WeightedDigraph(n, tuple((t, h, F(w)) for (t, h), w in sorted(weight.items())))
 
 
@@ -411,6 +419,35 @@ def test_weight_balanced_draw_is_the_fraction_draw(seed):
         assert g == _old_random_weight_balanced_digraph(n, old)
         assert all(type(w) is int for w in weight.values())
         assert g.weight_map() == weight and is_weight_balanced(g)
+
+
+class _SampleSizes(random.Random):
+    """random.Random that records the size k of every sample it draws; it
+    overrides neither random nor getrandbits, so its stream is the base
+    class's."""
+
+    def sample(self, population, k, **kwargs):
+        self.sizes.append(k)
+        return super().sample(population, k, **kwargs)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_balanced_weights_are_the_library_stream(n):
+    """Each draw has the items of the randint/sample draw in the same
+    insertion order and leaves the rng in the same state.  sample swaps
+    from a pool unless n exceeds its set size, 21 for k <= 5 and
+    21 + 4 ** ceil(log4(3k)) above; so at n > 21 both branches are met."""
+    old = _SampleSizes()
+    old.sizes = []
+    for seed in range(200):
+        new = random.Random(seed)
+        old.seed(seed)
+        for _ in range(2):
+            drawn = graph.random_balanced_weights(n, new)
+            assert list(drawn.items()) == list(_library_balanced_weights(n, old).items())
+        assert new.getstate() == old.getstate()
+    set_branch = {n > 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0) for k in old.sizes}
+    assert set_branch == ({False, True} if n > 21 else {False})
 
 
 def test_strong_connectivity_of_balanced_connected_positive():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import glob
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from polydiag import counting, graph, invariance, linalg
+from polydiag import checks, counting, graph, invariance, linalg
 from polydiag.invariance import (
     SubspaceLattice,
     build_lattice,
@@ -907,6 +908,57 @@ def test_main_lemma_report_bytes(case):
 def test_column_sums_report_bytes(case):
     text = invariance.report_to_json(check_constant_column_sums_theorem(_demo_matrix(*case)))
     assert hashlib.sha256(text.encode()).hexdigest() == COLUMN_SUMS_REPORT_SHA256[case]
+
+
+def _fraction_dichotomy_rows(m, eig):
+    """The rows as dichotomy_rows decided them on the Fraction eigenvectors."""
+    v_r, v_l = eig.right_basis[0], eig.left_basis[0]
+    return tuple(invariance.DichotomyRow(p, cls, contains(p, v_r), orthogonal(p, v_l))
+                 for p, cls in invariant_polydiagonals(m).subspaces)
+
+
+def test_dichotomy_rows_on_int_multiples_are_the_fraction_rows(monkeypatch):
+    """dichotomy_rows tests the int multiples of v_R and v_L.  Its rows are
+    the Fraction rows on the main-lemma suite's draws divided by 3 (lam by
+    3) and on the pinned main-lemma demos scaled by 1/2, whose
+    eigenvectors have non-integer and negative entries."""
+    drawn = []
+    report = checks.check_main_lemma
+    monkeypatch.setattr(checks, "check_main_lemma", lambda m, lam: drawn.append((m, lam)) or report(m, lam))
+    assert checks.suite_main_lemma(trials=40, seed=29).passed and len(drawn) == 40
+    cases = [([[x / 3 for x in row] for row in m], F(lam, 3)) for m, lam in drawn]
+    cases += [([[x / 2 for x in row] for row in _demo_matrix(name, which)], F(lam, 2))
+              for name, which, lam in MAIN_LEMMA_REPORT_SHA256]
+    entries, flags = set(), set()
+    for m, lam in cases:
+        eig = eigendata(m, lam)
+        entries.update(x for v in eig.right_basis + eig.left_basis for x in v)
+        rows = invariance.dichotomy_rows(m, eig)
+        assert rows == _fraction_dichotomy_rows(m, eig)
+        flags.update((r.right_in_subspace, r.left_in_perp) for r in rows)
+    assert any(x.denominator > 1 for x in entries) and min(entries) < 0
+    assert flags == {(False, True), (True, False)}  # each test answers both ways
+
+
+def test_column_sums_hypothesis_on_int_multiples():
+    """The v_i + v_j = 0 hypothesis, tested on the int multiple of v, and
+    the rows agree with the Fraction decision on constant-column-sum
+    matrices divided by 3."""
+    rng = random.Random(31)
+    reasons = collections.Counter()
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        m = [[x / 3 for x in row] for row in checks._random_constant_column_sum_matrix(rng, n)]
+        rep = check_constant_column_sums_theorem(m)
+        reasons[rep.reason] += 1
+        if rep.v is None:
+            continue
+        v = rep.v
+        opposite = any(v[i] + v[j] == 0 for i in range(n) for j in range(i, n))
+        assert (rep.reason == "eigenvector has v_i + v_j = 0 for some i, j") == opposite
+        if not opposite:
+            assert rep.rows == _fraction_dichotomy_rows(m, eigendata(m, rep.lam))
+    assert reasons[None] >= 10 and reasons["eigenvector has v_i + v_j = 0 for some i, j"] >= 10
 
 
 RAGGED = [[1, 2], [3, 4, 5]]
