@@ -13,9 +13,9 @@ Instances are drawn on ints: weights, matrices and the unimodular
 conjugations are int arithmetic, and connectivity is decided on vertex
 bitmasks (:func:`graph.arrow_masks`).  They become Fractions and
 WeightedDigraphs at the report boundary, where a theorem report or a
-witness needs them.  numpy and :mod:`polydiag.dynamics` are imported by
-the dynamics suites and their systems alone, so the theorem suites start
-without them.
+witness needs them.  :mod:`polydiag.dynamics` is imported by the
+dynamics suites and their systems alone, so the theorem suites start
+without it.  The dynamics suites build their matrices as rows of floats.
 """
 
 from __future__ import annotations
@@ -271,12 +271,14 @@ def vdp_example_system(use_laplacian=False):
 
 def lorenz_pair_system(h, kappa):
     """Two Lorenz cells with symmetric Laplacian coupling M = kappa*L."""
-    import numpy as np
-
     from . import dynamics
 
-    lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return dynamics.CoupledSystem(dynamics.preset_f("lorenz"), h, kappa * lap)
+    m = [[kappa * v for v in row] for row in ((1.0, -1.0), (-1.0, 1.0))]
+    return dynamics.CoupledSystem(dynamics.preset_f("lorenz"), h, m)
+
+
+_MINUS_I2 = ((-1.0, 0.0), (0.0, -1.0))
+_LORENZ_N = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))  # the Lorenz cell's symmetry diag(-1, -1, 1)
 
 
 def _dynamics_report(name, outcomes) -> SuiteReport:
@@ -288,13 +290,11 @@ def _dynamics_report(name, outcomes) -> SuiteReport:
 def suite_dynamics_vdp(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
     """Anti-phase subspace of the van der Pol pair stays invariant; the
     (not M-invariant) in-phase subspace serves as the negative control."""
-    import numpy as np
-
     from . import dynamics
 
     sys = vdp_example_system()
-    anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
-    sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2))
+    anti = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), _MINUS_I2)
+    sync = dynamics.TwistedSubspace(parse_typical_element("(a,a)"), _MINUS_I2)
     rep = dynamics.invariance_test(sys, anti, trials=3, dt=dt, T=T, tol=tol, seed=seed)
     neg = dynamics.invariance_test(sys, sync, trials=3, dt=dt, T=min(T, 20.0), tol=tol, seed=seed)
     return _dynamics_report("dynamics-vdp", [
@@ -307,12 +307,9 @@ def suite_dynamics_lorenz(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
     """Twisted subspace ((u,v,w),(-u,-v,w)) of the Lorenz pair: invariant
     for the v-coupled system with M = 2L, and for the w-coupled system via
     the cell symmetry; the w-coupling satisfies HN = NH = H."""
-    import numpy as np
-
     from . import dynamics
 
-    n_sym = np.diag([-1.0, -1.0, 1.0])
-    twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), n_sym)
+    twisted = dynamics.TwistedSubspace(parse_typical_element("(a,-a)"), _LORENZ_N)
     outcomes = []
     sys_v = lorenz_pair_system(dynamics.LORENZ_H_MINUS, 2.0)
     sys_w = lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
@@ -320,9 +317,9 @@ def suite_dynamics_lorenz(dt=1e-3, T=50.0, tol=1e-6, seed=0) -> SuiteReport:
         rep = dynamics.invariance_test(sys_, twisted, trials=3, dt=dt, T=T, tol=tol, seed=seed)
         outcomes.append(None if rep.passed else "%s system drift %.3g exceeds %.1g (blowups %d)"
                         % (label, rep.max_distance, tol, rep.blowups))
-    eq = dynamics.equivariance_check(sys_w, n_sym, ell=1, seed=seed)
+    eq = dynamics.equivariance_check(sys_w, _LORENZ_N, ell=1, seed=seed)
     outcomes.append(None if eq.passed else "H+ equivariance: %s" % (eq.reason or "residual %.3g" % eq.max_residual))
-    eq_minus = dynamics.equivariance_check(sys_v, n_sym, ell=1, seed=seed)
+    eq_minus = dynamics.equivariance_check(sys_v, _LORENZ_N, ell=1, seed=seed)
     outcomes.append("H- unexpectedly satisfied HN = NH = H" if eq_minus.hypotheses_met else None)
     return _dynamics_report("dynamics-lorenz", outcomes)
 
@@ -334,14 +331,14 @@ def suite_dynamics_attractors(seed=2, dt=1e-3) -> SuiteReport:
     probe attraction: the ``vanderpol`` preset is the time-reversed van
     der Pol oscillator, whose origin attracts small states, so both decay
     to a whole-state tail of about 1e-41 and pass with any subspace."""
-    import numpy as np
-
     from . import dynamics
+    from ._pcg64 import PCG64
 
     sys_w = lorenz_pair_system(dynamics.LORENZ_H_PLUS, -2.0)
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-1, 1, size=3) + np.array([1.0, 1.0, 25.0])
-    x0 = np.stack([base, np.diag([-1.0, -1.0, 1.0]) @ base + rng.uniform(-0.05, 0.05, size=3)])
+    rng = PCG64(seed)
+    base = [a + b for a, b in zip(rng.uniform(-1, 1, 3), (1.0, 1.0, 25.0))]
+    mirror = (-base[0], -base[1], base[2])  # _LORENZ_N applied to base
+    x0 = [base, [a + b for a, b in zip(mirror, rng.uniform(-0.05, 0.05, 3))]]
     cases = (
         ("vdp M=0.5A", "|u1+u2|", "1e-2", vdp_example_system(), +1,
          dict(T=400.0, seed=seed, tail=0.2)),

@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, graph, invariance
+from ._pcg64 import PCG64
 from .partitions import (
     KINDS,
     classify,
@@ -218,9 +219,7 @@ def cmd_simulate(args):
         if len(x0) != g.n * k:
             raise InputError("--x0 needs %d values" % (g.n * k))
     else:
-        import numpy as np
-
-        x0 = np.random.default_rng(args.seed).uniform(-1, 1, size=g.n * k).tolist()
+        x0 = PCG64(args.seed).uniform(-1, 1, g.n * k)
     try:
         traj = dynamics.integrate(sys_, x0, args.dt, args.T)
     except dynamics.BlowupError as exc:

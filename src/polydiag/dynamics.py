@@ -30,9 +30,13 @@ system to its CSV is plain floats too: the states are written one after
 another into a preallocated flat ``array('d')`` (8 bytes a value, as in a
 float64 array), and :meth:`Trajectory.to_csv` formats a column that
 repeats once, so the copies and negations that an invariant polydiagonal
-makes of a column cost no formatting of their own.  numpy is imported
-only inside the functions that still work on arrays: the twisted-subspace
-tools, the invariance, equivariance and convergence tests.
+makes of a column cost no formatting of their own.  The twisted-subspace
+tools and the invariance, equivariance and convergence tests work on
+plain floats too: the distances read a trajectory's columns
+``states[j::n*k]`` with a few list comprehensions per column, and
+every random start comes from :class:`polydiag._pcg64.PCG64`, numpy's
+default seeded uniform draw in plain Python, so no module here needs
+numpy.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Real
 
+from ._pcg64 import PCG64
 from .partitions import TaggedPartition
 
 BLOWUP_NORM = 1e9
@@ -464,14 +469,39 @@ def integrate(sys: CoupledSystem, x0, dt: float, T: float) -> Trajectory:
 # twisted polydiagonal subspaces of (R^k)^n
 
 
-def _involution(N):
-    """N as a float array; ValueError unless it is a k x k matrix with
-    k >= 1 and N^2 = I."""
-    import numpy as np
+def _dot(u, v) -> float:
+    """The sum of the products u_a v_a, taken left to right from 0.0.  (The
+    sum() of floats is compensated from Python 3.12 on, so it is not used.)"""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
 
-    N = np.asarray(N, dtype=float)
-    square = N.ndim == 2 and 1 <= len(N) == N.shape[1]
-    if not (square and np.max(np.abs(N @ N - np.eye(len(N)))) <= 1e-12):
+
+def _apply(N, v) -> list:
+    """N v for a matrix N given as rows and a vector v."""
+    return [_dot(row, v) for row in N]
+
+
+def _matmul(A, B) -> list:
+    return [[_dot(row, col) for col in zip(*B)] for row in A]
+
+
+def _close(A, B, sign=1.0) -> bool:
+    """Whether A and sign * B, matrices given as rows, agree to 1e-12 in
+    every entry; a NaN agrees with nothing."""
+    return all(abs(a - sign * b) <= 1e-12 for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def _involution(N) -> tuple:
+    """N as a tuple of k tuples of k floats; ValueError unless it is a k x k
+    matrix with k >= 1 and N^2 = I."""
+    k = _side(N)
+    try:
+        N = tuple(tuple(map(float, row)) for row in N) if k else ()
+    except TypeError:  # an entry that is no number, such as a row of a 3-d array
+        N = ()
+    if not (N and _close(_matmul(N, N), [[float(a == b) for b in range(k)] for a in range(k)])):
         raise ValueError("N must be a k x k matrix with k >= 1 and N^2 = I")
     return N
 
@@ -484,7 +514,7 @@ class TwistedSubspace:
     R^k (x) Delta_P."""
 
     partition: TaggedPartition
-    N: object  # read by _involution, kept as a k x k float array
+    N: object  # read by _involution, kept as a tuple of k tuples of k floats
 
     def __post_init__(self):
         self.N = _involution(self.N)
@@ -494,64 +524,103 @@ class TwistedSubspace:
         return len(self.N)
 
 
-def _check_states(s: TwistedSubspace, shape):
-    """ValueError unless a batch of states of this shape is (m, P.n, k)."""
-    if len(shape) != 3 or tuple(shape[1:]) != (s.partition.n, s.k):
-        raise ValueError("states of shape %s do not fit %d cells in R^%d" % (tuple(shape), s.partition.n, s.k))
+def _misfit(s: TwistedSubspace, shape) -> ValueError:
+    return ValueError("states of shape %s do not fit %d cells in R^%d" % (tuple(shape), s.partition.n, s.k))
 
 
-def _residuals(states, s: TwistedSubspace):
-    """Stacked constraint residuals for a batch of states (m, n, k)."""
-    import numpy as np
+def _shape(a) -> tuple:
+    """The lengths of a nested sequence along its first entries: numpy's
+    shape of a regular one."""
+    shape = []
+    while not isinstance(a, Real) and hasattr(a, "__len__"):
+        shape.append(len(a))
+        if not len(a):
+            break
+        a = a[0]
+    return tuple(shape)
 
-    p = s.partition
-    res = [np.zeros((len(states), 0))]  # (m, 0) when P has no constraints
-    rep = {ci: states[:, cls[0] - 1, :] for ci, cls in enumerate(p.classes)}
-    for ci, cls in enumerate(p.classes):
-        for cell in cls[1:]:
-            res.append(states[:, cell - 1, :] - rep[ci])
+
+def _combination(row, cols, m) -> list:
+    """The column sum_b row[b] * cols[b] of m entries, each summed left to
+    right from 0.0.  Zero weights are passed over: for finite columns they
+    add only a signed zero, which no distance sees."""
+    total = [0.0] * m
+    for w, col in zip(row, cols):
+        if w:
+            total = [t + w * v for t, v in zip(total, col)]
+    return total
+
+
+def _squares(cols, m) -> list:
+    """Per entry, the sum of the squares of the columns, left to right from
+    0.0; two columns a pass, which halves the passes and keeps the order."""
+    total = [0.0] * m
+    for i in range(0, len(cols) - 1, 2):
+        total = [t + u * u + v * v for t, u, v in zip(total, cols[i], cols[i + 1])]
+    if len(cols) % 2:
+        total = [t + u * u for t, u in zip(total, cols[-1])]
+    return total
+
+
+def _distances(states, s: TwistedSubspace) -> list:
+    """The distance to s of each state of a flat float sequence of states
+    of n*k coordinates (as in :class:`Trajectory`), computed on its columns
+    ``states[j::n*k]``: a few list comprehensions per column, not a loop
+    per state."""
+    p, k, N = s.partition, s.k, s.N
+    nk, classes = p.n * k, p.classes
+    m = len(states) // nk
+    cols = [states[j::nk] for j in range(nk)]
+    rep = [cols[(cls[0] - 1) * k : cls[0] * k] for cls in classes]
+    res = [[a - b for a, b in zip(x, r)] for ci, cls in enumerate(classes) for c in cls[1:]
+           for x, r in zip(cols[(c - 1) * k : c * k], rep[ci])]
     for i, j in p.pairs:
-        res.append(rep[i] - rep[j] @ s.N.T)
+        res += [[a - b for a, b in zip(x, _combination(row, rep[j], m))] for x, row in zip(rep[i], N)]
     if p.fixed is not None:
-        res.append(0.5 * (rep[p.fixed] - rep[p.fixed] @ s.N.T))
-    return np.concatenate(res, axis=1)
+        x = rep[p.fixed]
+        res += [[0.5 * (a - b) for a, b in zip(y, _combination(row, x, m))] for y, row in zip(x, N)]
+    sqrt = math.sqrt
+    return [sqrt(r) / (sqrt(x) + 1.0) for r, x in zip(_squares(res, m), _squares(cols, m))]
 
 
-def subspace_distances(states, s: TwistedSubspace):
+def subspace_distances(states, s: TwistedSubspace) -> list:
     """Normalized residual of the defining constraints at each state of a
-    batch (m, n, k); ValueError unless n and k are those of s.
+    batch (m, n, k), such as m lists of n lists of k floats; ValueError
+    unless n and k are those of s.
 
     Same-class residuals x_i - x_rep, pair residuals x_i - N x_j, and fixed
     class residuals (x_i - N x_i)/2 (which is just x_i when N = -I), all
-    stacked, measured in the Euclidean norm and divided by ||x|| + 1.
+    stacked, measured in the Euclidean norm and divided by ||x|| + 1.  Each
+    state's squares are summed left to right in that order, which is
+    numpy's sum for fewer than 8 terms.
     """
-    import numpy as np
+    n, k = s.partition.n, s.k
+    try:
+        fits = all(len(x) == n and all(len(c) == k and all(isinstance(v, Real) for v in c) for c in x)
+                   for x in states)
+    except TypeError:  # a state or a cell that is a number
+        fits = False
+    if not fits:
+        raise _misfit(s, _shape(states))
+    return _distances([float(v) for x in states for c in x for v in c], s)
 
-    states = np.asarray(states, dtype=float)
-    _check_states(s, states.shape)
-    res = _residuals(states, s)
-    norms = np.linalg.norm(states.reshape(states.shape[0], -1), axis=1)
-    return np.linalg.norm(res, axis=1) / (norms + 1.0)
 
-
-def sample_in_subspace(s: TwistedSubspace, rng, scale=1.0):
-    """Random state inside the subspace: one coefficient block per class,
-    uniform in [-scale, scale]^k, propagated through the constraints."""
-    import numpy as np
-
+def sample_in_subspace(s: TwistedSubspace, rng, scale=1.0) -> list:
+    """Random state inside the subspace as n lists of k floats: one
+    coefficient block per class, ``rng.uniform(-scale, scale, size=k)`` in
+    class order, propagated through the constraints."""
     p = s.partition
-    x = np.zeros((p.n, s.k))
-    values = {}
-    for ci in range(len(p.classes)):
-        values[ci] = rng.uniform(-scale, scale, size=s.k)
+    classes = p.classes
+    values = [rng.uniform(-scale, scale, size=s.k) for _ in classes]
     for i, j in p.pairs:
-        values[i] = s.N @ values[j]
+        values[i] = _apply(s.N, values[j])
     if p.fixed is not None:
         v = values[p.fixed]
-        values[p.fixed] = 0.5 * (v + s.N @ v)  # project onto the N-fixed space
-    for ci, cls in enumerate(p.classes):
+        values[p.fixed] = [0.5 * (a + b) for a, b in zip(v, _apply(s.N, v))]  # project onto the N-fixed space
+    x = [None] * p.n
+    for ci, cls in enumerate(classes):
         for cell in cls:
-            x[cell - 1] = values[ci]
+            x[cell - 1] = list(values[ci])
     return x
 
 
@@ -574,12 +643,11 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
     and left out of max_distance, and the report does not pass.
     ValueError before any draw unless trials >= 1 and s fits sys's n and
     k."""
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1, got %r" % (trials,))
-    _check_states(s, (trials, sys.n, sys.k))
-    rng = np.random.default_rng(seed)
+    if (s.partition.n, s.k) != (sys.n, sys.k):
+        raise _misfit(s, (trials, sys.n, sys.k))
+    rng = PCG64(seed)
     worst = 0.0
     blowups = 0
     for _ in range(trials):
@@ -589,8 +657,7 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
         except BlowupError:
             blowups += 1
             continue
-        states = np.reshape(traj.states, (-1, sys.n, sys.k))
-        worst = max(worst, float(np.max(subspace_distances(states, s))))
+        worst = max(worst, *_distances(traj.states, s))
     return InvarianceReport(s, trials, tol, worst, blowups)
 
 
@@ -626,60 +693,55 @@ def equivariance_check(sys, N, ell, seed=0):
     f(Nx) = Nf(x) and HN = NH = H.  Hypothesis failures are reported and
     the residual check is skipped.  ValueError before any draw unless N is
     a k x k involution for sys's k."""
-    import numpy as np
-
     ell = _cell(sys, ell)
     N = _involution(N)
-    if len(N) != sys.k:
-        raise ValueError("N is %dx%d but the cells are in R^%d" % (len(N), len(N), sys.k))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-2, 2, size=(50, sys.k))
-
-    def f_rows(x):  # f at each row of an (m, k) array
-        return np.array([sys.f.func(*row) for row in x.tolist()], dtype=float)
-
-    f_res = float(np.max(np.abs(f_rows(pts @ N.T) - f_rows(pts) @ N.T)))
+    k = sys.k
+    if len(N) != k:
+        raise ValueError("N is %dx%d but the cells are in R^%d" % (len(N), len(N), k))
+    rng = PCG64(seed)
+    draws = rng.uniform(-2, 2, 50 * k)
+    f = sys.f.func
+    f_res = max(abs(a - b) for i in range(0, 50 * k, k)
+                for a, b in zip(f(*_apply(N, draws[i : i + k])), _apply(N, f(*draws[i : i + k]))))
     if f_res > 1e-10:
-        return EquivarianceReport("f is not N-equivariant (residual %.3g)" % f_res, np.inf, 0.0)
-    h = np.asarray(sys.H, dtype=float)
-    hn, nh = h @ N, N @ h
-    if np.max(np.abs(hn - h)) > 1e-12 or np.max(np.abs(nh - h)) > 1e-12:
+        return EquivarianceReport("f is not N-equivariant (residual %.3g)" % f_res, math.inf, 0.0)
+    h = [[float(v) for v in row] for row in sys.H]
+    hn, nh = _matmul(h, N), _matmul(N, h)
+    if not (_close(hn, h) and _close(nh, h)):
         reason = "HN = NH = H fails"
-        if np.max(np.abs(hn + h)) <= 1e-12 and np.max(np.abs(nh + h)) <= 1e-12:
+        if _close(hn, h, -1.0) and _close(nh, h, -1.0):
             reason += " (found HN = NH = -H instead)"
-        return EquivarianceReport(reason, np.inf, 0.0)
+        return EquivarianceReport(reason, math.inf, 0.0)
 
-    def field(y):  # the vector field at an (n, k) array
-        return np.reshape(sys.rhs(y.ravel().tolist()), y.shape)
+    def gamma(y):  # N applied to cell ell of a flat state
+        e = (ell - 1) * k
+        return y[:e] + _apply(N, y[e : e + k]) + y[e + k :]
 
     worst = 0.0
     tol = 0.0
     for _ in range(50):
-        x = rng.uniform(-2, 2, size=(sys.n, sys.k))
-        gx = x.copy()
-        gx[ell - 1] = N @ gx[ell - 1]
-        fx = field(x)
-        gfx = fx.copy()
-        gfx[ell - 1] = N @ gfx[ell - 1]
-        worst = max(worst, float(np.max(np.abs(field(gx) - gfx))))
-        tol = max(tol, 1e-10 * (1.0 + float(np.linalg.norm(fx))))
+        x = rng.uniform(-2, 2, sys.n * k)
+        fx = sys.rhs(x)
+        worst = max(worst, max(abs(a - b) for a, b in zip(sys.rhs(gamma(x)), gamma(fx))))
+        tol = max(tol, 1e-10 * (1.0 + math.sqrt(_dot(fx, fx))))
     return EquivarianceReport(None, worst, tol)
 
 
 def antisynchrony_convergence(sys, pair, sign, dt=1e-3, T=400.0, seed=0, tail=0.1, x0=None):
-    """Max of |u_i + sign * u_j| over the trailing fraction of a trajectory,
-    where u is the first coordinate of each cell.  Measures which of the
-    synchrony (sign=-1) / anti-synchrony (sign=+1) subspaces attracts.
-    The cells of pair are 1-based."""
-    import numpy as np
-
+    """Max of |u_i + sign * u_j| over the trailing fraction tail (0 < tail
+    <= 1) of a trajectory, at least its last state, where u is the first
+    coordinate of each cell.  Measures which of the synchrony (sign=-1) /
+    anti-synchrony (sign=+1) subspaces attracts.  The cells of pair are
+    1-based.  ValueError before any draw for other cells or tails."""
     i, j = (_cell(sys, c) for c in pair)
+    if not 0.0 < tail <= 1.0:
+        raise ValueError("tail must be in (0, 1], got %r" % (tail,))
+    k, nk = sys.k, sys.n * sys.k
     if x0 is None:
-        rng = np.random.default_rng(seed)
-        x0 = rng.uniform(-1, 1, size=(sys.n, sys.k))
+        x0 = PCG64(seed).uniform(-1, 1, nk)
     traj = integrate(sys, x0, dt, T)
-    start = int(len(traj.times) * (1.0 - tail))
-    states = np.reshape(traj.states[start * sys.n * sys.k :], (-1, sys.n, sys.k))
-    u_i = states[:, i - 1, 0]
-    u_j = states[:, j - 1, 0]
-    return float(np.max(np.abs(u_i + sign * u_j)))
+    m = len(traj.times)
+    start = min(int(m * (1.0 - tail)), m - 1) * nk
+    u_i = traj.states[start + (i - 1) * k :: nk]
+    u_j = traj.states[start + (j - 1) * k :: nk]
+    return max(abs(a + sign * b) for a, b in zip(u_i, u_j))

@@ -432,8 +432,8 @@ def test_exact_commands_load_no_numpy(tmp_path, argv):
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 def test_simulate_with_x0_loads_no_numpy(tmp_path, to_file):
-    """Only the seeded draw of a start needs numpy: with --x0, simulate
-    runs on floats from argv to CSV, written to stdout or to --output."""
+    """With --x0, simulate runs on floats from argv to CSV, written to
+    stdout or to --output."""
     path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}')
     argv = ["simulate", "--preset", "vanderpol", "--digraph", path, "--scale", "0.5", "--dt", "0.01", "--T", "1",
             "--x0=0.3,-0.2,-0.3,0.2"]
@@ -444,6 +444,25 @@ def test_simulate_with_x0_loads_no_numpy(tmp_path, to_file):
     assert text.startswith("t,x1,x2,x3,x4\n") and len(text.splitlines()) == 102
     if to_file:
         assert json.loads(out)["status"] == "ok"
+
+
+# the routes that draw a seeded start or run the float dynamics, at short
+# horizons; {file} is the van der Pol pair's digraph
+DYNAMICS_ARGVS = {
+    "simulate-seeded": ["simulate", "--preset", "vanderpol", "--digraph", "{file}", "--scale", "0.5", "--dt", "0.01",
+                        "--T", "1", "--seed", "3"],
+    "dynamics-vdp": ["check", "dynamics-vdp", "--T", "1"],
+    "dynamics-lorenz": ["check", "dynamics-lorenz", "--T", "1"],
+    "dynamics-attractors": ["check", "dynamics-attractors", "--dt", "0.05"],
+}
+
+
+@pytest.mark.parametrize("argv", DYNAMICS_ARGVS.values(), ids=DYNAMICS_ARGVS.keys())
+def test_dynamics_routes_load_no_numpy(tmp_path, argv):
+    path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}')
+    out, err = _run_in_fresh_process([a.replace("{file}", path) for a in argv])
+    assert out
+    assert err == "0 False"
 
 
 def _in_process(argv):

@@ -1,6 +1,6 @@
 """Lint: every module of src/, tests/ and demos/ uses what it imports,
-every private module-level name of the package is used, and every public
-one is read by a program.
+no module of the package imports numpy, every private module-level name
+of the package is used, and every public one is read by a program.
 
 A name bound by an import counts as used when it appears anywhere in the
 module as a name (which covers ``name.attr`` and annotations).  ``from
@@ -56,6 +56,35 @@ def test_no_unused_imports(path):
         assert unused_imports(fh.read()) == []
 
 
+def numpy_imports(source):
+    """(line, module) for each import of numpy or of one of its submodules
+    in source, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "numpy":
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_numpy_imports_detects_each_form():
+    source = ("import numpy\nimport numpy.linalg as la, os\nfrom numpy import random\nfrom numpy.random import x\n"
+              "import numbers\nfrom .numpy import y\nfrom . import numpy_tools\ndef f():\n    import numpy as np\n")
+    assert numpy_imports(source) == [(1, "numpy"), (2, "numpy.linalg"), (3, "numpy"), (4, "numpy.random"),
+                                     (9, "numpy")]
+
+
+PACKAGE = os.path.join(ROOT, "src", "polydiag")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
+def test_package_does_not_import_numpy(name):
+    # numpy is a test dependency only
+    with open(os.path.join(PACKAGE, name)) as fh:
+        assert numpy_imports(fh.read()) == []
+
+
 def _private(name):
     return name.startswith("_") and not name.startswith("__")
 
@@ -102,11 +131,10 @@ def test_unused_private_names_detects_each_form():
 
 
 def test_no_unused_private_names():
-    package = os.path.join(ROOT, "src", "polydiag")
     sources = {}
-    for name in sorted(os.listdir(package)):
+    for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
-            with open(os.path.join(package, name)) as fh:
+            with open(os.path.join(PACKAGE, name)) as fh:
                 sources[name] = fh.read()
     assert unused_private_names(sources) == []
 
@@ -127,10 +155,11 @@ def test_unread_public_names_detects_each_form():
 
 # Public names kept on purpose even where no program reads them: the
 # B-type bijection, the linalg constructors the tests build their fixtures
-# with, and the exported rref, rank and is_weakly_connected, which the
-# tests use as oracles.
+# with, the exported rref, rank and is_weakly_connected, which the tests
+# use as oracles, and subspace_distances, the distance of a batch of
+# states that invariance_test computes on a trajectory's columns.
 KEEP_UNREAD = {"BTypePartition", "to_btype", "from_btype", "vector", "matrix", "zeros", "identity", "dot",
-               "is_weakly_connected", "rank", "rref"}
+               "is_weakly_connected", "rank", "rref", "subspace_distances"}
 
 
 def _read(path):
