@@ -59,7 +59,7 @@ class PCG64:
     ``numpy.random.default_rng(seed).uniform(low, high, size)``, and later
     draws continue the same stream.  The seed must be a non-negative int:
     ValueError for a negative one, TypeError for anything else, as numpy
-    refuses them."""
+    refuses them; a negative size is a ValueError, as in numpy."""
 
     def __init__(self, seed):
         seed = operator.index(seed)
@@ -74,6 +74,8 @@ class PCG64:
         self._state = ((self._inc + (u[0] << 64 | u[1])) * _MULTIPLIER + self._inc) & _MASK128
 
     def uniform(self, low, high, size):
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
         low = float(low)
         span = float(high) - low
         state, inc, out = self._state, self._inc, []

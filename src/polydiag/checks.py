@@ -68,7 +68,10 @@ def _run(name, trials, draw, witnesses, factor=40) -> SuiteReport:
     giving up after ``trials * factor`` draws; then the witnesses of each
     instance found, ``witnesses(*instance)``.  Every draw comes before
     any decision, so ``witnesses`` must not read the rng that ``draw``
-    uses.  A shortfall is a note, so the suite fails."""
+    uses.  A shortfall is a note, so the suite fails.  ValueError before
+    any draw unless trials >= 1."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %r" % (trials,))
     found = []
     attempts = 0
     while len(found) < trials and attempts < trials * factor:

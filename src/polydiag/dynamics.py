@@ -32,17 +32,18 @@ float64 array), and :meth:`Trajectory.to_csv` formats a column that
 repeats once, so the copies and negations that an invariant polydiagonal
 makes of a column cost no formatting of their own.  The twisted-subspace
 tools and the invariance, equivariance and convergence tests work on
-plain floats too: the distances read a trajectory's columns
-``states[j::n*k]`` with a few list comprehensions per column, and
-every random start comes from :class:`polydiag._pcg64.PCG64`, numpy's
-default seeded uniform draw in plain Python, so no module here needs
-numpy.
+plain floats too: :func:`subspace_distances`, the one distance, takes
+states in the trajectory's flat layout and reads its columns
+``states[j::n*k]`` with a few list comprehensions per column, and every
+random start comes from :class:`polydiag._pcg64.PCG64`, numpy's default
+seeded uniform draw in plain Python, so no module here needs numpy.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -223,36 +224,22 @@ class CoupledSystem:
         return out
 
 
-def _is_zero_row(row) -> bool:
-    """Whether every entry of a row of real numbers is 0.0 or -0.0.  A flat
-    row whose memory is all zero bytes (an array row of 0.0) is decided on
-    those bytes, without an object per entry.  Any other row is decided by
-    ``math.hypot``, which reads each entry as a float (TypeError for
-    anything else) and is 0.0 only when every entry is a zero; an inf or a
-    NaN makes it inf or NaN."""
-    try:
-        view = memoryview(row)
-        if view.ndim == 1 and not view.tobytes().strip(b"\0"):
-            return True
-    except TypeError:  # no buffer: a list or a tuple
-        pass
-    return math.hypot(*row) == 0.0
-
-
 def _coupling_terms(M, H):
     """The nonzero entries of kron(M, H) per row, found from the nonzero
     entries of M and H: row p = i*k + a holds (j*k + b, M[i, j] * H[a, b])
     in column order, the same IEEE products as the dense kron, without
     those that underflow to (signed) zero.  An inf or NaN in M or H, or a
     product that overflows, is a ValueError: each puts inf or NaN into the
-    kron (inf * 0 is NaN).  Zero rows of M are passed over whole (see
-    :func:`_is_zero_row`), so a sparse M costs no float per zero row."""
+    kron (inf * 0 is NaN).  A row of M whose ``math.hypot`` is 0.0 is all
+    zeros (0.0 or -0.0: an inf or a NaN makes it inf or NaN, and an entry
+    that is no number a TypeError) and is passed over whole, so a sparse M
+    costs no float per zero row."""
     k = len(H)
     H = [[float(h) for h in row] for row in H]
     finite = all(math.isfinite(h) for row in H for h in row)
     m_rows = []
     for row in M:
-        if _is_zero_row(row):
+        if math.hypot(*row) == 0.0:
             m_rows.append(())
             continue
         row = [float(m) for m in row]
@@ -524,22 +511,6 @@ class TwistedSubspace:
         return len(self.N)
 
 
-def _misfit(s: TwistedSubspace, shape) -> ValueError:
-    return ValueError("states of shape %s do not fit %d cells in R^%d" % (tuple(shape), s.partition.n, s.k))
-
-
-def _shape(a) -> tuple:
-    """The lengths of a nested sequence along its first entries: numpy's
-    shape of a regular one."""
-    shape = []
-    while not isinstance(a, Real) and hasattr(a, "__len__"):
-        shape.append(len(a))
-        if not len(a):
-            break
-        a = a[0]
-    return tuple(shape)
-
-
 def _combination(row, cols, m) -> list:
     """The column sum_b row[b] * cols[b] of m entries, each summed left to
     right from 0.0.  Zero weights are passed over: for finite columns they
@@ -562,14 +533,27 @@ def _squares(cols, m) -> list:
     return total
 
 
-def _distances(states, s: TwistedSubspace) -> list:
-    """The distance to s of each state of a flat float sequence of states
-    of n*k coordinates (as in :class:`Trajectory`), computed on its columns
-    ``states[j::n*k]``: a few list comprehensions per column, not a loop
-    per state."""
+def subspace_distances(states, s: TwistedSubspace) -> list:
+    """Normalized residual of the defining constraints at each state of a
+    flat sequence of m*n*k real numbers, one state of n*k coordinates after
+    another as in :attr:`Trajectory.states`.  TypeError for an entry that
+    is no number (such as a nested row), ValueError for a length that is no
+    multiple of s's n*k.
+
+    Same-class residuals x_i - x_rep, pair residuals x_i - N x_j, and fixed
+    class residuals (x_i - N x_i)/2 (which is just x_i when N = -I), all
+    stacked, measured in the Euclidean norm and divided by ||x|| + 1.  Each
+    state's squares are summed left to right in that order, which is
+    numpy's sum for fewer than 8 terms.  The states are read on their
+    columns ``states[j::n*k]``: a few list comprehensions per column, not a
+    loop per state.
+    """
+    states = array("d", states)
     p, k, N = s.partition, s.k, s.N
     nk, classes = p.n * k, p.classes
-    m = len(states) // nk
+    m, extra = divmod(len(states), nk)
+    if extra:
+        raise ValueError("%d values do not fit states of %d cells in R^%d" % (len(states), p.n, k))
     cols = [states[j::nk] for j in range(nk)]
     rep = [cols[(cls[0] - 1) * k : cls[0] * k] for cls in classes]
     res = [[a - b for a, b in zip(x, r)] for ci, cls in enumerate(classes) for c in cls[1:]
@@ -581,28 +565,6 @@ def _distances(states, s: TwistedSubspace) -> list:
         res += [[0.5 * (a - b) for a, b in zip(y, _combination(row, x, m))] for y, row in zip(x, N)]
     sqrt = math.sqrt
     return [sqrt(r) / (sqrt(x) + 1.0) for r, x in zip(_squares(res, m), _squares(cols, m))]
-
-
-def subspace_distances(states, s: TwistedSubspace) -> list:
-    """Normalized residual of the defining constraints at each state of a
-    batch (m, n, k), such as m lists of n lists of k floats; ValueError
-    unless n and k are those of s.
-
-    Same-class residuals x_i - x_rep, pair residuals x_i - N x_j, and fixed
-    class residuals (x_i - N x_i)/2 (which is just x_i when N = -I), all
-    stacked, measured in the Euclidean norm and divided by ||x|| + 1.  Each
-    state's squares are summed left to right in that order, which is
-    numpy's sum for fewer than 8 terms.
-    """
-    n, k = s.partition.n, s.k
-    try:
-        fits = all(len(x) == n and all(len(c) == k and all(isinstance(v, Real) for v in c) for c in x)
-                   for x in states)
-    except TypeError:  # a state or a cell that is a number
-        fits = False
-    if not fits:
-        raise _misfit(s, _shape(states))
-    return _distances([float(v) for x in states for c in x for v in c], s)
 
 
 def sample_in_subspace(s: TwistedSubspace, rng, scale=1.0) -> list:
@@ -646,7 +608,8 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
     if trials < 1:
         raise ValueError("trials must be >= 1, got %r" % (trials,))
     if (s.partition.n, s.k) != (sys.n, sys.k):
-        raise _misfit(s, (trials, sys.n, sys.k))
+        raise ValueError("a subspace of %d cells in R^%d and a system of %d cells in R^%d do not fit"
+                         % (s.partition.n, s.k, sys.n, sys.k))
     rng = PCG64(seed)
     worst = 0.0
     blowups = 0
@@ -657,7 +620,7 @@ def invariance_test(sys, s: TwistedSubspace, trials=3, dt=1e-3, T=50.0, tol=1e-6
         except BlowupError:
             blowups += 1
             continue
-        worst = max(worst, *_distances(traj.states, s))
+        worst = max(worst, *subspace_distances(traj.states, s))
     return InvarianceReport(s, trials, tol, worst, blowups)
 
 
@@ -680,19 +643,25 @@ class EquivarianceReport:
         return self.hypotheses_met and self.max_residual <= self.tol
 
 
-def _cell(sys, i):
-    """A 1-based cell index of sys, checked."""
-    if not 1 <= i <= sys.n:
+def _cell(sys, i) -> int:
+    """A 1-based cell index of sys, checked: an int in 1..n that is no bool
+    (a numpy int is taken through ``operator.index``), else ValueError."""
+    try:
+        cell = operator.index(i)
+    except TypeError:  # a float, a string, None
+        cell = 0
+    if isinstance(i, bool) or not 1 <= cell <= sys.n:
         raise ValueError("cell %r is not in 1..%d" % (i, sys.n))
-    return i
+    return cell
 
 
 def equivariance_check(sys, N, ell, seed=0):
     """Check F(gamma_ell(x)) = gamma_ell(F(x)) for the single-cell map
     gamma_ell applying N in slot ell (1..n), at 50 random points, assuming
     f(Nx) = Nf(x) and HN = NH = H.  Hypothesis failures are reported and
-    the residual check is skipped.  ValueError before any draw unless N is
-    a k x k involution for sys's k."""
+    the residual check is skipped.  ValueError before any draw unless ell
+    is a cell of sys (see :func:`_cell`) and N is a k x k involution for
+    sys's k."""
     ell = _cell(sys, ell)
     N = _involution(N)
     k = sys.k

@@ -120,6 +120,21 @@ def test_sampled_suites_say_why_they_came_up_short(monkeypatch, name):
     assert rep.summary() == "%s: FAIL (0 trials)\n  note: only 0 of 5 instances found" % name
 
 
+class _NoDraw:
+    def __getattr__(self, name):
+        raise AssertionError("drew from the rng")
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("name", ["conjecture53", *sorted(REJECT_EVERY_DRAW), "main-lemma"])
+def test_sampled_suites_refuse_fewer_than_one_trial(monkeypatch, name, trials):
+    # a suite of no instances would pass with nothing checked; the refusal
+    # comes before any draw
+    monkeypatch.setattr(checks, "random", types.SimpleNamespace(Random=lambda seed: _NoDraw()))
+    with pytest.raises(ValueError, match="trials must be >= 1, got %d" % trials):
+        checks.SUITES[name](trials=trials)
+
+
 # ---------------------------------------------------------------------------
 # the suites leave every hypothesis and conclusion to the theorem reports
 

@@ -78,7 +78,7 @@ def test_integrate_linear_flow_stays_in_subspace():
     s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     x0 = sample_in_subspace(s, np.random.default_rng(1))
     traj = integrate(sys, x0, 1e-2, 5.0)
-    assert max(subspace_distances(_cell_states(traj, sys)[::50], s)) < 1e-12
+    assert max(subspace_distances(traj.states, s)) < 1e-12
 
 
 def test_integrate_single_lorenz_bounded():
@@ -217,27 +217,32 @@ def test_csv_formats_an_antisynchronous_pair_once(monkeypatch):
 
 
 def test_subspace_distance_examples():
-    # each state as a batch of one
+    # one state of n*k flat coordinates each
     same = TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(3))
-    x = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    assert subspace_distances([x], same) == [0.0]
+    assert subspace_distances([1.0, 2.0, 3.0, 1.0, 2.0, 3.0], same) == [0.0]
     n_sym = np.diag([-1.0, -1.0, 1.0])
     twisted = TwistedSubspace(parse_typical_element("(a,-a)"), n_sym)
-    y = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, 3.0]])
-    assert subspace_distances([y], twisted) == [0.0]
+    assert subspace_distances(np.array([1.0, 2.0, 3.0, -1.0, -2.0, 3.0]), twisted) == [0.0]
     plain = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(1))
-    assert subspace_distances([[[1.0], [1.0]]], plain)[0] > 0.1
+    assert subspace_distances(array("d", [1.0, 1.0]), plain)[0] > 0.1
 
 
 def test_subspace_distance_dimension_mismatch():
-    # states must be (m, P.n, k): a flat state, one unbatched state, and
-    # batches with the wrong cell count or the wrong k are all refused
+    # states are m*n*k flat numbers: a length that is no multiple of n*k = 4
+    # is a ValueError, and a nested batch or an entry that is no number a
+    # TypeError
     s = TwistedSubspace(parse_typical_element("(a,a)"), -np.eye(2))
-    for shape in ((3,), (4,), (2, 2), (1, 3, 2), (1, 2, 3), (1, 2, 1), (1, 1, 2, 2)):
+    for length in (1, 2, 3, 5, 6, 7, 9, 18):
         with pytest.raises(ValueError, match="do not fit"):
-            subspace_distances(np.ones(shape), s)
-    d = subspace_distances(np.ones((5, 2, 2)), s)
-    assert type(d) is list and len(d) == 5
+            subspace_distances(np.ones(length), s)
+    for states in (np.ones((5, 4)), np.ones((1, 2, 2)), [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0, "1"],
+                   [1.0, 1.0, 1.0, None], "1111"):
+        with pytest.raises(TypeError):
+            subspace_distances(states, s)
+    for states in (np.ones(20), [1.0] * 20, array("d", [1.0]) * 20):
+        d = subspace_distances(states, s)
+        assert d == [0.0] * 5 and type(d) is list
+    assert subspace_distances([], s) == []
 
 
 def test_twisted_subspace_requires_involution():
@@ -262,7 +267,7 @@ def test_sample_in_subspace_fixed_class():
     s = TwistedSubspace(parse_typical_element("(a,0)"), -np.eye(2))
     x = sample_in_subspace(s, np.random.default_rng(2))
     assert np.allclose(x[1], 0.0)
-    assert subspace_distances([x], s)[0] < 1e-15
+    assert subspace_distances([v for cell in x for v in cell], s)[0] < 1e-15
 
 
 def test_invariance_short_runs():
@@ -388,9 +393,8 @@ def test_singular_oscillator_freely_tagged_invariant_set():
     s = TwistedSubspace(parse_typical_element("(a,-a)"), -np.eye(2))
     x0 = np.array([[1.2, 0.3], [-1.2, -0.3]])
     traj = integrate(sys, x0, 1e-3, 20.0)
-    states = _cell_states(traj, sys)
-    assert max(subspace_distances(states[::100], s)) < 1e-9
-    u = states[:, :, 0]
+    assert max(subspace_distances(traj.states, s)) < 1e-9
+    u = _cell_states(traj, sys)[:, :, 0]
     assert np.min(np.abs(u)) > 1e-3
 
 
@@ -729,8 +733,8 @@ def test_system_refuses_non_finite_coupling(h, m):
 
 
 def _assert_coupling_is_the_dense_krons(m, h):
-    """M and H as arrays (whose zero rows are read as bytes) and as nested
-    lists give the terms of the dense kron."""
+    """M and H as arrays and as nested lists give the terms of the dense
+    kron."""
     m, h = np.array(m, dtype=float), np.array(h, dtype=float)
     expected = _kron_terms(m, h)
     for spelling in ((h, m), (h.tolist(), m.tolist())):
@@ -845,15 +849,25 @@ def test_system_takes_n_and_k_from_m_and_f():
         CoupledSystem(preset_f("lorenz"), dynamics.VDP_H, np.zeros((2, 2)))
 
 
-def test_cell_indices_are_checked():
+def test_cell_indices_are_checked(monkeypatch):
+    # a cell is an int in 1..n, not a float or a bool, and is checked before
+    # any point is drawn or integrated
     sys = vdp_system()
-    for ell in (0, -1, 3):
-        with pytest.raises(ValueError, match="1..2"):
-            equivariance_check(sys, -np.eye(2), ell)
-    for pair in ((0, 2), (1, 3), (-1, 1)):
-        with pytest.raises(ValueError, match="1..2"):
-            antisynchrony_convergence(sys, pair, +1, dt=1e-2, T=0.1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew or integrated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "PCG64", unreachable)
+        patch.setattr(dynamics, "integrate", unreachable)
+        for ell in (0, -1, 3, 1.0, 1.5, True):
+            with pytest.raises(ValueError, match="1..2"):
+                equivariance_check(sys, -np.eye(2), ell)
+        for pair in ((0, 2), (1, 3), (-1, 1), (1.0, 2), (1, 1.5), (True, 2)):
+            with pytest.raises(ValueError, match="1..2"):
+                antisynchrony_convergence(sys, pair, +1, dt=1e-2, T=0.1)
     assert equivariance_check(sys, np.eye(2), 2).passed
+    assert equivariance_check(sys, np.eye(2), np.int64(2)).passed
 
 
 N_LORENZ = np.diag([-1.0, -1.0, 1.0])
@@ -1036,9 +1050,8 @@ def test_distances_are_the_array_formula_bit_for_bit(te, N):
     s = TwistedSubspace(parse_typical_element(te), N)
     for batch in _batches(s, 8):
         want = _numpy_distances(batch, s)
-        assert np.array(subspace_distances(batch, s)).tobytes() == want.tobytes()
-        assert np.array(subspace_distances(batch.tolist(), s)).tobytes() == want.tobytes()
-        assert np.array(dynamics._distances(batch.ravel().tolist(), s)).tobytes() == want.tobytes()
+        for states in (batch.ravel(), batch.ravel().tolist(), array("d", batch.ravel())):
+            assert np.array(subspace_distances(states, s)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("te, N", [("(a,-a,b,c,-c,0,d,b,a)", -np.eye(1)), ("(a,-a,0,b)", -np.eye(2)),
@@ -1050,4 +1063,4 @@ def test_distances_are_the_array_formula_to_rounding(te, N):
     # rounding is a few ulps of 1 near the subspace
     s = TwistedSubspace(parse_typical_element(te), N)
     for batch in _batches(s, 9):
-        assert np.allclose(subspace_distances(batch, s), _numpy_distances(batch, s), rtol=1e-13, atol=1e-15)
+        assert np.allclose(subspace_distances(batch.ravel(), s), _numpy_distances(batch, s), rtol=1e-13, atol=1e-15)

@@ -10,11 +10,17 @@ src/polydiag/ defines at its top level counts as used when some module of
 the package reads it, as a name, an attribute or an import.  A public
 top-level name counts as read when a module of src/, bench/ or demos/
 reads it; the re-exports of ``__init__.py`` and the tests do not count,
-and the names in ``KEEP_UNREAD`` are kept on purpose.  Only the standard
-library's ``ast`` is needed.
+and the names in ``KEEP_UNREAD`` are kept on purpose.  Every name that
+bench/ and demos/ take from the package exists, and so do the functions
+and methods that ``bench/tracer.py`` names in ``LAYERS``, ``EXTRA`` and
+``METHODS``; bench/ is read as text, not imported.  Only the standard
+library's ``ast`` is needed to read the sources.
 """
 
 import ast
+import contextlib
+import importlib
+import inspect
 import os
 
 import pytest
@@ -155,11 +161,10 @@ def test_unread_public_names_detects_each_form():
 
 # Public names kept on purpose even where no program reads them: the
 # B-type bijection, the linalg constructors the tests build their fixtures
-# with, the exported rref, rank and is_weakly_connected, which the tests
-# use as oracles, and subspace_distances, the distance of a batch of
-# states that invariance_test computes on a trajectory's columns.
+# with, and the exported rref, rank and is_weakly_connected, which the
+# tests use as oracles.
 KEEP_UNREAD = {"BTypePartition", "to_btype", "from_btype", "vector", "matrix", "zeros", "identity", "dot",
-               "is_weakly_connected", "rank", "rref", "subspace_distances"}
+               "is_weakly_connected", "rank", "rref"}
 
 
 def _read(path):
@@ -172,3 +177,73 @@ def test_every_public_name_is_read():
     readers = list(sources.values()) + [_read(path) for path in _modules(("bench", "demos"))]
     assert KEEP_UNREAD <= {name for source in sources.values() for _, name in definitions(source)}
     assert [d for d in unread_public_names(sources, readers) if d[2] not in KEEP_UNREAD] == []
+
+
+def polydiag_names(source):
+    """(line, dotted name) for each name of the package that source imports
+    from it or reads as an attribute of a name it binds to one:
+    ``from polydiag.m import a``, ``from polydiag import m as x`` then
+    ``x.b``, ``import polydiag`` then ``polydiag.c``."""
+    tree = ast.parse(source)
+    bound, found = {}, []  # local name -> dotted name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names if a.name == "polydiag")
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "polydiag":
+            for a in node.names:
+                bound[a.asname or a.name] = node.module + "." + a.name
+                found.append((node.lineno, bound[a.asname or a.name]))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            found.append((node.lineno, bound[node.value.id] + "." + node.attr))
+    return sorted(found)
+
+
+def test_polydiag_names_detects_each_form():
+    source = ("import polydiag\nfrom polydiag import cli, invariance as inv\nfrom polydiag.graph import load\n"
+              "polydiag.__file__\ncli.main(inv.orbits)\nother.x\n")
+    assert polydiag_names(source) == [(2, "polydiag.cli"), (2, "polydiag.invariance"), (3, "polydiag.graph.load"),
+                                      (4, "polydiag.__file__"), (5, "polydiag.cli.main"),
+                                      (5, "polydiag.invariance.orbits")]
+
+
+def _exists(dotted):
+    """Whether a dotted name of the package names something: an attribute
+    at each step, or a submodule."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        if not hasattr(obj, parts[i]) and inspect.ismodule(obj):
+            with contextlib.suppress(ModuleNotFoundError):
+                importlib.import_module(".".join(parts[: i + 1]))
+        if not hasattr(obj, parts[i]):
+            return False
+        obj = getattr(obj, parts[i])
+    return True
+
+
+def _tracer_literal(name):
+    """The literal value of a top-level assignment of bench/tracer.py."""
+    for node in ast.parse(_read(os.path.join("bench", "tracer.py"))).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def test_bench_and_demos_read_names_that_exist():
+    # what bench/ and demos/ take from the package, read from their source
+    # without importing them: the names they import or read as module
+    # attributes, the layers and private functions the tracer wraps, and the
+    # methods it reads through a class's __dict__
+    paths = [os.path.join(top, name) for top in ("bench", "demos")
+             for name in sorted(os.listdir(os.path.join(ROOT, top))) if name.endswith(".py")]
+    missing = [(path, line, dotted) for path in paths for line, dotted in polydiag_names(_read(path))
+               if not _exists(dotted)]
+    missing += [("LAYERS", layer) for layer in _tracer_literal("LAYERS") if not _exists("polydiag." + layer)]
+    missing += [("EXTRA", layer, name) for layer, names in _tracer_literal("EXTRA").items() for name in names
+                if not _exists("polydiag.%s.%s" % (layer, name))]
+    for layer, methods in _tracer_literal("METHODS").items():
+        module = importlib.import_module("polydiag." + layer)
+        missing += [("METHODS", layer, cls, meth) for cls, meth in methods
+                    if meth not in vars(getattr(module, cls, object))]
+    assert missing == []

@@ -73,3 +73,14 @@ def test_refuses_what_numpy_refuses(seed, error):
             np.random.default_rng(seed)
     with pytest.raises(error):
         PCG64(seed)
+
+
+@pytest.mark.parametrize("size, error", [(-1, ValueError), (np.int64(-3), ValueError), (-(2**70), ValueError),
+                                         (1.5, TypeError), ("3", TypeError)])
+def test_uniform_refuses_the_sizes_numpy_refuses(size, error):
+    with pytest.raises(error):
+        np.random.default_rng(0).uniform(-1, 1, size)
+    rng = PCG64(0)
+    with pytest.raises(error, match="negative dimensions" if error is ValueError else None):
+        rng.uniform(-1, 1, size)
+    assert _same(rng.uniform(-1, 1, 4), np.random.default_rng(0).uniform(-1, 1, 4))  # nothing was drawn
