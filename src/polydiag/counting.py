@@ -3,7 +3,7 @@
 Each kind of subspace in :data:`polydiag.partitions.KINDS` is counted by
 (1) an exponential generating function with exact rational coefficients,
 (2) a recurrence, which the freely kinds lack, and (3) a census that
-enumerates every set partition and every partial involution on its
+walks every class-size shape and every partial involution on its
 classes.  The methods must agree; the count table cross-checks them where
 the enumeration is feasible.
 
@@ -22,12 +22,15 @@ polydiagonal minus synchrony.
 The census builds no tagged partition.  A tagged partition's type depends
 only on its class sizes and its involution, and relabelling the classes
 permutes the involutions on them, so all set partitions of one shape (the
-sorted tuple of class sizes) carry the same multiset of types.  The census
-therefore tallies the set partitions by shape, classifies the involutions
-of each shape once, and multiplies: ``count 8`` walks 4,140 set partitions
-and the involutions of 22 shapes instead of 219,920 tagged partitions.
-It adds up the weight of each distinct SubspaceClass and reads every
-kind's count off the table with the kind's test.
+class sizes, an integer partition of n) carry the same multiset of types.
+The census therefore walks the shapes, not the set partitions: it weights
+each shape by its number of set partitions, n! / (prod s_i! * prod m_j!)
+for sizes s_i that occur m_j times each, lists the involutions of each
+class count once and classifies them for every shape with that many
+classes.  At n = 8 it walks 22 shapes and classifies 4,274 (shape,
+involution) pairs, where there are 4,140 set partitions and 219,920
+tagged partitions.  It adds up the weight of each distinct SubspaceClass
+and reads every kind's count off the table with the kind's test.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import KINDS, _classify, _partial_involutions, _rgs
+from .partitions import KINDS, _classify, _partial_involutions
 
 DEFAULT_ORDER = 16
 ENUMERATION_CAP = 8
@@ -194,22 +197,45 @@ def recurrence_count(kind: str, n: int) -> int:
 # enumeration census
 
 
+def _shapes(n, largest):
+    """The integer partitions of n into parts of at most ``largest``, parts
+    non-increasing: the class-size shapes of the set partitions of {1..n}
+    when ``largest`` is n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _shapes(n - first, first):
+            yield (first,) + rest
+
+
+def _ways(sizes) -> int:
+    """The number of set partitions with class sizes ``sizes``: n! over the
+    product of the sizes' factorials and of their multiplicities'."""
+    return math.factorial(sum(sizes)) // (
+        math.prod(map(math.factorial, sizes)) * math.prod(map(math.factorial, Counter(sizes).values()))
+    )
+
+
+@lru_cache(maxsize=None)
+def _involutions(m) -> tuple:
+    """The partial involutions on m classes, listed once and shared by
+    every shape with m classes."""
+    return tuple(_partial_involutions(m))
+
+
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict:
-    """Count every tagged partition of {1..n} by kind, one class-size shape
-    at a time (see the module docstring)."""
+    """Count every tagged partition of {1..n} by kind: each class-size shape
+    of {1..n} weighted by its number of set partitions, times the types of
+    its partial involutions (see the module docstring)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    ways = Counter()
-    for a in _rgs(n):
-        sizes = [0] * n
-        for c in a:
-            sizes[c] += 1
-        ways[tuple(sorted(s for s in sizes if s))] += 1
     weight = Counter()
-    for sizes, w in ways.items():
-        for pairs, fixed in _partial_involutions(len(sizes)):
-            weight[_classify(sizes, pairs, fixed)] += w
+    for sizes in _shapes(n, n):
+        ways = _ways(sizes)
+        for pairs, fixed in _involutions(len(sizes)):
+            weight[_classify(sizes, pairs, fixed)] += ways
     return {kind: sum(w for c, w in weight.items() if test(c)) for kind, (_, test, _) in KINDS.items()}
 
 

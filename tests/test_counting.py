@@ -21,7 +21,7 @@ from polydiag.counting import (
     table_to_csv,
     table_to_markdown,
 )
-from polydiag.partitions import _classify, classify, enumerate_tagged_partitions
+from polydiag.partitions import _classify, _rgs, classify, enumerate_tagged_partitions
 
 # the published table of counts, n = 0..8
 TABLE = {
@@ -196,6 +196,53 @@ def test_freely_census_matches_its_egf():
     assert [counting._census(n)["freely"] for n in range(10)] == counts  # n = 9 is past the enumeration cap
     with pytest.raises(KeyError, match="no recurrence"):
         recurrence_count("freely", 4)
+
+
+# p(n), the number of integer partitions of n, for n = 0..12
+PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+
+
+def test_shapes_are_the_integer_partitions():
+    for n, p in enumerate(PARTITION_NUMBERS):
+        shapes = list(counting._shapes(n, n))
+        assert len(shapes) == len(set(shapes)) == p, n
+        for sizes in shapes:
+            assert sum(sizes) == n and all(s >= 1 for s in sizes) and list(sizes) == sorted(sizes, reverse=True)
+
+
+def test_shape_weights_sum_to_the_bell_numbers():
+    """Each set partition has one shape, so the shapes' weights add up to
+    Bell(n): counted by walking the restricted growth strings, and read
+    off the synchrony EGF beyond that."""
+    for n in range(13):
+        bell = sum(counting._ways(sizes) for sizes in counting._shapes(n, n))
+        assert bell == egf_count("synchrony", n), n
+        if n <= 9:
+            assert bell == sum(1 for _ in _rgs(n)), n
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_census_past_the_cap_matches_every_egf(n):
+    assert counting._census(n) == {kind: egf_count(kind, n) for kind in KINDS}
+
+
+def test_three_way_check_catches_a_wrong_egf(monkeypatch, capsys):
+    """Give evenly the blocks of fully: its EGF then counts fully tagged
+    subspaces, and the recurrence and the census must flag the row."""
+    counting.egf.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(KINDS, "evenly", KINDS["evenly"][:2] + ((False, "any", "optional"),))
+            t = count_table(6)
+            assert not t.cross_checked["evenly"]
+            assert all(ok for kind, ok in t.cross_checked.items() if kind != "evenly")
+            assert main(["count", "6"]) == 1
+            rows = {line.split(" | ")[0]: line for line in capsys.readouterr().out.splitlines()}
+            assert rows["| evenly"].endswith("| MISMATCH |")
+            assert "MISMATCH" not in "".join(line for kind, line in rows.items() if kind != "| evenly")
+    finally:
+        counting.egf.cache_clear()
+    assert count_table(6).cross_checked["evenly"]
 
 
 @pytest.mark.parametrize("max_n", range(11))

@@ -76,7 +76,8 @@ def test_refuses_what_numpy_refuses(seed, error):
 
 
 @pytest.mark.parametrize("size, error", [(-1, ValueError), (np.int64(-3), ValueError), (-(2**70), ValueError),
-                                         (1.5, TypeError), ("3", TypeError)])
+                                         (1.5, TypeError), ("3", TypeError), (True, TypeError), (False, TypeError),
+                                         (np.True_, TypeError)])
 def test_uniform_refuses_the_sizes_numpy_refuses(size, error):
     with pytest.raises(error):
         np.random.default_rng(0).uniform(-1, 1, size)
