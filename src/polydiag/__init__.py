@@ -15,7 +15,6 @@ from .graph import (
     digraph_of_graph,
     from_adjacency,
     is_strongly_connected,
-    is_weakly_connected,
     is_weight_balanced,
     laplacian_matrix,
 )
@@ -29,19 +28,16 @@ from .invariance import (
     is_invariant,
     orbits,
 )
-from .linalg import nullspace, rank, rref, span_contains
+from .linalg import nullspace, span_contains
 from .partitions import (
-    BTypePartition,
     SubspaceClass,
     TaggedPartition,
     basis,
     classify,
     contains,
     enumerate_tagged_partitions,
-    from_btype,
     parse_typical_element,
     tagged,
-    to_btype,
     typical_element,
 )
 

@@ -18,10 +18,10 @@ import inspect
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import counting, graph, invariance
 from ._pcg64 import PCG64
+from .linalg import frac
 from .partitions import (
     KINDS,
     classify,
@@ -55,7 +55,7 @@ def _checked(convert, expected, ok=lambda value: True):
             value = convert(text)
             if ok(value):
                 return value
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
         raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
 
@@ -71,7 +71,7 @@ _SIZE = _checked(
 )
 _POSITIVE = _checked(float, "a finite number > 0", lambda x: 0 < x < math.inf)
 _FINITE = _checked(float, "a finite number", math.isfinite)
-_FRACTION = _checked(Fraction, "a rational number such as 1/2 or 0.5")
+_FRACTION = _checked(frac, "a rational number such as 1/2 or 0.5")
 _FLOATS = _checked(
     lambda text: [float(v) for v in text.split(",")], "comma-separated numbers", lambda xs: all(map(math.isfinite, xs))
 )

@@ -147,16 +147,8 @@ def weakly_connected(succ, pred) -> bool:
     return n == 0 or reachable([s | p for s, p in zip(succ, pred)]) == (1 << n) - 1
 
 
-def _masks(g: WeightedDigraph):
-    return arrow_masks(g.n, [(t, h) for t, h, _ in g.arrows])
-
-
 def is_strongly_connected(g: WeightedDigraph) -> bool:
-    return strongly_connected(*_masks(g))
-
-
-def is_weakly_connected(g: WeightedDigraph) -> bool:
-    return weakly_connected(*_masks(g))
+    return strongly_connected(*arrow_masks(g.n, [(t, h) for t, h, _ in g.arrows]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ Vectors are tuples of Fraction and matrices are tuples of row tuples.
 Everything is immutable and every operation is pure.
 
 :func:`frac` is the one rule for exact numbers: an int, a Fraction or a
-string such as ``"0.25"`` or ``"-1/2"`` is the rational it spells, and a
-float or a bool raises TypeError.  Each input meets it at one door: a
+string such as ``"0.25"`` or ``"-1/2"`` is the rational it spells, a
+float or a bool raises TypeError, and a string that spells no rational,
+``"1/0"`` included, raises ValueError.  Each input meets it at one door: a
 weight in :class:`graph.WeightedDigraph`, a matrix in
-:func:`invariance._exact`, rows here in :func:`clear_denominators`, which
-takes an int or a Fraction as it is, so an exact matrix is not coerced
-twice.
+:func:`invariance._exact`, a ``--scale`` or ``--lambda`` of the CLI,
+rows here in :func:`clear_denominators`, which takes an int or a
+Fraction as it is, so an exact matrix is not coerced twice.
 
 Row reduction does not compute in Fraction.  Each row is cleared of
 denominators once (:func:`clear_denominators`) and the work is done on
@@ -29,14 +30,18 @@ from fractions import Fraction
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, or string like ``-1/2`` / ``0.25`` to
-    Fraction; a Fraction is returned as it is."""
+    Fraction; a Fraction is returned as it is.  ``"1/0"`` raises
+    ValueError, as any string that spells no rational does."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floats are inexact; pass a string such as '0.5'")
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers; pass an int or a string such as '1'")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
 
 
 _EXACT = (int, Fraction)  # exact already: frac would at most wrap an int in a Fraction
@@ -52,27 +57,6 @@ def clear_denominators(rows):
         d = math.lcm(*[x.denominator for x in row])
         ints.append([x.numerator * (d // x.denominator) for x in row])
     return ints
-
-
-def vector(entries) -> tuple:
-    return tuple(frac(x) for x in entries)
-
-
-def matrix(rows) -> tuple:
-    rows = tuple(tuple(frac(x) for x in row) for row in rows)
-    if rows and any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged rows")
-    return rows
-
-
-def zeros(r: int, c: int) -> tuple:
-    return tuple((Fraction(0),) * c for _ in range(r))
-
-
-def identity(n: int) -> tuple:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
 
 
 def transpose(m) -> tuple:
@@ -93,20 +77,6 @@ def shifted(m, lam) -> tuple:
         tuple(x - lam if i == j else x for j, x in enumerate(row))
         for i, row in enumerate(m)
     )
-
-
-def dot(u, v):
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum(x * y for x, y in zip(u, v))
-
-
-def rref(m):
-    """Reduced row-echelon form.  Returns (rref_matrix, rank)."""
-    rows, pivots = _rref_pivots(m)
-    red = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)]
-    red += [tuple(Fraction(x) for x in row) for row in rows[len(pivots):]]
-    return tuple(red), len(pivots)
 
 
 def _rref_pivots(m):
@@ -145,10 +115,6 @@ def _rref_pivots(m):
         pivots.append(c)
         r += 1
     return rows, tuple(pivots)
-
-
-def rank(m) -> int:
-    return len(_rref_pivots(m)[1])
 
 
 def nullspace(m):

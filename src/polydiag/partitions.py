@@ -15,10 +15,10 @@ its smallest cell, carries c+1 when it is untagged or the first class of
 its pair, the second class of a pair carries minus its partner's symbol,
 and the fixed class carries 0.  :func:`from_symbols` is the one
 canonicalizer, and every partition is built through it: class lists
-(:func:`tagged`), typical-element strings, relabelling, the B-type
-bijection and the invariance scan.  Only the enumeration, whose symbols
-are canonical by construction, skips it.  The class-list view
-(``classes``, ``pairs``, ``fixed``) is derived from the symbols.
+(:func:`tagged`), typical-element strings, relabelling and the invariance
+scan.  Only the enumeration, whose symbols are canonical by construction,
+skips it.  The class-list view (``classes``, ``pairs``, ``fixed``) is
+derived from the symbols.
 
 :data:`KINDS` is the one table of subspace kinds, each with its count-table
 symbol, its test on the type flags of :func:`classify` and the blocks its
@@ -375,50 +375,3 @@ def relabel(p: TaggedPartition, perm) -> TaggedPartition:
     for cell, s in zip(perm, p.symbols):
         symbols[cell - 1] = s
     return from_symbols(symbols)
-
-
-# ---------------------------------------------------------------------------
-# B-type partitions of {-n..n}
-
-
-@dataclass(frozen=True)
-class BTypePartition:
-    """Partition of {-n..n} closed under negation with one self-negative class."""
-
-    n: int
-    classes: frozenset  # frozenset of frozensets of ints
-
-    def validate(self):
-        universe = set(range(-self.n, self.n + 1))
-        seen = []
-        for q in self.classes:
-            seen.extend(q)
-            if frozenset(-k for k in q) not in self.classes:
-                raise ValueError("classes not closed under negation")
-        if sorted(seen) != sorted(universe):
-            raise ValueError("classes do not partition {-n..n}")
-        self_neg = [q for q in self.classes if q == frozenset(-k for k in q)]
-        if len(self_neg) != 1 or 0 not in next(iter(self_neg)):
-            raise ValueError("need exactly one self-negative class containing 0")
-        return self
-
-
-def to_btype(p: TaggedPartition) -> BTypePartition:
-    """The B-type partition matching p: k and -k go to the classes of the
-    symbols s and -s of cell k, and 0 to the class of symbol 0.  So untagged
-    classes contribute P and -P, involution pairs P u -P*, and the fixed
-    class absorbs 0."""
-    groups = {0: {0}}
-    for cell, s in enumerate(p.symbols, start=1):
-        groups.setdefault(s, set()).add(cell)
-        groups.setdefault(-s, set()).add(-cell)
-    return BTypePartition(p.n, frozenset(map(frozenset, groups.values()))).validate()
-
-
-def from_btype(q: BTypePartition) -> TaggedPartition:
-    """Inverse of :func:`to_btype`: each cell's symbol is the entry of
-    largest absolute value in its class (0 for the class of 0), which
-    negates with the class."""
-    q.validate()
-    symbol = {k: 0 if 0 in cls else max(cls, key=abs) for cls in q.classes for k in cls}
-    return from_symbols([symbol[k] for k in range(1, q.n + 1)])

@@ -10,14 +10,12 @@ from polydiag import checks, counting, dynamics, graph, invariance
 from polydiag.partitions import (
     classify,
     enumerate_tagged_partitions,
-    from_btype,
     orthogonal,
     parse_typical_element,
-    to_btype,
     typical_element,
 )
 
-from btype_oracle import enumerate_btype_partitions
+from btype_oracle import enumerate_btype_partitions, from_btype, to_btype
 
 FIGURE = {
     "polydiagonal": [1, 2, 6, 24, 116, 648, 4088, 28640, 219920],

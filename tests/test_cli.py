@@ -307,6 +307,12 @@ BAD_ARGV = {
     "lattice-boolean-weight": ["lattice", "{boolean_weight}"],
     "simulate-boolean-weight": ["simulate", "--preset", "vanderpol", "--digraph", "{boolean_weight}"],
     "column-sums-boolean-weight": ["check", "column-sums", "--file", "{boolean_weight}"],
+    "invariants-zero-denominator-weight": ["invariants", "{zero_denominator}"],
+    "lattice-zero-denominator-weight": ["lattice", "{zero_denominator_edges}"],
+    "orbits-zero-denominator-weight": ["orbits", "{zero_denominator}"],
+    "simulate-zero-denominator-weight": ["simulate", "--preset", "vanderpol", "--digraph", "{zero_denominator_edges}"],
+    "column-sums-zero-denominator-weight": ["check", "column-sums", "--file", "{zero_denominator}"],
+    "main-lemma-zero-denominator-weight": ["check", "main-lemma", "--file", "{zero_denominator_edges}", "--lambda", "1"],
     "column-sums-above-scan-cap": ["check", "column-sums", "--file", "{cycle9}"],
     "column-sums-laplacian-above-scan-cap": ["check", "column-sums", "--file", "{cycle9}", "--matrix", "laplacian"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
@@ -332,8 +338,10 @@ def input_paths(d):
         ("string_endpoint", '{"n": 2, "arrows": [["1", 2, "1"], [1, 2, "1"]]}'),
         ("boolean_weight", '{"n": 2, "arrows": [[1, 2, true]]}'),
         ("empty", '{"n": 0, "arrows": []}'),
+        ("zero_denominator", '{"n": 2, "arrows": [[1, 2, "1/0"]]}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
+    paths["zero_denominator_edges"] = digraph_file(d, "n=2\n1 2 1/0\n", "zero_denominator.txt")
     return paths
 
 
@@ -344,7 +352,7 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
     except SystemExit as exc:  # argparse rejects the value
         code = exc.code
     err = capsys.readouterr().err
-    assert code == 2 and "Traceback" not in err
+    assert code == 2 and "error: " in err and "Traceback" not in err
 
 
 def test_main_lemma_names_the_multiplicity_of_lambda(capsys, tmp_path):

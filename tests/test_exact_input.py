@@ -2,11 +2,12 @@
 
 Every public entry point that takes a matrix or arrow weights reads ints,
 Fractions and strings as the rationals they spell, refuses a float or a
-bool with TypeError, and, when it takes a matrix, refuses a ragged or
-non-square one with ValueError.  Behind those doors the digraph readers and
-the scan coerce nothing again: one ``invariants`` run calls ``linalg.frac``
-once per arrow weight and once per matrix entry, and a ``check
-main-lemma|column-sums --file`` run once more, for the eigenvalue.
+bool with TypeError and a zero denominator with ValueError, and, when it
+takes a matrix, refuses a ragged or non-square one with ValueError.
+Behind those doors the digraph readers and the scan coerce nothing again:
+one ``invariants`` run calls ``linalg.frac`` once per arrow weight and
+once per matrix entry, and a ``check main-lemma|column-sums --file`` run
+once more, for the eigenvalue.
 """
 
 import os
@@ -76,6 +77,12 @@ def test_floats_and_bools_are_refused(name, bad):
     m = [[bad, "1/2"], [1, "3/2"]]
     with pytest.raises(TypeError):
         ENTRY_POINTS[name][0](m)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_zero_denominators_are_refused(name):
+    with pytest.raises(ValueError, match="zero denominator"):
+        ENTRY_POINTS[name][0]([["1/0", "1/2"], [1, "3/2"]])
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [3, 4, 5]], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]],

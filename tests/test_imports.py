@@ -9,12 +9,11 @@ exempt.  A private name (one leading underscore) that a module of
 src/polydiag/ defines at its top level counts as used when some module of
 the package reads it, as a name, an attribute or an import.  A public
 top-level name counts as read when a module of src/, bench/ or demos/
-reads it; the re-exports of ``__init__.py`` and the tests do not count,
-and the names in ``KEEP_UNREAD`` are kept on purpose.  Every name that
-bench/ and demos/ take from the package exists, and so do the functions
-and methods that ``bench/tracer.py`` names in ``LAYERS``, ``EXTRA`` and
-``METHODS``; bench/ is read as text, not imported.  Only the standard
-library's ``ast`` is needed to read the sources.
+reads it; the re-exports of ``__init__.py`` and the tests do not count.
+Every name that bench/ and demos/ take from the package exists, and so do
+the functions and methods that ``bench/tracer.py`` names in ``LAYERS``,
+``EXTRA`` and ``METHODS``; bench/ is read as text, not imported.  Only the
+standard library's ``ast`` is needed to read the sources.
 """
 
 import ast
@@ -159,14 +158,6 @@ def test_unread_public_names_detects_each_form():
     assert unread_public_names(sources, readers) == [("a.py", 4, "g")]
 
 
-# Public names kept on purpose even where no program reads them: the
-# B-type bijection, the linalg constructors the tests build their fixtures
-# with, and the exported rref, rank and is_weakly_connected, which the
-# tests use as oracles.
-KEEP_UNREAD = {"BTypePartition", "to_btype", "from_btype", "vector", "matrix", "zeros", "identity", "dot",
-               "is_weakly_connected", "rank", "rref"}
-
-
 def _read(path):
     with open(os.path.join(ROOT, path)) as fh:
         return fh.read()
@@ -175,8 +166,7 @@ def _read(path):
 def test_every_public_name_is_read():
     sources = {path: _read(path) for path in _modules(("src",))}
     readers = list(sources.values()) + [_read(path) for path in _modules(("bench", "demos"))]
-    assert KEEP_UNREAD <= {name for source in sources.values() for _, name in definitions(source)}
-    assert [d for d in unread_public_names(sources, readers) if d[2] not in KEEP_UNREAD] == []
+    assert unread_public_names(sources, readers) == []
 
 
 def polydiag_names(source):
