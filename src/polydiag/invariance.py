@@ -40,6 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 from .linalg import clear_denominators, frac, nullspace, shifted, transpose
@@ -50,7 +51,6 @@ from .partitions import (
     contains,
     from_symbols,
     orthogonal,
-    relabel,
     type_label,
     typical_element,
 )
@@ -127,8 +127,8 @@ def _levels(g):
 
 
 def _invariant_partitions(mi):
-    """Every tagged partition that the int matrix mi leaves invariant, in
-    canonical order.
+    """(TaggedPartition, SubspaceClass) for every tagged partition that the
+    int matrix mi leaves invariant, in canonical order.
 
     The search decides the smallest free cell a at each step.  Either a
     joins the fixed class, one cell at a time (the first such cell opens
@@ -156,10 +156,14 @@ def _invariant_partitions(mi):
     involutions as :func:`partitions._partial_involutions` walks them: per
     block the code 0 untagged, 1 fixed, 2 + min(Q) paired, as base-(n+2)
     digits by block.  The fixed class takes its block's place when its
-    smallest cell opens it.  Block b of a hit gives its cells the symbol b
-    on P, -b on Q, and the fixed cells keep 0;
-    :func:`partitions.from_symbols` makes them canonical.  Hits are found
-    in any order and sorted by key at the end.
+    smallest cell opens it.  Hits are found in any order and sorted by key
+    at the end.
+
+    The symbols are canonical as built: P gets 1 plus the number of class
+    minima (each block's r, each Q's lowest cell) below r, Q minus that.
+    A hit's flags depend only on its blocks' sizes (|P|, |Q|), the fixed
+    class's place (0, 0), so :func:`partitions.classify` runs once per
+    such signature.
     """
     n = len(mi)
     full = (1 << n) - 1
@@ -297,17 +301,28 @@ def _invariant_partitions(mi):
 
     search(full, 0, [full] * n, [full] * n, full, 0)
     hits.sort()
+    flags = {}  # {block-size signature: SubspaceClass}
     out = []
     for _, found in hits:
-        symbols = [0] * n  # block b gives b on plus, -b on minus
-        for b, (plus, minus, _) in enumerate(found, start=1):
+        minima = 0  # the smallest cell of each class
+        for _, minus, r in found:
+            minima |= 1 << r | (minus & -minus)
+        symbols = [0] * n
+        shape = []
+        for plus, minus, r in found:
+            b = 1 + (minima & ((1 << r) - 1)).bit_count()
+            shape.append((plus.bit_count(), minus.bit_count()))
             while plus:
                 symbols[lowest[plus]] = b
                 plus &= plus - 1
             while minus:
                 symbols[lowest[minus]] = -b
                 minus &= minus - 1
-        out.append(from_symbols(symbols))
+        p = TaggedPartition(tuple(symbols))
+        shape = tuple(shape)
+        if shape not in flags:
+            flags[shape] = classify(p)
+        out.append((p, flags[shape]))
     return out
 
 
@@ -318,8 +333,7 @@ def invariant_polydiagonals(m, n_cap=DEFAULT_SCAN_LIMIT) -> InvariantSet:
     if len(m) > n_cap:
         raise ValueError("n=%d exceeds cap %d; pass n_cap to override" % (len(m), n_cap))
     mat = _exact(m)
-    hits = _invariant_partitions(_int_matrix(mat))
-    return InvariantSet(mat, tuple((p, classify(p)) for p in hits))
+    return InvariantSet(mat, tuple(_invariant_partitions(_int_matrix(mat))))
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +345,17 @@ def _relations(p: TaggedPartition) -> int:
 
     Bit i*n+j (i < j) stands for x_i = x_j, bit j*n+i for x_i = -x_j and
     bit i*n+i for x_i = 0.  The cells' symbols (:attr:`TaggedPartition.symbols`)
-    decide them: equal symbols, opposite symbols, symbol 0.
+    decide them: equal symbols, opposite symbols, symbol 0.  Row i is read
+    off the cell masks of its symbol a (cells above i) and of -a (below i).
     """
     n = p.n
     sym = p.symbols
+    cells = _levels(sym)  # {symbol: bitmask of its cells}
     mask = 0
     for i, a in enumerate(sym):
-        if a == 0:
-            mask |= 1 << (i * n + i)
-        for j in range(i + 1, n):
-            if sym[j] == a:
-                mask |= 1 << (i * n + j)
-            if sym[j] == -a:
-                mask |= 1 << (j * n + i)
+        row = cells[a] >> (i + 1) << (i + 1) | cells.get(-a, 0) & ((1 << i) - 1) | (not a) << i
+        mask |= row << (i * n)
     return mask
-
-
-def _bits(x):
-    """Indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 @dataclass(frozen=True)
@@ -371,7 +374,8 @@ def build_lattice(inv: InvariantSet) -> SubspaceLattice:
     the solution set of its relations.  ``below[i]`` is the bitset of the
     nodes strictly inside Delta_i: those holding all of node i's relations,
     of smaller dimension.  Taken in falling dimension, a node of below[i]
-    not below an earlier cover of i is itself a cover of i.
+    not below an earlier cover of i is itself a cover of i, filed under
+    its upper node so that the pairs come out sorted.
     """
     nodes = inv.subspaces
     rels = [_relations(p) for p, _ in nodes]
@@ -380,23 +384,33 @@ def build_lattice(inv: InvariantSet) -> SubspaceLattice:
     holders = [0] * (n * n)  # holders[r]: the nodes on which relation r holds
     by_dim = [0] * (n + 1)
     for j, (r, d) in enumerate(zip(rels, dims)):
-        for b in _bits(r):
-            holders[b] |= 1 << j
-        by_dim[d] |= 1 << j
+        bit = 1 << j
+        while r:
+            low = r & -r
+            holders[low.bit_length() - 1] |= bit
+            r ^= low
+        by_dim[d] |= bit
+    smaller = [0, *accumulate(by_dim, operator.or_)]  # smaller[d]: the nodes of dimension below d
     below = []
     for r, d in zip(rels, dims):
-        inside = sum(by_dim[:d])  # the disjoint bitsets of smaller dimension
-        for b in _bits(r):
-            inside &= holders[b]
+        inside = smaller[d]
+        while r:
+            low = r & -r
+            inside &= holders[low.bit_length() - 1]
+            r ^= low
         below.append(inside)
-    covers = []
+    lowers = [[] for _ in nodes]  # lowers[j]: the nodes j covers, ascending
     for i, d in enumerate(dims):
         reached = 0
         for e in range(d - 1, -1, -1):
-            for j in _bits(below[i] & by_dim[e] & ~reached):
-                covers.append((j, i))  # j is directly above i
+            x = below[i] & by_dim[e] & ~reached
+            while x:
+                low = x & -x
+                j = low.bit_length() - 1
+                lowers[j].append(i)  # j is directly above i
                 reached |= below[j]
-    return SubspaceLattice(nodes, tuple(sorted(covers)))
+                x ^= low
+    return SubspaceLattice(nodes, tuple((j, i) for j, found in enumerate(lowers) for i in found))
 
 
 _JSON_NODE = '    {\n      "typical": %s,\n      "class": %s\n    }'
@@ -494,27 +508,29 @@ def orbits(inv: InvariantSet, autos):
 
     ``autos`` must be a group of permutations of 1..n (checked).  Returns a
     list of orbits, each a tuple of node indices into inv.subspaces, in
-    order of their smallest index.
+    order of their smallest index.  The image of p under phi has at cell
+    phi[i-1] the symbol p has at cell i, read through phi's inverse.
     """
-    gens = _generators(autos, len(inv.matrix))
-    index = {p: i for i, (p, _) in enumerate(inv.subspaces)}
+    n = len(inv.matrix)
+    backs = [sorted(range(n), key=phi.__getitem__) for phi in _generators(autos, n)]  # 0-based inverses
+    index = {p.symbols: i for i, (p, _) in enumerate(inv.subspaces)}
     seen = [False] * len(index)
     out = []
-    for i, (p, _) in enumerate(inv.subspaces):
+    for i in range(len(seen)):
         if seen[i]:
             continue
         seen[i] = True
         orbit = [i]
         for j in orbit:  # grows while it is walked
-            q = inv.subspaces[j][0]
-            for phi in gens:
-                r = relabel(q, phi)
-                k = index.get(r)
+            q = inv.subspaces[j][0].symbols
+            for back in backs:
+                r = from_symbols(list(map(q.__getitem__, back)))
+                k = index.get(r.symbols)
                 if k is None:
                     raise ValueError(
                         "image %s of %s is not in the invariant set; "
                         "are these automorphisms of the right digraph?"
-                        % (typical_element(r), typical_element(q))
+                        % (typical_element(r), typical_element(inv.subspaces[j][0]))
                     )
                 if not seen[k]:
                     seen[k] = True

@@ -7,11 +7,11 @@ Everything is immutable and every operation is pure.
 :func:`frac` is the one rule for exact numbers: an int, a Fraction or a
 string such as ``"0.25"`` or ``"-1/2"`` is the rational it spells, a
 float or a bool raises TypeError, and a string that spells no rational,
-``"1/0"`` included, raises ValueError.  Each input meets it at one door: a
-weight in :class:`graph.WeightedDigraph`, a matrix in
-:func:`invariance._exact`, a ``--scale`` or ``--lambda`` of the CLI,
-rows here in :func:`clear_denominators`, which takes an int or a
-Fraction as it is, so an exact matrix is not coerced twice.
+``"1/0"`` included, or one too long to print raises ValueError.  Each
+input meets it at one door: a weight in :class:`graph.WeightedDigraph`,
+a matrix in :func:`invariance._exact`, a ``--scale`` or ``--lambda`` of
+the CLI, rows here in :func:`clear_denominators`, which takes an int or
+a Fraction as it is, so an exact matrix is not coerced twice.
 
 Row reduction does not compute in Fraction.  Each row is cleared of
 denominators once (:func:`clear_denominators`) and the work is done on
@@ -25,23 +25,45 @@ are the values and the order that Fraction elimination gives.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, or string like ``-1/2`` / ``0.25`` to
     Fraction; a Fraction is returned as it is.  ``"1/0"`` raises
-    ValueError, as any string that spells no rational does."""
+    ValueError, as any string that spells no rational does, or one with
+    too many digits to print (:func:`_check_digits`)."""
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floats are inexact; pass a string such as '0.5'")
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers; pass an int or a string such as '1'")
+    if isinstance(x, str):
+        _check_digits(x)
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (x,)) from None
+
+
+# Fraction's decimal form (whole part, fraction, exponent); re compiles it at first use, not at import
+_DECIMAL = r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:e([-+]?\d+(?:_\d+)*))?\s*\Z"
+
+
+def _check_digits(text):
+    """Refuse a decimal whose numerator (its digits times 10**exponent) or
+    denominator (10**(fraction digits - exponent)) would have more digits
+    than Python prints an int with, before Fraction builds either."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
+    m = re.match(_DECIMAL, text, re.I) if limit and (len(text) > limit or "e" in text or "E" in text) else None
+    if m:  # without an exponent, neither has more digits than text has characters
+        whole, part, exp = (g.replace("_", "") if g else "" for g in m.groups())
+        e = int(exp or 0)
+        if max(len((whole + part).lstrip("0")), 1) + max(e, 0) > limit or 1 + len(part) + max(-e, 0) > limit:
+            raise ValueError("%.60r has a numerator or denominator of more than %d digits" % (text, limit))
 
 
 _EXACT = (int, Fraction)  # exact already: frac would at most wrap an int in a Fraction

@@ -14,10 +14,10 @@ are canonical, so equal partitions are equal tuples: class c, numbered by
 its smallest cell, carries c+1 when it is untagged or the first class of
 its pair, the second class of a pair carries minus its partner's symbol,
 and the fixed class carries 0.  :func:`from_symbols` is the one
-canonicalizer, and every partition is built through it: class lists
-(:func:`tagged`), typical-element strings, relabelling and the invariance
-scan.  Only the enumeration, whose symbols are canonical by construction,
-skips it.  The class-list view (``classes``, ``pairs``, ``fixed``) is
+canonicalizer: class lists (:func:`tagged`), typical-element strings and
+the images of automorphism orbits are built through it.  The enumeration
+and the invariance scan skip it, as their symbols are canonical by
+construction.  The class-list view (``classes``, ``pairs``, ``fixed``) is
 derived from the symbols.
 
 :data:`KINDS` is the one table of subspace kinds, each with its count-table
@@ -365,13 +365,3 @@ def orthogonal(p: TaggedPartition, v) -> bool:
     if len(v) != p.n:
         raise ValueError("dimension mismatch")
     return all(sum(v[c] for c in plus) == sum(v[c] for c in minus) for plus, minus in p.supports())
-
-
-def relabel(p: TaggedPartition, perm) -> TaggedPartition:
-    """Image of p under a vertex permutation (perm[i-1] is the image of i)."""
-    if sorted(perm) != list(range(1, p.n + 1)):
-        raise ValueError("not a permutation of 1..%d: %r" % (p.n, perm))
-    symbols = [0] * p.n
-    for cell, s in zip(perm, p.symbols):
-        symbols[cell - 1] = s
-    return from_symbols(symbols)

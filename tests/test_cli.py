@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polydiag
@@ -113,6 +113,38 @@ def test_orbits_text(capsys, tmp_path):
     code, out, _ = run(capsys, "orbits", path)
     assert code == 0
     assert out.splitlines()[0] == "31 subspaces in 15 orbits"
+
+
+# The hit-heavy path: nearly every candidate of these digraphs is a hit.
+HIT_HEAVY_DIGRAPHS = {
+    "zero6": {"n": 6, "arrows": []},
+    "K7": {"n": 7, "arrows": [[i, j, "1"] for i in range(1, 8) for j in range(1, 8) if i != j]},
+    "directed_C8": {"n": 8, "arrows": [[i, i % 8 + 1, "1"] for i in range(1, 9)]},
+    "C8": {"n": 8, "arrows": [[i, j, "1"] for i in range(1, 9) for j in (i % 8 + 1, (i - 2) % 8 + 1)]},
+}
+# sha256 of the stdout of each (digraph, command, --format)
+HIT_HEAVY_SHA256 = {
+    ("zero6", "lattice", "json"): "19e05779db7b15bff67a4b39d97e783e29c356661a9db8db636e83e3b12b748a",
+    ("zero6", "lattice", "dot"): "791477e82b6ae26d6483d3579c1c0e611341b3c7047bdb42aeb5f45df440fb91",
+    ("zero6", "orbits", "json"): "6e24b6af3f12f76af670dd86c4d168a42567adb4f8966e2498102c8038d4ef28",
+    ("K7", "lattice", "json"): "d32e341bdc11a2436321365ef16b23e948f1f40beb065f1b2c6de26a747a11b5",
+    ("K7", "lattice", "dot"): "42c34a2039e95e4b2dd581fff369ba87c7692feb7cfc058730b3344cd2f782ac",
+    ("K7", "orbits", "json"): "eef045d4be41a1d2509fa06c53ec458188ec98f520afca9617842ec5136324de",
+    ("directed_C8", "lattice", "json"): "bcf23627d4fe44854adec2de38f1ecbb83ba5b34e62366014afb8e8a757a3e47",
+    ("directed_C8", "lattice", "dot"): "1da3dbec2c3d28d3f559908ac4522c5e5753e856e49c8804aeaae0b61d92e90b",
+    ("directed_C8", "orbits", "json"): "03e4f9834f9ab5ba32d7535733fc85e211e3f4655cf11ce1f029c58e0a2d93ff",
+    ("C8", "lattice", "json"): "2018b95274831b3c31dfadcccb927312c5845df2b4327ad7b298a81ece640cba",
+    ("C8", "lattice", "dot"): "205165c06e1a5917d8f3fcd1fcfaaaf7e87f3e620890fa98002eb21ca1467108",
+    ("C8", "orbits", "json"): "3764ef8133710fa28b6a7ec5dbb7af9b7fcb644b2ee17872e6ffe6a2392b6b33",
+}
+
+
+@pytest.mark.parametrize("name, command, fmt", HIT_HEAVY_SHA256)
+def test_hit_heavy_outputs_are_pinned(capsys, tmp_path, name, command, fmt):
+    path = digraph_file(tmp_path, json.dumps(HIT_HEAVY_DIGRAPHS[name]))
+    code, out, _ = run(capsys, command, path, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HIT_HEAVY_SHA256[name, command, fmt]
 
 
 def test_count_csv(capsys):
@@ -315,6 +347,9 @@ BAD_ARGV = {
     "main-lemma-zero-denominator-weight": ["check", "main-lemma", "--file", "{zero_denominator_edges}", "--lambda", "1"],
     "column-sums-above-scan-cap": ["check", "column-sums", "--file", "{cycle9}"],
     "column-sums-laplacian-above-scan-cap": ["check", "column-sums", "--file", "{cycle9}", "--matrix", "laplacian"],
+    "invariants-huge-exponent-weight": ["invariants", "{huge_exponent}"],
+    "column-sums-huge-exponent-weight": ["check", "column-sums", "--file", "{huge_exponent}"],
+    "simulate-scale-huge-exponent": ["simulate", *PAIR, "--scale", "1e5000"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
 }
 
@@ -339,6 +374,8 @@ def input_paths(d):
         ("boolean_weight", '{"n": 2, "arrows": [[1, 2, true]]}'),
         ("empty", '{"n": 0, "arrows": []}'),
         ("zero_denominator", '{"n": 2, "arrows": [[1, 2, "1/0"]]}'),
+        # 10**5000 has more digits than Python prints an int with
+        ("huge_exponent", '{"n": 2, "arrows": [[1, 2, "1e5000"], [2, 1, "1e5000"]]}'),
     ):
         paths[name] = digraph_file(d, text, name + ".json")
     paths["zero_denominator_edges"] = digraph_file(d, "n=2\n1 2 1/0\n", "zero_denominator.txt")
@@ -573,7 +610,7 @@ DIGRAPHS = (
     ["{pair}", "{cycle9}"]
     + [os.path.join(DEMO_DIR, n + ".json") for n in ("lapdirichlet", "directed_c3", "d3_cayley_equal")],
     ["{float}", "{garbled}", "{missing}", "{fractional_endpoint}", "{boolean_endpoint}", "{string_endpoint}",
-     "{boolean_weight}"],
+     "{boolean_weight}", "{huge_exponent}"],
 )
 SEED = (["0", "5"], ["-1", "x", "1.5"])
 MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)
@@ -591,7 +628,7 @@ CLI_GRAMMAR = {
         ("--digraph", *DIGRAPHS, True),
         ("--eps", ["2", "0"], ["nan", "x"], False),
         MATRIX,
-        ("--scale", ["1/2", "0", "-3"], ["1/0", "x"], False),
+        ("--scale", ["1/2", "0", "-3"], ["1/0", "x", "1e5000"], False),
         ("--coupling", ["vdp", "lorenz_w", "lorenz_v", "identity"], ["other"], False),
         ("--dt", ["0.01", "0.5"], ["0", "-1", "nan"], True),
         ("--T", ["0.05", "0.2"], ["0", "inf", "x"], True),
@@ -602,7 +639,7 @@ CLI_GRAMMAR = {
                  "strong-connectivity", "dynamics-vdp", "dynamics-lorenz", "dynamics-attractors"], ["nope"])], [
         ("--file", *DIGRAPHS, False),
         MATRIX,
-        ("--lambda", ["0", "1", "3", "1/2"], ["1/0", "x"], False),
+        ("--lambda", ["0", "1", "3", "1/2"], ["1/0", "x", "1e5000"], False),
         ("--n", ["2", "3"], ["1", "9", "x"], True),
         ("--trials", ["1", "2"], ["0", "x"], True),
         ("--seed", *SEED, False),
@@ -639,8 +676,15 @@ def fuzz_paths(tmp_path_factory):
     return input_paths(tmp_path_factory.mktemp("fuzz"))
 
 
+# the file reports on the 9-cycle, which the draw reaches about once in 800
+# examples; the options that are always given take their first valid value
+FILE_REPORT = ["check", "column-sums", "--file", "{cycle9}", "--n", "2", "--trials", "1", "--dt", "0.5", "--T", "0.05"]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=cli_argv())
+@example(argv=FILE_REPORT)
+@example(argv=FILE_REPORT + ["--matrix", "laplacian"])
 def test_fuzzed_argv_keeps_exit_codes(fuzz_paths, argv):
     """Exit 0, 1 or 2 and never a traceback (an exception escaping main);
     exit 1 only for a failed check: a FAIL summary, a report with

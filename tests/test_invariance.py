@@ -31,13 +31,15 @@ from polydiag.partitions import (
     classify,
     contains,
     enumerate_tagged_partitions,
+    from_symbols,
     orthogonal,
     parse_typical_element,
-    relabel,
     tagged,
     type_label,
     typical_element,
 )
+
+from relabel_oracle import relabel
 
 DIRICHLET = [[3, -1, 0], [-1, 2, -1], [0, -1, 3]]
 FEEDFORWARD = [[1, 0, 0], [1, 0, 0], [0, 1, 0]]
@@ -240,6 +242,37 @@ def test_directed_cycle_counts_match_the_divisor_forms(n):
     assert len(classes) == _divisor_count(n) + anti_periodic + 1
     assert sum(c.synchrony for c in classes) == _divisor_count(n)
     assert sum(c.freely_tagged for c in classes) == _divisor_count(n) + anti_periodic
+
+
+def _hit_cases():
+    """Random matrices with n <= 7; K_n, 3I + 2J and the n-cycle, directed
+    and not, up to n = 8, where most candidates are hits; the zero matrix
+    up to n = 7, where every one is."""
+    rng = random.Random(32)
+    for t in range(24):
+        n = rng.randint(1, 7)
+        yield "random%d" % t, [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+    for n in range(1, 9):
+        cycle = [(i, i % n + 1) for i in range(1, n + 1)]
+        yield "K%d" % n, _complete_graph(n)
+        yield "3I+2J_%d" % n, [[3 * (i == j) + 2 for j in range(n)] for i in range(n)]
+        yield "directed_C%d" % n, graph.adjacency_matrix(graph.WeightedDigraph(n, tuple((t, h, 1) for t, h in cycle)))
+        if n >= 3:
+            yield "C%d" % n, graph.adjacency_matrix(graph.digraph_of_graph(n, cycle))
+    for n in range(8):
+        yield "zero%d" % n, [[0] * n] * n
+
+
+HIT_CASES = dict(_hit_cases())
+
+
+@pytest.mark.parametrize("m", HIT_CASES.values(), ids=HIT_CASES.keys())
+def test_scan_hits_are_canonical_and_classified(m):
+    """The scan writes each hit's canonical symbols and its flags itself,
+    without from_symbols or classify: they must be what those give."""
+    for p, cls in invariant_polydiagonals(m).subspaces:
+        assert from_symbols(p.symbols) == p
+        assert cls == classify(p)
 
 
 @pytest.mark.parametrize("m, want", [(_complete_graph(7), ("synchrony", "evenly")), ([[0] * 6] * 6, ("polydiagonal",))],
@@ -445,6 +478,38 @@ def _leq(lat):
     [i][j] says whether Delta_i contains Delta_j."""
     rels = [invariance._relations(p) for p, _ in lat.nodes]
     return [[a & ~b == 0 for b in rels] for a in rels]
+
+
+def _pairwise_relations(p):
+    """The relation mask of _relations from a comparison of every pair of
+    cells, kept as its oracle."""
+    n = p.n
+    sym = p.symbols
+    mask = 0
+    for i, a in enumerate(sym):
+        if a == 0:
+            mask |= 1 << (i * n + i)
+        for j in range(i + 1, n):
+            if sym[j] == a:
+                mask |= 1 << (i * n + j)
+            if sym[j] == -a:
+                mask |= 1 << (j * n + i)
+    return mask
+
+
+def test_relations_match_the_pairwise_comparison():
+    for n in range(7):
+        for p in enumerate_tagged_partitions(n):
+            assert invariance._relations(p) == _pairwise_relations(p), p
+
+
+@pytest.mark.parametrize("name", ["K7", "K8", "3I+2J_7", "C8", "zero6"])
+def test_covers_come_out_sorted(name):
+    """build_lattice collects the covers per upper node, lower nodes
+    ascending, and sorts nothing: the pairs must still come out in order,
+    each once."""
+    covers = build_lattice(invariant_polydiagonals(HIT_CASES[name])).covers
+    assert covers == tuple(sorted(set(covers)))
 
 
 def test_lattice_meets_and_joins_exist():
@@ -657,6 +722,25 @@ def test_group_check_matches_brute_force():
             group |= {graph.perm_compose(a, b) for a in group for b in group}
         agrees(inv4, group)
         agrees(inv4, group - {rng.choice(sorted(group))})
+
+
+def test_orbits_under_subgroups_match_brute_force():
+    """Orbits of the 648 tagged partitions of 5 cells under cyclic and
+    two-generator subgroups of S5, each against the image set of its
+    representative under every element of the group.  Unlike the K7 case,
+    these groups leave most relabellings out, so a wrong image shows."""
+    inv = invariant_polydiagonals([[0] * 5] * 5)
+    index = {p: i for i, p in enumerate(inv.partitions())}
+    s5 = list(itertools.permutations(range(1, 6)))
+    rng = random.Random(10)
+    for k in (1, 1, 1, 1, 1, 2, 2):
+        group = set(rng.sample(s5, k))
+        while not _closed(group):
+            group |= {graph.perm_compose(a, b) for a in group for b in group}
+        orbs = orbits(inv, sorted(group))
+        for orb in orbs:
+            assert orb == tuple(sorted({index[relabel(inv.subspaces[orb[0]][0], phi)] for phi in group}))
+        assert sorted(i for orb in orbs for i in orb) == list(range(len(inv.subspaces)))
 
 
 def test_orbits_k7_match_brute_force():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import numpy
@@ -37,6 +38,54 @@ def test_frac_refuses_a_zero_denominator():
             frac(x)
     with pytest.raises(ValueError, match="zero denominator"):
         clear_denominators([[1, "1/0"]])
+
+
+def test_frac_refuses_a_decimal_too_long_to_print():
+    """At the default limit of 4300 digits: 10**4299 has 4300 digits and is
+    kept exactly; 10**4300 and 10**-4300 would have 4301."""
+    assert sys.get_int_max_str_digits() == 4300
+    x = frac("1e4299")
+    assert x == 10**4299 and str(x) == "1" + "0" * 4299
+    assert frac("1e-4299") == F(1, 10**4299)
+    for text in ("1e4300", "1e-4300", "0e4300", "1" + "0" * 5000, "1e99999999999999999999", "1.5e-4299"):
+        with pytest.raises(ValueError):
+            frac(text)
+
+
+def _built_digits(whole, part, exp):
+    """Digits of the largest ints Fraction builds for whole.part e exp
+    before it reduces: 10**exp and int(whole part) * 10**exp for the
+    numerator, 10**(len(part) - exp) for the denominator."""
+    e = int(exp or 0)
+    power = 10 ** max(e, 0)
+    num = int(whole + (part or "") or "0") * power
+    den = 10 ** (len(part or "") + max(-e, 0))
+    return max(len(str(num)), len(str(power))), len(str(den))
+
+
+def test_frac_limit_matches_the_digits_fraction_builds():
+    """Under a limit of 640 digits (the least Python allows), every decimal
+    of a grid around the limit is refused exactly when its numerator or
+    denominator, as built, would have more; the ones kept equal Fraction's
+    value and print."""
+    wholes = ("", "0", "7", "12", "0012", "9" * 300, "9" * 400)
+    parts = (None, "", "5", "0" * 300 + "1", "1" * 339)
+    exps = (None, "0", "1", "-1") + tuple("%+d" % (s * (640 - k)) for s in (1, -1) for k in (0, 1, 2, 300, 340))
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        cases = [(w, p, e, _built_digits(w, p, e)) for w in wholes for p in parts for e in exps if w or p]
+        sys.set_int_max_str_digits(640)
+        for whole, part, exp, (num, den) in cases:
+            text = whole + ("" if part is None else "." + part) + ("" if exp is None else "e" + exp)
+            if num > 640 or den > 640:
+                with pytest.raises(ValueError):
+                    frac(text)
+            else:
+                x = frac(text)
+                assert x == F(text) and str(x), text
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_frac_passes_a_fraction_through():

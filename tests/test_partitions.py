@@ -18,13 +18,13 @@ from polydiag.partitions import (
     from_symbols,
     orthogonal,
     parse_typical_element,
-    relabel,
     tagged,
     type_label,
     typical_element,
 )
 
 from btype_oracle import BTypePartition, enumerate_btype_partitions, from_btype, to_btype
+from relabel_oracle import relabel
 
 
 def running_example():
