@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Counting subspace types three independent ways.
 
-Exponential generating functions, recurrences, and brute-force enumeration
-must produce the same numbers; the table prints all three sources fused,
-with a cross-check column.
+Exponential generating functions, recurrences, and a census that weights
+each type of tagged partition by its number must produce the same numbers;
+the table prints all three sources fused, with a cross-check column.
 """
 
 from polydiag import counting

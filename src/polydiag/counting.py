@@ -3,9 +3,9 @@
 Each kind of subspace in :data:`polydiag.partitions.KINDS` is counted by
 (1) an exponential generating function with exact rational coefficients,
 (2) a recurrence, which the freely kinds lack, and (3) a census that
-walks every class-size shape and every partial involution on its
-classes.  The methods must agree; the count table cross-checks them where
-the enumeration is feasible.
+walks every class-size shape and every type of partial involution on
+its classes.  The methods must agree; the count table cross-checks them
+where the enumeration is feasible.
 
 The EGFs come from the exponential formula (Bergeron, Labelle & Leroux,
 *Combinatorial Species and Tree-like Structures*, 1998): a tagged
@@ -25,12 +25,20 @@ permutes the involutions on them, so all set partitions of one shape (the
 class sizes, an integer partition of n) carry the same multiset of types.
 The census therefore walks the shapes, not the set partitions: it weights
 each shape by its number of set partitions, n! / (prod s_i! * prod m_j!)
-for sizes s_i that occur m_j times each, lists the involutions of each
-class count once and classifies them for every shape with that many
-classes.  At n = 8 it walks 22 shapes and classifies 4,274 (shape,
-involution) pairs, where there are 4,140 set partitions and 219,920
-tagged partitions.  It adds up the weight of each distinct SubspaceClass
-and reads every kind's count off the table with the kind's test.
+for sizes s_i that occur m_j times each.  Nor does it walk the
+involutions on a shape's classes: their flags depend only on their type,
+which is whether there is a fixed class and of what size, the number k
+of pairs on the r other classes and, when 2k = r, whether every pair
+has equal sizes.  A type with a fixed class of size s has c_s choices of
+it, where c_s classes have size s, and C(r, 2k) * (2k-1)!! choices of
+the pairs; when 2k = r, prod_s (c'_s - 1)!! of the (r-1)!! matchings pair
+equal sizes if every count c'_s of the r classes is even, and none
+otherwise.  The census classifies one involution of each type and
+weights it by the number of its type.  At n = 8 it walks 22 shapes and
+classifies 162 types, where there are 4,274 (shape, involution) pairs,
+4,140 set partitions and 219,920 tagged partitions.  It adds up the
+weight of each distinct SubspaceClass and reads every kind's count off
+the table with the kind's test.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import KINDS, _classify, _partial_involutions
+from .partitions import KINDS, _classify
 
 DEFAULT_ORDER = 16
 ENUMERATION_CAP = 8
@@ -217,25 +225,52 @@ def _ways(sizes) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _involutions(m) -> tuple:
-    """The partial involutions on m classes, listed once and shared by
-    every shape with m classes."""
-    return tuple(_partial_involutions(m))
+def _matchings(r) -> int:
+    """The perfect matchings of r things: (r-1)!! for even r, none for odd."""
+    return 0 if r % 2 else math.prod(range(r - 1, 0, -2))
+
+
+def _involution_types(sizes):
+    """The types of partial involution on classes of these sizes
+    (non-increasing): the fixed class, none or one of each size; the
+    number k of pairs on the r other classes; and, when 2k = r, whether
+    every pair has equal sizes.  Yields each type as one involution of it,
+    (pairs, fixed), and the number of involutions of the type."""
+    count = Counter(sizes)
+    for fixed_size, choices in [(None, 1), *count.items()]:
+        fixed = None if fixed_size is None else sizes.index(fixed_size)
+        rest = [i for i in range(len(sizes)) if i != fixed]
+        r = len(rest)
+        for k in range(r // 2 + 1):
+            number = choices * math.comb(r, 2 * k) * _matchings(2 * k)
+            pairs = list(zip(rest[0 : 2 * k : 2], rest[1 : 2 * k : 2]))
+            if 2 * k < r:
+                yield pairs, fixed, number
+                continue
+            # a matching of equal sizes matches the r classes of each size
+            # among themselves; rest is sorted by size, so its consecutive
+            # pairs are one such when there is one, and rotated by one they
+            # pair two sizes unless every matching is of equal sizes
+            equal = choices * math.prod(_matchings(c - (s == fixed_size)) for s, c in count.items())
+            if equal:
+                yield pairs, fixed, equal
+            if number > equal:
+                yield list(zip(rest[1::2], rest[2::2] + rest[:1])), fixed, number - equal
 
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict:
     """Count every tagged partition of {1..n} by kind: each class-size shape
-    of {1..n} weighted by its number of set partitions, times the types of
-    its partial involutions (see the module docstring)."""
+    of {1..n} weighted by its number of set partitions, times the number of
+    partial involutions of each type on its classes (see the module
+    docstring)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     weight = Counter()
     for sizes in _shapes(n, n):
         ways = _ways(sizes)
-        for pairs, fixed in _involutions(len(sizes)):
-            weight[_classify(sizes, pairs, fixed)] += ways
+        for pairs, fixed, involutions in _involution_types(sizes):
+            weight[_classify(sizes, pairs, fixed)] += ways * involutions
     return {kind: sum(w for c, w in weight.items() if test(c)) for kind, (_, test, _) in KINDS.items()}
 
 

@@ -164,7 +164,7 @@ def _classify(sizes, pairs, fixed) -> SubspaceClass:
     in the census, symbols in :func:`classify`.  The flags are passed to
     SubspaceClass by position, in its field order: a keyword call of a
     NamedTuple costs more than the rest of this function, which the
-    census calls once per class-size shape and partial involution."""
+    census calls once per class-size shape and involution type."""
     dom = 2 * len(pairs) + (1 if fixed is not None else 0)
     synchrony = dom == 0
     fully = dom == len(sizes)
@@ -175,7 +175,7 @@ def _classify(sizes, pairs, fixed) -> SubspaceClass:
 def type_label(p: TaggedPartition, cls: SubspaceClass | None = None) -> str:
     """Single descriptive label, matching the usual table headings."""
     cls = cls or classify(p)
-    if p.n > 0 and p.dimension() == 0:
+    if p.n > 0 and not any(p.symbols):  # dimension 0: every cell in the fixed class
         return "trivial"
     if cls.synchrony:
         return "synchrony"

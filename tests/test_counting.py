@@ -1,10 +1,11 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from polydiag import counting
+from polydiag import counting, partitions
 from polydiag.cli import main
 from polydiag.counting import (
     FIGURE_KINDS,
@@ -21,7 +22,7 @@ from polydiag.counting import (
     table_to_csv,
     table_to_markdown,
 )
-from polydiag.partitions import _classify, _rgs, classify, enumerate_tagged_partitions
+from polydiag.partitions import _classify, _partial_involutions, _rgs, classify, enumerate_tagged_partitions
 
 # the published table of counts, n = 0..8
 TABLE = {
@@ -221,9 +222,76 @@ def test_shape_weights_sum_to_the_bell_numbers():
             assert bell == sum(1 for _ in _rgs(n)), n
 
 
-@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("n", range(9, 17))
 def test_census_past_the_cap_matches_every_egf(n):
     assert counting._census(n) == {kind: egf_count(kind, n) for kind in KINDS}
+
+
+def _type(sizes, pairs, fixed):
+    """The census's type of an involution on classes of these sizes: the
+    fixed class's size, the number of pairs and, when they pair every
+    other class, whether every pair has equal sizes."""
+    fully = 2 * len(pairs) + (fixed is not None) == len(sizes)
+    return (
+        None if fixed is None else sizes[fixed],
+        len(pairs),
+        all(sizes[i] == sizes[j] for i, j in pairs) if fully else None,
+    )
+
+
+def test_involution_types_match_the_walk():
+    """On every shape with m <= 9 classes and at most 3 cells more than
+    classes, the types and their numbers equal the tally of the walk over
+    every partial involution, one representative per type."""
+    for m in range(10):
+        walk = list(_partial_involutions(m))
+        for n in range(m, m + 4):
+            for sizes in counting._shapes(n, n):
+                if len(sizes) != m:
+                    continue
+                types = list(counting._involution_types(sizes))
+                tally = Counter()
+                for pairs, fixed, number in types:
+                    tally[_type(sizes, pairs, fixed)] += number
+                assert len(tally) == len(types), sizes
+                assert tally == Counter(_type(sizes, pairs, fixed) for pairs, fixed in walk), sizes
+
+
+def _clear_counting_caches():
+    for cached in vars(counting).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+
+
+def test_census_classifies_one_involution_per_type(monkeypatch):
+    """A return to classifying every (shape, involution) pair, 6,161 calls
+    for n <= 8, fails here; the type walk makes 397."""
+    calls = Counter()
+
+    def counted(sizes, pairs, fixed):
+        calls[sum(sizes)] += 1
+        return _classify(sizes, pairs, fixed)
+
+    monkeypatch.setattr(counting, "_classify", counted)
+    _clear_counting_caches()
+    try:
+        assert [counting._census(n)["polydiagonal"] for n in range(9)] == TABLE["polydiagonal"]
+    finally:
+        _clear_counting_caches()
+    assert sum(calls.values()) == 397 and calls[8] == 162
+
+
+def test_count_table_walks_no_involution(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the census walked the involutions on %d classes" % m)
+
+    for module in (partitions, counting):
+        monkeypatch.setattr(module, "_partial_involutions", refuse, raising=False)
+    _clear_counting_caches()
+    try:
+        assert all(count_table(8).cross_checked.values())
+    finally:
+        _clear_counting_caches()
 
 
 def test_three_way_check_catches_a_wrong_egf(monkeypatch, capsys):

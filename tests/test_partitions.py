@@ -90,6 +90,14 @@ def test_classify_flag_consistency():
                 assert p.dimension() == 0
 
 
+def test_trivial_label_is_dimension_zero():
+    """type_label reads "trivial" off the symbols: a canonical symbol tuple
+    has no positive symbol exactly when every symbol is 0."""
+    for n in range(7):
+        for p in enumerate_tagged_partitions(n):
+            assert (type_label(p) == "trivial") == (p.n > 0 and p.dimension() == 0), p
+
+
 def test_typical_element_running_example():
     assert typical_element(running_example()) == "(a,-a,b,-a,0,0)"
 
