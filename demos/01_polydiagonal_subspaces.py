@@ -6,8 +6,7 @@ x_i = -x_j, and x_i = 0.  Each one is encoded by a unique tagged partition
 and printed as a "typical element" such as (a,-a,b,0).
 """
 
-from polydiag import basis, classify, enumerate_tagged_partitions, tagged, typical_element
-from polydiag.partitions import type_label
+from polydiag.partitions import basis, classify, enumerate_tagged_partitions, tagged, type_label, typical_element
 
 print("All six polydiagonal subspaces of R^2:")
 for p in enumerate_tagged_partitions(2):

@@ -8,9 +8,9 @@ assembles the invariant ones into a lattice under reverse inclusion.
 
 import pathlib
 
-from polydiag import build_lattice, invariant_polydiagonals, graph
-from polydiag.invariance import lattice_to_dot, type_label
-from polydiag.partitions import typical_element
+from polydiag import graph
+from polydiag.invariance import build_lattice, invariant_polydiagonals, lattice_to_dot
+from polydiag.partitions import type_label, typical_element
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -10,7 +10,8 @@ anti-synchrony subspace.
 
 import pathlib
 
-from polydiag import check_constant_column_sums_theorem, check_main_lemma, graph
+from polydiag import graph
+from polydiag.invariance import check_constant_column_sums_theorem, check_main_lemma
 from polydiag.partitions import typical_element
 
 DATA = pathlib.Path(__file__).parent / "data"

@@ -8,8 +8,9 @@ invariant subspaces, collapsing them into orbits.
 
 from fractions import Fraction as F
 
-from polydiag import automorphisms, cayley_digraph, graph, invariant_polydiagonals, orbits
-from polydiag.graph import cyclic_group_table, dihedral_group_table
+from polydiag import graph
+from polydiag.graph import automorphisms, cayley_digraph, cyclic_group_table, dihedral_group_table
+from polydiag.invariance import invariant_polydiagonals, orbits
 from polydiag.partitions import typical_element
 
 t7 = cyclic_group_table(7)

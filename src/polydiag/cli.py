@@ -9,6 +9,12 @@ invocations produce byte-identical output.
 call parses with the one parser that ``build_parser`` builds at import
 (``_PARSER``): its type converters are pure, its defaults immutable, and
 each call gets a fresh namespace, so no call sees another's arguments.
+
+Building the parser needs only ``partitions`` and ``linalg``.  Each route
+imports the other layers it runs when it runs: ``counting`` for count,
+``graph`` for the digraph routes, ``invariance`` for the scan and the
+reports, ``dynamics`` and ``_pcg64`` for simulate and ``checks`` for the
+named suites.  A one-shot run compiles no layer it does not call.
 """
 
 from __future__ import annotations
@@ -19,10 +25,9 @@ import json
 import math
 import sys
 
-from . import counting, graph, invariance
-from ._pcg64 import PCG64
 from .linalg import frac
 from .partitions import (
+    DEFAULT_SCAN_LIMIT,
     KINDS,
     classify,
     enumerate_tagged_partitions,
@@ -66,8 +71,8 @@ _NATURAL = _checked(int, "an integer >= 0", lambda n: n >= 0)
 _TRIALS = _checked(int, "an integer >= 1", lambda n: n >= 1)
 _SIZE = _checked(
     int,
-    "an integer in 2..%d" % invariance.DEFAULT_SCAN_LIMIT,
-    lambda n: 2 <= n <= invariance.DEFAULT_SCAN_LIMIT,
+    "an integer in 2..%d" % DEFAULT_SCAN_LIMIT,
+    lambda n: 2 <= n <= DEFAULT_SCAN_LIMIT,
 )
 _POSITIVE = _checked(float, "a finite number > 0", lambda x: 0 < x < math.inf)
 _FINITE = _checked(float, "a finite number", math.isfinite)
@@ -78,6 +83,8 @@ _FLOATS = _checked(
 
 
 def _load_digraph(path):
+    from . import graph
+
     try:
         return graph.load_digraph(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -85,6 +92,8 @@ def _load_digraph(path):
 
 
 def _pick_matrix(g, which):
+    from . import graph
+
     return graph.adjacency_matrix(g) if which == "adjacency" else graph.laplacian_matrix(g)
 
 
@@ -120,6 +129,8 @@ def cmd_classify(args):
 
 
 def _invariant_set(args, g):
+    from . import invariance
+
     if g.n > args.n_cap:
         raise InputError("n=%d exceeds cap %d; pass --n-cap to override" % (g.n, args.n_cap))
     return invariance.invariant_polydiagonals(_pick_matrix(g, args.matrix), n_cap=args.n_cap)
@@ -133,6 +144,8 @@ def cmd_invariants(args):
 
 
 def cmd_lattice(args):
+    from . import invariance
+
     inv = _invariant_set(args, _load_digraph(args.digraph))
     lat = invariance.build_lattice(inv)
     if args.format == "dot":
@@ -143,6 +156,8 @@ def cmd_lattice(args):
 
 
 def cmd_orbits(args):
+    from . import graph, invariance
+
     g = _load_digraph(args.digraph)
     if g.n > graph.AUTOMORPHISM_VERTEX_LIMIT:  # refused before the scan, not after it
         raise InputError("n=%d exceeds the automorphism search limit %d" % (g.n, graph.AUTOMORPHISM_VERTEX_LIMIT))
@@ -168,6 +183,8 @@ def cmd_orbits(args):
 
 
 def cmd_count(args):
+    from . import counting
+
     table = counting.count_table(args.n)
     if args.format == "csv":
         _write(counting.table_to_csv(table), args.output)
@@ -186,6 +203,7 @@ _DEFAULT_COUPLING = {"vanderpol": "vdp", "lorenz": "lorenz_w", "singular_osc": "
 
 def cmd_simulate(args):
     from . import dynamics
+    from ._pcg64 import PCG64
 
     params = {}
     if args.eps is not None:
@@ -240,13 +258,29 @@ def cmd_simulate(args):
     return 0
 
 
+def _refuse_unread(args, on_file):
+    """--file, --lambda and --matrix given where the route never reads them
+    are input errors."""
+    route = "check %s%s" % (args.suite, " --file" if on_file else "")
+    for flag, given, read, readers in (
+        ("--file", args.file, on_file, "main-lemma and column-sums"),
+        ("--lambda", args.lam is not None, on_file and args.suite == "main-lemma", "main-lemma --file"),
+        ("--matrix", args.matrix is not None, on_file, "main-lemma --file and column-sums --file"),
+    ):
+        if given and not read:
+            raise InputError("%s does not read %s (it is for %s)" % (route, flag, readers))
+
+
 def cmd_check(args):
     if args.file and args.suite in ("main-lemma", "column-sums"):
+        _refuse_unread(args, True)
+        from . import invariance
+
         g = _load_digraph(args.file)
-        cap = invariance.DEFAULT_SCAN_LIMIT  # the reports scan at the default cap
+        cap = DEFAULT_SCAN_LIMIT  # the reports scan at the default cap
         if g.n > cap:
             raise InputError("n=%d exceeds cap %d, the most cells check --file scans" % (g.n, cap))
-        m = _pick_matrix(g, args.matrix)
+        m = _pick_matrix(g, args.matrix or "adjacency")
         if args.suite == "main-lemma" and args.lam is None:
             raise InputError("main-lemma on a file needs --lambda")
         try:
@@ -262,6 +296,7 @@ def cmd_check(args):
 
     if args.suite not in checks.SUITES:
         raise InputError("unknown suite %r (choose from %s)" % (args.suite, ", ".join(sorted(checks.SUITES))))
+    _refuse_unread(args, False)
     suite = checks.SUITES[args.suite]
     # the options the suite takes, by its parameter names; it ignores the rest
     given = {"trials": args.trials, "n_max": args.n, "seed": args.seed, "dt": args.dt, "T": args.T, "tol": args.tol}
@@ -304,7 +339,7 @@ def build_parser():
         p = sub.add_parser(name, help="%s of the invariant polydiagonal subspaces" % name)
         p.add_argument("digraph", help="digraph file (.json or edge list)")
         p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
-        p.add_argument("--n-cap", type=int, default=invariance.DEFAULT_SCAN_LIMIT)
+        p.add_argument("--n-cap", type=int, default=DEFAULT_SCAN_LIMIT)
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         common(p)
@@ -333,7 +368,7 @@ def build_parser():
     p = sub.add_parser("check", help="run a named property suite")
     p.add_argument("suite")
     p.add_argument("--file", help="digraph file for main-lemma / column-sums")
-    p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
+    p.add_argument("--matrix", choices=("adjacency", "laplacian"))  # adjacency when --file reads it
     p.add_argument("--lambda", dest="lam", type=_FRACTION, help="eigenvalue for main-lemma on a file")
     p.add_argument("--n", type=_SIZE, help="max instance size")
     p.add_argument("--trials", type=_TRIALS)

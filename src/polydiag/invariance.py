@@ -45,6 +45,7 @@ from json.encoder import encode_basestring_ascii
 
 from .linalg import clear_denominators, frac, nullspace, shifted, transpose
 from .partitions import (
+    DEFAULT_SCAN_LIMIT,
     SubspaceClass,
     TaggedPartition,
     classify,
@@ -54,8 +55,6 @@ from .partitions import (
     type_label,
     typical_element,
 )
-
-DEFAULT_SCAN_LIMIT = 8
 
 
 class _Exact(tuple):

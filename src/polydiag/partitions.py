@@ -35,6 +35,9 @@ from fractions import Fraction
 from string import ascii_lowercase
 from typing import NamedTuple
 
+# the most cells an invariance scan takes unless its cap is raised
+DEFAULT_SCAN_LIMIT = 8
+
 
 @dataclass(frozen=True)
 class TaggedPartition:

@@ -351,6 +351,11 @@ BAD_ARGV = {
     "column-sums-huge-exponent-weight": ["check", "column-sums", "--file", "{huge_exponent}"],
     "simulate-scale-huge-exponent": ["simulate", *PAIR, "--scale", "1e5000"],
     "output-unwritable": ["enumerate", "2", "--output", "{missing}"],
+    "conjecture53-file": ["check", "conjecture53", "--file", "{missing}", "--trials", "1"],
+    "column-sums-file-lambda": ["check", "column-sums", "--file", "{pair}", "--lambda", "5"],
+    "dynamics-vdp-file-matrix": ["check", "dynamics-vdp", "--file", "{missing}", "--matrix", "laplacian"],
+    "main-lemma-lambda-without-file": ["check", "main-lemma", "--lambda", "1"],
+    "column-sums-matrix-without-file": ["check", "column-sums", "--matrix", "adjacency"],
 }
 
 
@@ -390,6 +395,18 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, flag", [("conjecture53-file", "--file"), ("column-sums-file-lambda", "--lambda"),
+                                        ("dynamics-vdp-file-matrix", "--file"),
+                                        ("main-lemma-lambda-without-file", "--lambda"),
+                                        ("column-sums-matrix-without-file", "--matrix")])
+def test_check_names_the_option_its_route_does_not_read(capsys, tmp_path, name, flag):
+    argv = [a.format(**input_paths(tmp_path)) for a in BAD_ARGV[name]]
+    assert unread_check_options(argv)[0] == flag
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: check %s" % argv[1])
+    assert " does not read %s " % flag in err
 
 
 def test_main_lemma_names_the_multiplicity_of_lambda(capsys, tmp_path):
@@ -453,26 +470,51 @@ EXACT_ARGVS = {
 } | {name: ["check", name, "--trials", "3"] for name, _ in SUITE_TRIALS}
 
 
+# The modules of the package each route loads besides polydiag and
+# polydiag.cli: a route imports only the layers it runs.  The named suites
+# load whatever polydiag.checks imports.
+PARSER_LAYERS = {"linalg", "partitions"}
+SCAN_LAYERS = PARSER_LAYERS | {"graph", "invariance"}
+SIMULATE_LAYERS = PARSER_LAYERS | {"graph", "dynamics", "_pcg64"}
+LOADS = {"enumerate": PARSER_LAYERS, "classify": PARSER_LAYERS, "count": PARSER_LAYERS | {"counting"},
+         "invariants": SCAN_LAYERS, "lattice": SCAN_LAYERS, "orbits": SCAN_LAYERS, "main-lemma-file": SCAN_LAYERS,
+         "column-sums-file": SCAN_LAYERS, "simulate-seeded": SIMULATE_LAYERS}
+
+
 def _run_in_fresh_process(argv):
-    """main(argv) in a new interpreter: (its stdout, its stderr), where
+    """main(argv) in a new interpreter: (its stdout, its stderr, the
+    modules of the package it loaded, without the polydiag. prefix), where
     the probe writes the exit code and whether numpy was imported by the
-    end to stderr, after anything main wrote there."""
+    end to stderr, after anything main wrote there, and then the modules
+    on a line of their own."""
     probe = (
         "import sys, polydiag.cli; code = polydiag.cli.main(%r); "
-        "print(code, 'numpy' in sys.modules, file=sys.stderr)" % argv
+        "print(code, 'numpy' in sys.modules, file=sys.stderr); "
+        "print(*sorted(m for m in sys.modules if m.startswith('polydiag')), file=sys.stderr)" % argv
     )
     src = os.path.dirname(os.path.dirname(polydiag.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    return out.stdout, out.stderr.strip()
+    err, _, modules = out.stderr.strip().rpartition("\n")
+    return out.stdout, err, {m.removeprefix("polydiag.") for m in modules.split()}
 
 
-@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
-def test_exact_commands_load_no_numpy(tmp_path, argv):
+def test_import_loads_no_module_of_the_package():
+    src = os.path.dirname(os.path.dirname(polydiag.__file__))
+    probe = "import sys, polydiag; print(*sorted(m for m in sys.modules if m.startswith('polydiag')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.split() == ["polydiag"]
+
+
+@pytest.mark.parametrize("name, argv", EXACT_ARGVS.items(), ids=EXACT_ARGVS.keys())
+def test_exact_commands_load_no_numpy(tmp_path, name, argv):
     path = digraph_file(tmp_path, '{"n": 3, "arrows": [[1,2,"1"],[2,3,"1"],[3,1,"1"]]}')
-    out, err = _run_in_fresh_process([a.replace("{file}", path) for a in argv])
+    out, err, loaded = _run_in_fresh_process([a.replace("{file}", path) for a in argv])
     assert out
     assert err == "0 False"
+    if name in LOADS:
+        assert loaded == {"polydiag", "cli"} | LOADS[name]
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
@@ -483,8 +525,9 @@ def test_simulate_with_x0_loads_no_numpy(tmp_path, to_file):
     argv = ["simulate", "--preset", "vanderpol", "--digraph", path, "--scale", "0.5", "--dt", "0.01", "--T", "1",
             "--x0=0.3,-0.2,-0.3,0.2"]
     csv = tmp_path / "traj.csv"
-    out, err = _run_in_fresh_process(argv + ["--output", str(csv)] if to_file else argv)
+    out, err, loaded = _run_in_fresh_process(argv + ["--output", str(csv)] if to_file else argv)
     assert err == "0 False"
+    assert loaded == {"polydiag", "cli"} | SIMULATE_LAYERS
     text = csv.read_text() if to_file else out
     assert text.startswith("t,x1,x2,x3,x4\n") and len(text.splitlines()) == 102
     if to_file:
@@ -502,12 +545,14 @@ DYNAMICS_ARGVS = {
 }
 
 
-@pytest.mark.parametrize("argv", DYNAMICS_ARGVS.values(), ids=DYNAMICS_ARGVS.keys())
-def test_dynamics_routes_load_no_numpy(tmp_path, argv):
+@pytest.mark.parametrize("name, argv", DYNAMICS_ARGVS.items(), ids=DYNAMICS_ARGVS.keys())
+def test_dynamics_routes_load_no_numpy(tmp_path, name, argv):
     path = digraph_file(tmp_path, '{"n": 2, "arrows": [[1,2,"1"],[2,2,"1"]]}')
-    out, err = _run_in_fresh_process([a.replace("{file}", path) for a in argv])
+    out, err, loaded = _run_in_fresh_process([a.replace("{file}", path) for a in argv])
     assert out
     assert err == "0 False"
+    if name in LOADS:
+        assert loaded == {"polydiag", "cli"} | LOADS[name]
 
 
 def _in_process(argv):
@@ -614,8 +659,22 @@ DIGRAPHS = (
 )
 SEED = (["0", "5"], ["-1", "x", "1.5"])
 MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)
+
+
+def unread_check_options(argv):
+    """The options of a check argv that its route never reads: --file is
+    for main-lemma and column-sums, --lambda for main-lemma --file and
+    --matrix for either with --file."""
+    on_file = "--file" in argv and argv[1] in ("main-lemma", "column-sums")
+    reads = {"--file": on_file, "--lambda": on_file and argv[1] == "main-lemma", "--matrix": on_file}
+    return [flag for flag in argv if not reads.get(flag, True)]
+
+
 # Value pools (valid, invalid) per subcommand: positional pools, then
 # options as (flag, valid, invalid, always given); a switch has no pools.
+# A check option that the route drawn so far does not read (see
+# unread_check_options) is an invalid combination, drawn about as rarely
+# as an invalid value.
 # Horizons, sizes and trial counts are always given and small, so every
 # example runs in well under a second.
 CLI_GRAMMAR = {
@@ -666,7 +725,8 @@ def cli_argv(draw):
     positional, options = CLI_GRAMMAR[command]
     argv = [command] + [value(*pools) for pools in positional]
     for flag, valid, invalid, always in options:
-        if always or draw(st.booleans()):
+        rare = command == "check" and flag in unread_check_options(argv + [flag])
+        if always or (draw(st.integers(0, 7)) == 0 if rare else draw(st.booleans())):
             argv += [flag] if valid is None else [flag, value(valid, invalid)]
     return argv
 
@@ -676,24 +736,31 @@ def fuzz_paths(tmp_path_factory):
     return input_paths(tmp_path_factory.mktemp("fuzz"))
 
 
-# the file reports on the 9-cycle, which the draw reaches about once in 800
-# examples; the options that are always given take their first valid value
-FILE_REPORT = ["check", "column-sums", "--file", "{cycle9}", "--n", "2", "--trials", "1", "--dt", "0.5", "--T", "0.05"]
+# the file reports, which the draw rarely reaches (the 9-cycle about once in
+# 800 examples), and a --file that conjecture53 does not read; the options
+# that are always given take their first valid value
+ALWAYS_GIVEN = ["--n", "2", "--trials", "1", "--dt", "0.5", "--T", "0.05"]
+FILE_REPORT = ["check", "column-sums", "--file", "{cycle9}"] + ALWAYS_GIVEN
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=cli_argv())
 @example(argv=FILE_REPORT)
 @example(argv=FILE_REPORT + ["--matrix", "laplacian"])
+@example(argv=["check", "main-lemma", "--file", "{pair}", "--lambda", "1"] + ALWAYS_GIVEN)
+@example(argv=["check", "conjecture53", "--file", "{missing}"] + ALWAYS_GIVEN)
 def test_fuzzed_argv_keeps_exit_codes(fuzz_paths, argv):
     """Exit 0, 1 or 2 and never a traceback (an exception escaping main);
     exit 1 only for a failed check: a FAIL summary, a report with
-    "passed": false, or a simulation that blew up."""
+    "passed": false, or a simulation that blew up.  A check option its
+    route does not read is exit 2."""
     argv = [a.format(**fuzz_paths) for a in argv]
     if os.path.exists(fuzz_paths["out"]):
         os.remove(fuzz_paths["out"])
     code, out, err = _in_process(argv)
     assert code in (0, 1, 2), argv
+    if argv[0] == "check" and unread_check_options(argv):
+        assert code == 2, argv
     if code == 1:
         text = out + err
         if os.path.exists(fuzz_paths["out"]):

@@ -154,9 +154,12 @@ def test_cycle_index_gives_the_one_cycle_forms():
         assert cycle_index_counts((n,)) == (d[0] + anti + 1, d[0], d[0] + anti)
 
 
-# hits of the scan for the cycle types named by ROADMAP item 9
+# hits of the scan for named cycle types beyond n = 8, from ROADMAP item 9,
+# then mixed types at n = 11-12 (each scan well under a second)
 KNOWN = {(2,) * 5: 17632, (3, 3, 3): 139, (4, 4): 56, (2, 2, 1, 1, 1): 1352, (5, 3, 2, 2): 432,
-         (6, 4, 2, 1): 968, (2,) * 6: 207936}
+         (6, 4, 2, 1): 968, (2,) * 6: 207936,
+         (5, 4, 3): 82, (6, 4, 2): 328, (7, 5): 11, (4, 4, 3): 196, (8, 4): 68, (4, 4, 4): 680,
+         (3, 3, 3, 3): 1409, (6, 5, 1): 70}
 SMALL = [c for n in range(1, 8) for c in _cycle_types(n)]
 EIGHT = list(_cycle_types(8))
 # the identity of n = 8 fixes all 219,920 tagged partitions, a scan of 5-8 s
@@ -168,7 +171,7 @@ def test_cycle_index_totals():
     """The 44 cycle types with n <= 7 have 44,335 fixed tagged partitions in
     all, and the 22 with n = 8 have 277,223, of which the identity fixes
     219,920 (every tagged partition of 8 cells); the named types have the
-    counts ROADMAP item 9 lists."""
+    counts in KNOWN."""
     assert len(SMALL) == 44 and len(EIGHT) == 22
     assert sum(cycle_index_counts(c)[0] for c in SMALL) == 44335
     assert sum(cycle_index_counts(c)[0] for c in EIGHT) == 277223

@@ -1,15 +1,16 @@
 """Lint: every module of src/, tests/ and demos/ uses what it imports,
-no module of the package imports numpy, every private module-level name
-of the package is used, and every public one is read by a program.
+the package's ``__init__.py`` imports nothing, no module of the package
+imports numpy, every private module-level name of the package is used,
+and every public one is read by a program.
 
 A name bound by an import counts as used when it appears anywhere in the
 module as a name (which covers ``name.attr`` and annotations).  ``from
-__future__`` imports and the re-exports of ``__init__.py`` files are
-exempt.  A private name (one leading underscore) that a module of
+__future__`` imports are exempt.  ``import polydiag`` loads no layer, so
+``__init__.py`` binds no name by an import at all.  A private name (one leading underscore) that a module of
 src/polydiag/ defines at its top level counts as used when some module of
 the package reads it, as a name, an attribute or an import.  A public
 top-level name counts as read when a module of src/, bench/ or demos/
-reads it; the re-exports of ``__init__.py`` and the tests do not count.
+reads it; the tests do not count.
 Every name that bench/ and demos/ take from the package exists, and so do
 the functions and methods that ``bench/tracer.py`` names in ``LAYERS``,
 ``EXTRA`` and ``METHODS``; bench/ is read as text, not imported.  Only the
@@ -36,17 +37,23 @@ def _modules(tops=("src", "tests", "demos")):
                     yield os.path.relpath(os.path.join(dirpath, name), ROOT)
 
 
-def unused_imports(source):
-    """(line, name) for each imported name that source never uses."""
-    tree = ast.parse(source)
+def imported_names(tree):
+    """(line, name) for each name an import binds in the parsed tree, at
+    any depth, ``from __future__`` imports aside."""
     bound = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound += [(a.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [(a.lineno, a.asname or a.name) for a in node.names]
+    return bound
+
+
+def unused_imports(source):
+    """(line, name) for each imported name that source never uses."""
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(line, name) for line, name in bound if name not in used]
+    return [(line, name) for line, name in imported_names(tree) if name not in used]
 
 
 def test_unused_imports_detects_each_form():
@@ -81,6 +88,18 @@ def test_numpy_imports_detects_each_form():
 
 
 PACKAGE = os.path.join(ROOT, "src", "polydiag")
+
+
+def test_imported_names_detects_each_form():
+    source = "from __future__ import annotations\nimport a.b\nfrom . import c as d\nif x:\n    from .e import f\n"
+    assert imported_names(ast.parse(source)) == [(2, "a"), (3, "d"), (5, "f")]
+
+
+def test_package_init_imports_nothing():
+    # an eager import here would load a layer into every process that
+    # imports any module of the package
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        assert imported_names(ast.parse(fh.read())) == []
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
