@@ -29,8 +29,9 @@ relation of P is a relation of Q, one bitwise test.  Two writers turn a
 lattice into text: :func:`lattice_to_json` writes the indent-2 JSON layout
 directly, one template per node and per cover, and :func:`lattice_to_dot`
 writes Graphviz DOT.  Orbits check that the automorphisms form a group on
-generators picked from them, and walk each orbit under the generators
-alone.
+generators picked from them, growing the group by Dimino's cosets so that
+each element is built once, and walk each orbit under the generators
+alone, each image made canonical in place and looked up by its symbols.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .partitions import (
     TaggedPartition,
     classify,
     contains,
-    from_symbols,
     orthogonal,
     type_label,
     typical_element,
@@ -139,7 +139,8 @@ def _invariant_partitions(mi):
     cells where every image equals (minus) its value at c, and zero the
     cells where every image is 0, so P runs over submasks of eq[a], Q over
     submasks of neg[a], and a joins the fixed class only inside zero.  An
-    all-zero image constrains nothing.
+    all-zero image constrains nothing, and a block that takes the last free
+    cells narrows nothing: it is a hit as soon as its image is checked.
 
     Before that exact check, a candidate is tested on the few cells whose
     value the block forces: g[a] = g at the second and the last cell of P,
@@ -160,9 +161,9 @@ def _invariant_partitions(mi):
 
     The symbols are canonical as built: P gets 1 plus the number of class
     minima (each block's r, each Q's lowest cell) below r, Q minus that.
-    A hit's flags depend only on its blocks' sizes (|P|, |Q|), the fixed
-    class's place (0, 0), so :func:`partitions.classify` runs once per
-    such signature.
+    A hit's flags depend only on the multiset of its blocks' sizes
+    (|P|, |Q|), the fixed class's place (0, 0), so
+    :func:`partitions.classify` runs once per sorted signature.
     """
     n = len(mi)
     full = (1 << n) - 1
@@ -217,9 +218,13 @@ def _invariant_partitions(mi):
     def accept(s, t, plus, minus, a, free, key, eq, neg, zero, fixed):
         """Recurse past the block (plus, minus) if its image s - t
         satisfies the relations of this block, of every earlier one and of
-        the fixed cells so far."""
+        the fixed cells so far.  A block that leaves no cell free is a hit
+        or nothing: no later choice reads the narrowed candidates."""
         blocks.append((plus, minus, a))
-        if s == t:  # a zero image satisfies every relation and constrains nothing
+        if not free:
+            if s == t or holds(s, t, fixed):
+                hits.append((key, tuple(blocks)))
+        elif s == t:  # a zero image satisfies every relation and constrains nothing
             search(free, key, eq, neg, zero, fixed)
         elif holds(s, t, fixed):
             g = list(map(operator.sub, s, t))
@@ -300,7 +305,7 @@ def _invariant_partitions(mi):
 
     search(full, 0, [full] * n, [full] * n, full, 0)
     hits.sort()
-    flags = {}  # {block-size signature: SubspaceClass}
+    flags = {}  # {sorted block-size signature: SubspaceClass}
     out = []
     for _, found in hits:
         minima = 0  # the smallest cell of each class
@@ -318,7 +323,7 @@ def _invariant_partitions(mi):
                 symbols[lowest[minus]] = -b
                 minus &= minus - 1
         p = TaggedPartition(tuple(symbols))
-        shape = tuple(shape)
+        shape = tuple(sorted(shape))
         if shape not in flags:
             flags[shape] = classify(p)
         out.append((p, flags[shape]))
@@ -468,10 +473,17 @@ def _generators(autos, n):
     """Generators of ``autos``, picked greedily, after checking that
     ``autos`` is exactly a group of permutations of 1..n.
 
-    The group is grown from the identity of length n by right
-    multiplication with the generators.  For a finite set S this is the
-    same test as S*S <= S, at about |S| * |generators| compositions
-    instead of |S|^2.
+    The group is grown by Dimino's coset enumeration (G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).  An
+    element of ``autos`` outside the group H so far becomes a generator,
+    and the group grows by whole right cosets H x.  Each coset
+    representative r times each generator s is a member already or a new
+    representative x, whose coset adds h x for every h in H.  The cosets
+    are then closed under right multiplication by every generator, so
+    they are the group the generators make.  Each element is built once,
+    and each coset is checked against ``autos`` as it is made: for a
+    finite set S this is the same test as S*S <= S, at about |S|
+    compositions instead of |S|^2.
     """
     from .graph import perm_compose
 
@@ -479,24 +491,24 @@ def _generators(autos, n):
     cells = list(range(1, n + 1))
     if any(sorted(a) != cells for a in members):
         raise ValueError("automorphisms must be permutations of 1..%d" % n)
-    group = {tuple(cells)}
+    identity = tuple(cells)
+    group = {identity}
     gens = []
     for a in autos:
         if a in group:
             continue
         gens.append(a)
-        frontier = list(group)
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in gens:
-                    h = perm_compose(g, s)
-                    if h not in group:
-                        if h not in members:
-                            raise ValueError("automorphism list is not closed under composition")
-                        group.add(h)
-                        new.append(h)
-            frontier = new
+        sub = list(group)  # H: the group before a
+        reps = [identity]  # one per coset of H, H's own first
+        for r in reps:  # grows while it is walked
+            for s in gens:
+                x = perm_compose(r, s)
+                if x not in group:
+                    coset = [perm_compose(h, x) for h in sub]
+                    if not members.issuperset(coset):
+                        raise ValueError("automorphism list is not closed under composition")
+                    group.update(coset)
+                    reps.append(x)
     if group != members:
         raise ValueError("automorphism list is not a group: the identity is missing")
     return gens
@@ -508,7 +520,10 @@ def orbits(inv: InvariantSet, autos):
     ``autos`` must be a group of permutations of 1..n (checked).  Returns a
     list of orbits, each a tuple of node indices into inv.subspaces, in
     order of their smallest index.  The image of p under phi has at cell
-    phi[i-1] the symbol p has at cell i, read through phi's inverse.
+    phi[i-1] the symbol p has at cell i, read through phi's inverse.  An
+    image is made canonical in place, its symbols renumbered by first
+    appearance as :func:`partitions.from_symbols` does, and looked up as
+    a tuple of symbols.
     """
     n = len(inv.matrix)
     backs = [sorted(range(n), key=phi.__getitem__) for phi in _generators(autos, n)]  # 0-based inverses
@@ -523,13 +538,17 @@ def orbits(inv: InvariantSet, autos):
         for j in orbit:  # grows while it is walked
             q = inv.subspaces[j][0].symbols
             for back in backs:
-                r = from_symbols(list(map(q.__getitem__, back)))
-                k = index.get(r.symbols)
+                image = list(map(q.__getitem__, back))
+                canon = {0: 0}
+                for c, s in enumerate(dict.fromkeys(image), start=1):  # classes by smallest cell
+                    canon[s] = -canon[-s] if -s in canon else c
+                r = tuple(map(canon.__getitem__, image))
+                k = index.get(r)
                 if k is None:
                     raise ValueError(
                         "image %s of %s is not in the invariant set; "
                         "are these automorphisms of the right digraph?"
-                        % (typical_element(r), typical_element(inv.subspaces[j][0]))
+                        % (typical_element(TaggedPartition(r)), typical_element(inv.subspaces[j][0]))
                     )
                 if not seen[k]:
                     seen[k] = True

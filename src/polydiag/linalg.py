@@ -43,6 +43,9 @@ def frac(x) -> Fraction:
         raise TypeError("booleans are not numbers; pass an int or a string such as '1'")
     if isinstance(x, str):
         _check_digits(x)
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():  # a plain int: int() parses it 3x faster than Fraction
+            return Fraction(int(x))
     try:
         return Fraction(x)
     except ZeroDivisionError:

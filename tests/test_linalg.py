@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydiag import linalg
 from polydiag.linalg import (
     _rref_pivots,
     clear_denominators,
@@ -86,6 +87,35 @@ def test_frac_limit_matches_the_digits_fraction_builds():
                 assert x == F(text) and str(x), text
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def _fraction_path(text):
+    """frac of a string as Fraction's own parser decides it, without the
+    plain-int shortcut: the value, or the exception's type and message."""
+    try:
+        linalg._check_digits(text)
+        try:
+            return F(text)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (text,)) from None
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_frac_plain_int_strings_match_the_fraction_path():
+    """Strings that are an optional '-' and ASCII digits skip Fraction's
+    parser; everything else, and every refusal, must come out as before."""
+    limit = sys.get_int_max_str_digits()
+    corpus = ["0", "-0", "007", "+3", "1_0", " 5", "5 ", "٣", "²", "3/2", "0.25", "1e3", "1/0",
+              "-", "", "--1", "-+1", "12", "-12", "9" * limit, "-" + "9" * limit, "9" * (limit + 1),
+              "-" + "9" * (limit + 1)]
+    for text in corpus:
+        try:
+            got = frac(text)
+            assert type(got) is F
+        except ValueError as e:
+            got = type(e), str(e)
+        assert got == _fraction_path(text), text[:20]
 
 
 def test_frac_passes_a_fraction_through():
