@@ -159,25 +159,21 @@ def cmd_orbits(args):
     from . import graph, invariance
 
     g = _load_digraph(args.digraph)
-    if g.n > graph.AUTOMORPHISM_VERTEX_LIMIT:  # refused before the scan, not after it
-        raise InputError("n=%d exceeds the automorphism search limit %d" % (g.n, graph.AUTOMORPHISM_VERTEX_LIMIT))
     inv = _invariant_set(args, g)
-    groups = invariance.orbits(inv, graph.automorphisms(g))
-    payload = {
-        "subspaces": len(inv.subspaces),
-        "orbits": [
-            {
-                "representative": typical_element(inv.subspaces[orb[0]][0]),
-                "members": [typical_element(inv.subspaces[i][0]) for i in orb],
-            }
-            for orb in groups
-        ],
-    }
+    groups = invariance.orbits(inv, graph.automorphism_generators(g)[0])
+    reps = [typical_element(inv.subspaces[orb[0]][0]) for orb in groups]
     if args.format == "json":
+        payload = {
+            "subspaces": len(inv.subspaces),
+            "orbits": [
+                {"representative": rep, "members": [typical_element(inv.subspaces[i][0]) for i in orb]}
+                for rep, orb in zip(reps, groups)
+            ],
+        }
         _write(json.dumps(payload, indent=2) + "\n", args.output)
     else:
         lines = ["%d subspaces in %d orbits" % (len(inv.subspaces), len(groups))]
-        lines += ["%s  size %d" % (o["representative"], len(o["members"])) for o in payload["orbits"]]
+        lines += ["%s  size %d" % (rep, len(orb)) for rep, orb in zip(reps, groups)]
         _write("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -258,14 +254,23 @@ def cmd_simulate(args):
     return 0
 
 
-def _refuse_unread(args, on_file):
-    """--file, --lambda and --matrix given where the route never reads them
-    are input errors."""
+# suite parameter -> the check option (its dest) that sets it
+_SUITE_PARAMS = {"trials": "trials", "n_max": "n", "seed": "seed", "dt": "dt", "T": "T", "tol": "tol"}
+
+
+def _refuse_unread(args, on_file, taken=()):
+    """Options given where the route never reads them are input errors:
+    --file, --lambda and --matrix off the file reports, and each suite
+    option whose parameter is not in taken, the suite's signature (so
+    every suite option on a file report)."""
     route = "check %s%s" % (args.suite, " --file" if on_file else "")
     for flag, given, read, readers in (
         ("--file", args.file, on_file, "main-lemma and column-sums"),
         ("--lambda", args.lam is not None, on_file and args.suite == "main-lemma", "main-lemma --file"),
         ("--matrix", args.matrix is not None, on_file, "main-lemma --file and column-sums --file"),
+    ) + tuple(
+        ("--" + dest, getattr(args, dest) is not None, param in taken, "the suites that take %s" % param)
+        for param, dest in _SUITE_PARAMS.items()
     ):
         if given and not read:
             raise InputError("%s does not read %s (it is for %s)" % (route, flag, readers))
@@ -296,12 +301,9 @@ def cmd_check(args):
 
     if args.suite not in checks.SUITES:
         raise InputError("unknown suite %r (choose from %s)" % (args.suite, ", ".join(sorted(checks.SUITES))))
-    _refuse_unread(args, False)
     suite = checks.SUITES[args.suite]
-    # the options the suite takes, by its parameter names; it ignores the rest
-    given = {"trials": args.trials, "n_max": args.n, "seed": args.seed, "dt": args.dt, "T": args.T, "tol": args.tol}
-    taken = inspect.signature(suite).parameters
-    kwargs = {k: v for k, v in given.items() if k in taken and v is not None}
+    _refuse_unread(args, False, inspect.signature(suite).parameters)
+    kwargs = {param: getattr(args, dest) for param, dest in _SUITE_PARAMS.items() if getattr(args, dest) is not None}
     try:
         report = suite(**kwargs)
     except ValueError as exc:  # a --T/--dt without a step count
@@ -331,15 +333,17 @@ def build_parser():
     common(p)
     p.set_defaults(func=cmd_classify)
 
-    for name, fn, formats in (
-        ("invariants", cmd_invariants, ()),
-        ("lattice", cmd_lattice, ("json", "dot")),
-        ("orbits", cmd_orbits, ("text", "json")),
+    for name, fn, formats, more in (
+        ("invariants", cmd_invariants, (), ""),
+        ("lattice", cmd_lattice, ("json", "dot"), ""),
+        ("orbits", cmd_orbits, ("text", "json"), " under the weight-preserving automorphisms of the digraph. A "
+         "base search finds generators of the group, which is never listed, so --n-cap alone bounds the cells"),
     ):
-        p = sub.add_parser(name, help="%s of the invariant polydiagonal subspaces" % name)
+        about = "%s of the invariant polydiagonal subspaces" % name
+        p = sub.add_parser(name, help=about, description=about.capitalize() + more + ".")
         p.add_argument("digraph", help="digraph file (.json or edge list)")
         p.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
-        p.add_argument("--n-cap", type=int, default=DEFAULT_SCAN_LIMIT)
+        p.add_argument("--n-cap", type=int, default=DEFAULT_SCAN_LIMIT, help="most cells scanned (default %(default)s)")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         common(p)

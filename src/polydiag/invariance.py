@@ -28,10 +28,10 @@ solution set of those relations, so Delta_Q <= Delta_P exactly when every
 relation of P is a relation of Q, one bitwise test.  Two writers turn a
 lattice into text: :func:`lattice_to_json` writes the indent-2 JSON layout
 directly, one template per node and per cover, and :func:`lattice_to_dot`
-writes Graphviz DOT.  Orbits check that the automorphisms form a group on
-generators picked from them, growing the group by Dimino's cosets so that
-each element is built once, and walk each orbit under the generators
-alone, each image made canonical in place and looked up by its symbols.
+writes Graphviz DOT.  Orbits take generators of a group, such as those
+:func:`graph.automorphism_generators` finds, and walk each orbit under the
+generators alone, each image looked up by its symbols as it stands or,
+failing that, once made canonical in place; the group is never listed.
 """
 
 from __future__ import annotations
@@ -469,64 +469,29 @@ def lattice_to_dot(lat: SubspaceLattice) -> str:
 # automorphism orbits
 
 
-def _generators(autos, n):
-    """Generators of ``autos``, picked greedily, after checking that
-    ``autos`` is exactly a group of permutations of 1..n.
+def orbits(inv: InvariantSet, generators):
+    """Orbits of the invariant subspaces under the group of vertex
+    relabelings that ``generators`` generate.
 
-    The group is grown by Dimino's coset enumeration (G. Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).  An
-    element of ``autos`` outside the group H so far becomes a generator,
-    and the group grows by whole right cosets H x.  Each coset
-    representative r times each generator s is a member already or a new
-    representative x, whose coset adds h x for every h in H.  The cosets
-    are then closed under right multiplication by every generator, so
-    they are the group the generators make.  Each element is built once,
-    and each coset is checked against ``autos`` as it is made: for a
-    finite set S this is the same test as S*S <= S, at about |S|
-    compositions instead of |S|^2.
-    """
-    from .graph import perm_compose
-
-    members = set(autos)
-    cells = list(range(1, n + 1))
-    if any(sorted(a) != cells for a in members):
-        raise ValueError("automorphisms must be permutations of 1..%d" % n)
-    identity = tuple(cells)
-    group = {identity}
-    gens = []
-    for a in autos:
-        if a in group:
-            continue
-        gens.append(a)
-        sub = list(group)  # H: the group before a
-        reps = [identity]  # one per coset of H, H's own first
-        for r in reps:  # grows while it is walked
-            for s in gens:
-                x = perm_compose(r, s)
-                if x not in group:
-                    coset = [perm_compose(h, x) for h in sub]
-                    if not members.issuperset(coset):
-                        raise ValueError("automorphism list is not closed under composition")
-                    group.update(coset)
-                    reps.append(x)
-    if group != members:
-        raise ValueError("automorphism list is not a group: the identity is missing")
-    return gens
-
-
-def orbits(inv: InvariantSet, autos):
-    """Group orbits of the invariant subspaces under vertex relabeling.
-
-    ``autos`` must be a group of permutations of 1..n (checked).  Returns a
-    list of orbits, each a tuple of node indices into inv.subspaces, in
-    order of their smallest index.  The image of p under phi has at cell
-    phi[i-1] the symbol p has at cell i, read through phi's inverse.  An
-    image is made canonical in place, its symbols renumbered by first
-    appearance as :func:`partitions.from_symbols` does, and looked up as
-    a tuple of symbols.
+    Each generator must be a permutation of 1..n, as an image tuple
+    (checked); any list of them will do, :func:`graph.automorphism_generators`
+    among them.  Returns a list of orbits, each a tuple of node indices
+    into inv.subspaces, in order of their smallest index.  The image of p
+    under phi has at cell phi[i-1] the symbol p has at cell i, read through
+    phi's inverse, one C-level ``itemgetter`` call per image.  An image
+    that is a key of the index as it stands is canonical already (the
+    renumbering leaves a canonical tuple as it is), and with generators
+    that swap two cells most images are.  Any other image is made
+    canonical in place, its symbols renumbered by first appearance as
+    :func:`partitions.from_symbols` does, and looked up as a tuple of
+    symbols.
     """
     n = len(inv.matrix)
-    backs = [sorted(range(n), key=phi.__getitem__) for phi in _generators(autos, n)]  # 0-based inverses
+    cells = list(range(1, n + 1))
+    if any(sorted(phi) != cells for phi in generators):
+        raise ValueError("automorphisms must be permutations of 1..%d" % n)
+    # 0-based inverses; below two cells every permutation is the identity
+    gets = [operator.itemgetter(*sorted(range(n), key=phi.__getitem__)) for phi in generators] if n > 1 else []
     index = {p.symbols: i for i, (p, _) in enumerate(inv.subspaces)}
     seen = [False] * len(index)
     out = []
@@ -537,19 +502,21 @@ def orbits(inv: InvariantSet, autos):
         orbit = [i]
         for j in orbit:  # grows while it is walked
             q = inv.subspaces[j][0].symbols
-            for back in backs:
-                image = list(map(q.__getitem__, back))
-                canon = {0: 0}
-                for c, s in enumerate(dict.fromkeys(image), start=1):  # classes by smallest cell
-                    canon[s] = -canon[-s] if -s in canon else c
-                r = tuple(map(canon.__getitem__, image))
-                k = index.get(r)
+            for get in gets:
+                image = get(q)
+                k = index.get(image)
                 if k is None:
-                    raise ValueError(
-                        "image %s of %s is not in the invariant set; "
-                        "are these automorphisms of the right digraph?"
-                        % (typical_element(TaggedPartition(r)), typical_element(inv.subspaces[j][0]))
-                    )
+                    canon = {0: 0}
+                    for c, s in enumerate(dict.fromkeys(image), start=1):  # classes by smallest cell
+                        canon[s] = -canon[-s] if -s in canon else c
+                    r = tuple(map(canon.__getitem__, image))
+                    k = index.get(r)
+                    if k is None:
+                        raise ValueError(
+                            "image %s of %s is not in the invariant set; "
+                            "are these automorphisms of the right digraph?"
+                            % (typical_element(TaggedPartition(r)), typical_element(inv.subspaces[j][0]))
+                        )
                 if not seen[k]:
                     seen[k] = True
                     orbit.append(k)

@@ -133,10 +133,10 @@ def test_07_dihedral_cayley_orbits():
     with Budget("7 dihedral Cayley digraph orbits", 10):
         table = graph.dihedral_group_table(3)
         g = graph.cayley_digraph(table, [(3, F(1)), (4, F(1))])
-        autos = graph.automorphisms(g)
-        assert len(autos) == 12
+        gens, order = graph.automorphism_generators(g)
+        assert order == 12
         inv = invariance.invariant_polydiagonals(graph.adjacency_matrix(g))
-        orbs = invariance.orbits(inv, autos)
+        orbs = invariance.orbits(inv, gens)
         assert len(inv.subspaces) == 31
         assert len(orbs) == 15
         anti = {i for i, (p, c) in enumerate(inv.subspaces) if c.anti_synchrony}

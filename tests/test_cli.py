@@ -319,7 +319,6 @@ BAD_ARGV = {
     "orbits-format-dot": ["orbits", "{pair}", "--format", "dot"],
     "lattice-format-text": ["lattice", "{pair}", "--format", "text"],
     "invariants-above-n-cap": ["invariants", "{pair}", "--n-cap", "1"],
-    "orbits-above-automorphism-limit": ["orbits", "{path13}", "--n-cap", "13"],
     "invariants-negative-n": ["invariants", "{negative_n}"],
     "invariants-fractional-n": ["invariants", "{fractional_n}"],
     "lattice-fractional-n": ["lattice", "{fractional_n}"],
@@ -356,6 +355,9 @@ BAD_ARGV = {
     "dynamics-vdp-file-matrix": ["check", "dynamics-vdp", "--file", "{missing}", "--matrix", "laplacian"],
     "main-lemma-lambda-without-file": ["check", "main-lemma", "--lambda", "1"],
     "column-sums-matrix-without-file": ["check", "column-sums", "--matrix", "adjacency"],
+    "main-lemma-file-trials": ["check", "main-lemma", "--file", "{pair}", "--lambda", "1", "--trials", "5"],
+    "conjecture53-T": ["check", "conjecture53", "--T", "3"],
+    "dynamics-attractors-tol": ["check", "dynamics-attractors", "--tol", "1"],
 }
 
 
@@ -400,7 +402,9 @@ def test_bad_input_exits_2(capsys, tmp_path, argv):
 @pytest.mark.parametrize("name, flag", [("conjecture53-file", "--file"), ("column-sums-file-lambda", "--lambda"),
                                         ("dynamics-vdp-file-matrix", "--file"),
                                         ("main-lemma-lambda-without-file", "--lambda"),
-                                        ("column-sums-matrix-without-file", "--matrix")])
+                                        ("column-sums-matrix-without-file", "--matrix"),
+                                        ("main-lemma-file-trials", "--trials"), ("conjecture53-T", "--T"),
+                                        ("dynamics-attractors-tol", "--tol")])
 def test_check_names_the_option_its_route_does_not_read(capsys, tmp_path, name, flag):
     argv = [a.format(**input_paths(tmp_path)) for a in BAD_ARGV[name]]
     assert unread_check_options(argv)[0] == flag
@@ -437,9 +441,35 @@ def test_file_reports_give_the_scan_cap_as_an_input_error(capsys, tmp_path):
             assert "n_cap" not in err and "--n-cap" not in err  # check has no such option
 
 
-def test_orbits_refuses_above_automorphism_limit_before_the_scan(capsys, tmp_path):
-    code, out, err = run(capsys, "orbits", input_paths(tmp_path)["path13"], "--n-cap", "13")
-    assert code == 2 and out == "" and "automorphism search limit 12" in err
+def test_orbits_beyond_twelve_cells_count_the_invariant_subspaces(capsys, tmp_path):
+    """--n-cap bounds orbits as it bounds invariants; the automorphism
+    search has no cell limit of its own.  path13's weights 1..12 are all
+    different, so its group is trivial and every orbit has one member."""
+    path = input_paths(tmp_path)["path13"]
+    code, out, err = run(capsys, "orbits", path, "--n-cap", "13")
+    assert (code, err) == (0, "")
+    code, listed, _ = run(capsys, "invariants", path, "--n-cap", "13")
+    subspaces = len(listed.splitlines())
+    assert code == 0 and out.splitlines()[0] == "%d subspaces in %d orbits" % (subspaces, subspaces)
+    assert [line.split()[0] for line in out.splitlines()[1:]] == [line.split()[0] for line in listed.splitlines()]
+
+
+def test_orbits_above_the_n_cap_is_refused_before_the_search_and_the_scan(capsys, monkeypatch, tmp_path):
+    """path13 at the default cap, and at 12, the cell limit orbits once
+    had: the refusal is --n-cap's, and neither the automorphism search nor
+    the scan runs."""
+    from polydiag import graph, invariance
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the refusal")
+
+    monkeypatch.setattr(graph, "automorphism_generators", never)
+    monkeypatch.setattr(invariance, "invariant_polydiagonals", never)
+    path = input_paths(tmp_path)["path13"]
+    for cap, cap_argv in ((cli.DEFAULT_SCAN_LIMIT, []), (12, ["--n-cap", "12"])):
+        code, out, err = run(capsys, "orbits", path, *cap_argv)
+        assert (code, out) == (2, "") and "n=13 exceeds cap %d; pass --n-cap to override" % cap in err
+        assert "automorphism" not in err
 
 
 @pytest.mark.parametrize("command", ["invariants", "lattice", "orbits"])
@@ -625,13 +655,18 @@ def test_main_builds_no_parser(monkeypatch, capsys):
     assert built == []
 
 
+SUITE_OPTIONS = {"--trials": ("trials", "2", 2), "--n": ("n_max", "3", 3), "--seed": ("seed", "5", 5),
+                 "--dt": ("dt", "0.05", 0.05), "--T": ("T", "0.2", 0.2), "--tol": ("tol", "1", 1.0)}
+
+
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
 def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
-    """Every option given: the suite gets those named in its signature
-    (--n as n_max) and ignores the rest."""
-    given = {"trials": 2, "n_max": 3, "seed": 5, "dt": 0.05, "T": 0.2, "tol": 1.0}
+    """The options named in the suite's signature (--n as n_max) reach it
+    as given; each other option is refused by name, before the suite
+    runs."""
     fn = checks.SUITES[suite]
-    kwargs = {k: v for k, v in given.items() if k in inspect.signature(fn).parameters}
+    taken = inspect.signature(fn).parameters
+    kwargs = {param: value for param, _, value in SUITE_OPTIONS.values() if param in taken}
     report = fn(**kwargs)
     calls = []
 
@@ -641,10 +676,16 @@ def test_check_passes_each_suite_only_its_options(capsys, monkeypatch, suite):
         return fn(**got)
 
     monkeypatch.setitem(checks.SUITES, suite, recorded)
-    code, out, _ = run(capsys, "check", suite, "--trials", "2", "--n", "3", "--seed", "5",
-                       "--dt", "0.05", "--T", "0.2", "--tol", "1")
+    read = [a for flag, (param, text, _) in SUITE_OPTIONS.items() if param in taken for a in (flag, text)]
+    code, out, _ = run(capsys, "check", suite, *read)
     assert calls == [kwargs]
     assert (code, out) == (0 if report.passed else 1, report.summary() + "\n")
+    for flag, (param, text, _) in SUITE_OPTIONS.items():
+        if param not in taken:
+            assert unread_check_options(["check", suite, flag, text]) == [flag]
+            code, out, err = run(capsys, "check", suite, *read, flag, text)
+            assert (code, out) == (2, "") and err.startswith("error: check %s does not read %s " % (suite, flag))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +705,13 @@ MATRIX = ("--matrix", ["adjacency", "laplacian"], ["other"], False)
 def unread_check_options(argv):
     """The options of a check argv that its route never reads: --file is
     for main-lemma and column-sums, --lambda for main-lemma --file and
-    --matrix for either with --file."""
+    --matrix for either with --file, and a suite option for the suites
+    whose signature takes it (--n as n_max), never with --file."""
     on_file = "--file" in argv and argv[1] in ("main-lemma", "column-sums")
+    suite = checks.SUITES.get(argv[1])
+    taken = () if on_file or suite is None else inspect.signature(suite).parameters
     reads = {"--file": on_file, "--lambda": on_file and argv[1] == "main-lemma", "--matrix": on_file}
+    reads |= {flag: param in taken for flag, (param, _, _) in SUITE_OPTIONS.items()}
     return [flag for flag in argv if not reads.get(flag, True)]
 
 
@@ -675,8 +720,8 @@ def unread_check_options(argv):
 # A check option that the route drawn so far does not read (see
 # unread_check_options) is an invalid combination, drawn about as rarely
 # as an invalid value.
-# Horizons, sizes and trial counts are always given and small, so every
-# example runs in well under a second.
+# Horizons, sizes and trial counts are always given, where the suite drawn
+# takes them, and small, so every example runs in well under a second.
 CLI_GRAMMAR = {
     "enumerate": ([(["0", "3"], ["-1", "x"])], [("--filter", sorted(cli._FILTERS), ["weird", ""], False),
                                                  ("--count-only", None, None, False)]),
@@ -726,7 +771,7 @@ def cli_argv(draw):
     argv = [command] + [value(*pools) for pools in positional]
     for flag, valid, invalid, always in options:
         rare = command == "check" and flag in unread_check_options(argv + [flag])
-        if always or (draw(st.integers(0, 7)) == 0 if rare else draw(st.booleans())):
+        if (always and not rare) or (draw(st.integers(0, 7)) == 0 if rare else draw(st.booleans())):
             argv += [flag] if valid is None else [flag, value(valid, invalid)]
     return argv
 
@@ -737,18 +782,20 @@ def fuzz_paths(tmp_path_factory):
 
 
 # the file reports, which the draw rarely reaches (the 9-cycle about once in
-# 800 examples), and a --file that conjecture53 does not read; the options
-# that are always given take their first valid value
+# 800 examples), the same with a suite option that no file report reads,
+# and a --file that conjecture53 does not read; the options that are
+# always given take their first valid value
 ALWAYS_GIVEN = ["--n", "2", "--trials", "1", "--dt", "0.5", "--T", "0.05"]
-FILE_REPORT = ["check", "column-sums", "--file", "{cycle9}"] + ALWAYS_GIVEN
+FILE_REPORT = ["check", "column-sums", "--file", "{cycle9}"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=cli_argv())
 @example(argv=FILE_REPORT)
 @example(argv=FILE_REPORT + ["--matrix", "laplacian"])
+@example(argv=["check", "main-lemma", "--file", "{pair}", "--lambda", "1"])
 @example(argv=["check", "main-lemma", "--file", "{pair}", "--lambda", "1"] + ALWAYS_GIVEN)
-@example(argv=["check", "conjecture53", "--file", "{missing}"] + ALWAYS_GIVEN)
+@example(argv=["check", "conjecture53", "--file", "{missing}"] + ALWAYS_GIVEN[:4])
 def test_fuzzed_argv_keeps_exit_codes(fuzz_paths, argv):
     """Exit 0, 1 or 2 and never a traceback (an exception escaping main);
     exit 1 only for a failed check: a FAIL summary, a report with

@@ -783,11 +783,11 @@ def test_coupling_terms_are_the_dense_krons_bit_for_bit(seed):
 
 
 def test_coupling_terms_of_a_dense_row_need_no_dense_kron(monkeypatch):
-    """3,000 cells, one of them coupled to all: kron(M, H) would hold 9
-    million floats (72 MB).  The terms come from M's 3,000 nonzero entries.
-    Compiling the generated RK4 loop is left out of the measurement: its
-    source text grows with n*k, not with the kron."""
-    n = 3000
+    """1,500 cells, one of them coupled to all: kron(M, H) would hold 2.25
+    million floats (18 MB), above the 8 MB bound.  The terms come from M's
+    1,500 nonzero entries.  Compiling the generated RK4 loop is left out of
+    the measurement: its source text grows with n*k, not with the kron."""
+    n = 1500
     m = np.zeros((n, n))
     m[0] = 1.0
     monkeypatch.setattr(dynamics, "_compile_rk4", lambda sys: None)

@@ -5,7 +5,6 @@ import glob
 import hashlib
 import itertools
 import json
-import math
 import os
 import random
 import sys
@@ -42,7 +41,7 @@ from polydiag.partitions import (
     typical_element,
 )
 
-import closure_oracle
+from automorphism_oracle import automorphisms, perm_compose
 from relabel_oracle import relabel
 
 DIRICHLET = [[3, -1, 0], [-1, 2, -1], [0, -1, 3]]
@@ -698,26 +697,23 @@ def test_full_lattice_is_the_type_b_arrangement(n):
 
 def test_orbits_trivial_group():
     inv = invariant_polydiagonals(DIRICHLET)
-    orbs = orbits(inv, [(1, 2, 3)])
-    assert all(len(o) == 1 for o in orbs)
-    assert len(orbs) == len(inv.subspaces)
+    for gens in ([(1, 2, 3)], []):  # the identity, or no generator at all
+        orbs = orbits(inv, gens)
+        assert all(len(o) == 1 for o in orbs)
+        assert len(orbs) == len(inv.subspaces)
+    one_cell = invariant_polydiagonals([[5]])  # (a) and (0): the one permutation of 1 cell moves neither
+    assert orbits(one_cell, [(1,)]) == orbits(one_cell, []) == [(0,), (1,)]
 
 
 def test_orbits_z7_cayley():
     t7 = graph.cyclic_group_table(7)
     g = graph.cayley_digraph(t7, [(1, F(1)), (6, F(1))])
-    autos = graph.automorphisms(g)
+    gens, order = graph.automorphism_generators(g)
     inv = invariant_polydiagonals(graph.adjacency_matrix(g))
-    orbs = orbits(inv, autos)
-    # orbit sizes partition the invariant set
+    orbs = orbits(inv, gens)
+    # orbit sizes partition the invariant set, and divide the group order
     assert sum(len(o) for o in orbs) == len(inv.subspaces)
-
-
-def test_orbits_rejects_non_group():
-    inv = invariant_polydiagonals(DIRICHLET)
-    swap = (3, 2, 1)
-    with pytest.raises(ValueError):
-        orbits(inv, [swap])  # swap o swap = id is missing, so not closed
+    assert order == 14 and all(order % len(o) == 0 for o in orbs)
 
 
 def test_orbits_rejects_automorphisms_of_another_digraph():
@@ -728,46 +724,69 @@ def test_orbits_rejects_automorphisms_of_another_digraph():
         orbits(inv, list(itertools.permutations((1, 2, 3))))
 
 
-@pytest.mark.parametrize("autos", [[], [(1, 2, 3)], [(1,)], [(1, 1)]], ids=["empty", "too-long", "too-short", "not-a-permutation"])
+@pytest.mark.parametrize("autos", [[()], [(1, 2, 3)], [(1,)], [(1, 1)]], ids=["empty", "too-long", "too-short", "not-a-permutation"])
 def test_orbits_rejects_bad_permutations(autos):
     inv = invariant_polydiagonals([[0] * 2] * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be permutations of 1..2"):
         orbits(inv, autos)
 
 
 def _closed(s):
-    return all(graph.perm_compose(a, b) in s for a in s for b in s)
+    return all(perm_compose(a, b) in s for a in s for b in s)
 
 
-def test_group_check_matches_brute_force():
-    """orbits accepts a nonempty set of permutations iff S*S <= S, whatever
-    order the list comes in.  Every subset of S3 is tried (S3 and its
-    subgroups, S3 less a transposition, sets without the identity, bare
-    generators such as {(2,3,1)}), then subgroups of S4 generated by two
-    random permutations, whole and less one element."""
-    def agrees(inv, s):
-        for autos in (sorted(s), sorted(s, reverse=True)):
-            try:
-                orbits(inv, autos)
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == _closed(s), autos
+def _close(group):
+    while not _closed(group):
+        group |= {perm_compose(a, b) for a in group for b in group}
+    return group
+
+
+def _brute_orbits(inv, group):
+    """The orbits of inv's subspaces as the image sets of each subspace
+    under every element of group, in order of their smallest index."""
+    index = {p: i for i, p in enumerate(inv.partitions())}
+    images = {tuple(sorted({index[relabel(p, phi)] for phi in group})) for p in inv.partitions()}
+    return sorted(images)
+
+
+def test_orbits_under_any_generators_match_the_closed_group():
+    """orbits takes any list of permutations and walks the orbits of the
+    group they generate, whether or not the list is a group.  Every subset
+    of S3 is tried in both orders (S3 and its subgroups, S3 less a
+    transposition, sets without the identity, bare generators such as
+    {(2,3,1)}), then two random permutations of S4, alone and with their
+    closure less one element."""
+    def agrees(inv, gens):
+        group = _close(set(gens) | {tuple(range(1, len(inv.matrix) + 1))})
+        want = _brute_orbits(inv, group)
+        for autos in (sorted(gens), sorted(gens, reverse=True)):
+            assert orbits(inv, autos) == want, autos
 
     inv3 = invariant_polydiagonals([[0] * 3] * 3)
     s3 = list(itertools.permutations((1, 2, 3)))
-    for size in range(1, 7):
+    for size in range(0, 7):
         for s in itertools.combinations(s3, size):
-            agrees(inv3, set(s))
+            agrees(inv3, s)
     inv4 = invariant_polydiagonals([[0] * 4] * 4)
     s4 = list(itertools.permutations((1, 2, 3, 4)))
     rng = random.Random(9)
     for _ in range(10):
-        group = set(rng.sample(s4, 2))
-        while not _closed(group):
-            group |= {graph.perm_compose(a, b) for a in group for b in group}
-        agrees(inv4, group)
+        pair = rng.sample(s4, 2)
+        agrees(inv4, pair)
+        group = _close(set(pair))
         agrees(inv4, group - {rng.choice(sorted(group))})
+
+
+def test_orbits_under_a_list_that_is_not_a_group_walk_the_group_it_generates():
+    """The swap (1 3) alone lacks the identity, so it is not a group, yet
+    its orbits are those under {id, (1 3)}: on the empty 3-cell digraph,
+    whose every tagged partition is invariant, the subspaces the swap
+    moves pair up, and the rest stay alone."""
+    inv = invariant_polydiagonals([[0] * 3] * 3)
+    swap = (3, 2, 1)
+    orbs = orbits(inv, [swap])
+    assert orbs == orbits(inv, [(1, 2, 3), swap]) == _brute_orbits(inv, {(1, 2, 3), swap})
+    assert {len(o) for o in orbs} == {1, 2}
 
 
 def test_orbits_under_subgroups_match_brute_force():
@@ -780,9 +799,7 @@ def test_orbits_under_subgroups_match_brute_force():
     s5 = list(itertools.permutations(range(1, 6)))
     rng = random.Random(10)
     for k in (1, 1, 1, 1, 1, 2, 2):
-        group = set(rng.sample(s5, k))
-        while not _closed(group):
-            group |= {graph.perm_compose(a, b) for a in group for b in group}
+        group = _close(set(rng.sample(s5, k)))
         orbs = orbits(inv, sorted(group))
         for orb in orbs:
             assert orb == tuple(sorted({index[relabel(inv.subspaces[orb[0]][0], phi)] for phi in group}))
@@ -790,12 +807,13 @@ def test_orbits_under_subgroups_match_brute_force():
 
 
 def test_orbits_k7_match_brute_force():
-    """Orbits under the 5,040 automorphisms of K7, each against the image
-    set of its representative under every automorphism."""
+    """Orbits under the generators the search finds for K7, each against
+    the image set of its representative under all 5,040 listed
+    automorphisms."""
     g = graph.digraph_of_graph(7, itertools.combinations(range(1, 8), 2))
     inv = invariant_polydiagonals(graph.adjacency_matrix(g))
-    autos = graph.automorphisms(g)
-    orbs = orbits(inv, autos)
+    autos = automorphisms(g)
+    orbs = orbits(inv, graph.automorphism_generators(g)[0])
     index = {p: i for i, p in enumerate(inv.partitions())}
     assert (len(autos), len(inv.subspaces), len(orbs)) == (5040, 1599, 22)
     for orb in orbs:
@@ -804,65 +822,37 @@ def test_orbits_k7_match_brute_force():
     assert sorted(i for orb in orbs for i in orb) == list(range(len(inv.subspaces)))
 
 
-def _close(group):
-    while not _closed(group):
-        group |= {graph.perm_compose(a, b) for a in group for b in group}
-    return group
+def _shape(p):
+    """What a relabelling of the cells keeps of a tagged partition: the
+    number of zero cells and the multiset of (|P|, |Q|) over its blocks."""
+    counts = collections.Counter(p.symbols)
+    return counts[0], tuple(sorted(tuple(sorted((counts[c], counts[-c]))) for c in counts if c > 0))
 
 
-def _checked_lists():
-    """(autos, n) for every list that test_group_check_matches_brute_force
-    and test_orbits_under_subgroups_match_brute_force hand to orbits, drawn
-    from the same seeds in the same order."""
-    s3 = list(itertools.permutations((1, 2, 3)))
-    for size in range(1, 7):
-        for s in itertools.combinations(s3, size):
-            yield sorted(s), 3
-            yield sorted(s, reverse=True), 3
-    s4 = list(itertools.permutations((1, 2, 3, 4)))
-    rng = random.Random(9)
-    for _ in range(10):
-        group = _close(set(rng.sample(s4, 2)))
-        for s in (group, group - {rng.choice(sorted(group))}):
-            yield sorted(s), 4
-            yield sorted(s, reverse=True), 4
-    s5 = list(itertools.permutations(range(1, 6)))
-    rng = random.Random(10)
-    for k in (1, 1, 1, 1, 1, 2, 2):
-        yield sorted(_close(set(rng.sample(s5, k)))), 5
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_search_orbits_on_complete_graphs_are_the_shape_classes(n):
+    """Every relabelling is an automorphism of K_n, and two tagged
+    partitions are relabellings of each other exactly when they have the
+    same shape, so the orbits are the shape classes of the invariant set."""
+    g = graph.digraph_of_graph(n, itertools.combinations(range(1, n + 1), 2))
+    inv = invariant_polydiagonals(graph.adjacency_matrix(g), n_cap=n)
+    classes = collections.defaultdict(list)
+    for i, (p, _) in enumerate(inv.subspaces):
+        classes[_shape(p)].append(i)
+    assert orbits(inv, graph.automorphism_generators(g)[0]) == sorted(map(tuple, classes.values()))
 
 
-def _generators_or_error(closure, autos, n):
-    try:
-        return closure(autos, n)
-    except ValueError as e:
-        return str(e)
-
-
-def test_coset_closure_matches_the_breadth_first_oracle():
-    """The coset closure picks the oracle's generators in the oracle's
-    order, and refuses what it refuses with the same message, on every
-    list the two brute-force group tests build: 126 subsets of S3, 40
-    subgroups of S4 whole and less one element, 7 subgroups of S5."""
-    lists = list(_checked_lists())
-    assert len(lists) == 173
-    for autos, n in lists:
-        want = _generators_or_error(closure_oracle.generators, autos, n)
-        assert _generators_or_error(invariance._generators, autos, n) == want, autos
-
-
-def test_coset_closure_budget_k8():
-    """The 40,320 automorphisms of K8 are checked and generated within
-    0.2 s, best of 5: about 0.09 s by cosets and 0.3 s breadth first on a
-    2-vCPU Xeon VM."""
-    autos = list(itertools.permutations(range(1, 9)))
-    best = math.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        gens = invariance._generators(autos, 8)
-        best = min(best, time.perf_counter() - start)
-    assert gens == [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, 9)) for i in range(7, 0, -1)]  # (i i+1), i = 7..1
-    assert best < 0.2, best
+def test_search_orbits_match_the_listed_group():
+    """On every demo digraph, C8 and directed C8, the orbits under the
+    search's generators are the orbits under the whole listed group."""
+    demos = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "*.json")
+    digraphs = [graph.load_digraph(path) for path in sorted(glob.glob(demos))]
+    digraphs += [graph.digraph_of_graph(8, [(i, i % 8 + 1) for i in range(1, 9)]),
+                 graph.WeightedDigraph(8, tuple((i, i % 8 + 1, 1) for i in range(1, 9)))]
+    for g in digraphs:
+        inv = invariant_polydiagonals(graph.adjacency_matrix(g))
+        autos = automorphisms(g)
+        assert orbits(inv, graph.automorphism_generators(g)[0]) == orbits(inv, autos) == _brute_orbits(inv, autos)
 
 
 # ---------------------------------------------------------------------------
